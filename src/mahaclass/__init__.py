@@ -9,6 +9,7 @@ from .mahalanobis import (
     beta_decide,
     calibrate,
     decision_statistic,
+    scores,
     sim_mah,
     sq_mahalanobis,
 )
@@ -18,5 +19,5 @@ __all__ = [
     "GaussianModel", "SlidingWindow", "append_point", "cholesky",
     "fit_gaussian", "spd_solve",
     "DecisionScore", "DecisionThreshold", "beta_decide", "calibrate",
-    "decision_statistic", "sim_mah", "sq_mahalanobis",
+    "decision_statistic", "scores", "sim_mah", "sq_mahalanobis",
 ]

@@ -16,8 +16,8 @@ from . import data as data_mod
 from . import diagnostics, metrics, trainer
 from .betadist import BetaParams
 from .errors import ConfigError, DataError, NumericalError
-from .linalg import GaussianModel, cholesky
-from .mahalanobis import DecisionThreshold, calibrate, decision_statistic
+from .linalg import GaussianModel, cholesky, fit_gaussian
+from .mahalanobis import DecisionThreshold, calibrate, scores
 from .trainer import ProjectionHead, TrainConfig
 
 EXIT_OK = 0
@@ -158,7 +158,12 @@ def _artifact_from(head, model, thr, args) -> data_mod.ModelArtifact:
         v_beta=thr.v_beta, seed=args.seed, config_hash=_config_hash(args))
 
 
-def _unpack_artifact(artifact: data_mod.ModelArtifact):
+def _unpack_artifact(path, dataset: data_mod.EmbeddingDataset):
+    """(head, model, threshold) of a model file that can score dataset."""
+    artifact = data_mod.load_model(path)
+    if artifact.d_in != dataset.d_in:
+        raise DataError(f"{path} takes {artifact.d_in}-dim input, "
+                        f"the dataset is {dataset.d_in}-dim")
     head = ProjectionHead(weights=artifact.weights, bias=artifact.bias)
     d = artifact.mean.shape[0]
     chol = cholesky(artifact.cov + artifact.ridge * np.eye(d))
@@ -198,10 +203,8 @@ def _train_and_calibrate(dataset, args):
 
 
 def _evaluate(head, model, thr, dataset) -> metrics.MetricsReport:
-    t_values = np.array([decision_statistic(model, v)
-                         .T for v in head.project(dataset.vectors)])
-    preds = (t_values < thr.v_beta).astype(int)
-    report = metrics.score(preds, dataset.labels)
+    t_values = scores(model, head.project(dataset.vectors))
+    report = metrics.score((t_values < thr.v_beta).astype(int), dataset.labels)
     report.auc = metrics.roc_auc(-t_values, dataset.labels)
     return report
 
@@ -221,20 +224,19 @@ def cmd_train(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    head, model, thr = _unpack_artifact(data_mod.load_model(args.model))
     dataset = data_mod.load_dataset(args.input)
+    head, model, thr = _unpack_artifact(args.model, dataset)
+    t_values = scores(model, head.project(dataset.vectors)).tolist()
     with open(args.output, "w", encoding="utf-8") as fh:
-        for rec in dataset.records:
-            t = decision_statistic(model, head.project(rec.vector)).T
-            pred = 1 if t < thr.v_beta else 0
-            fh.write(f"{rec.id}\t{pred}\t{t:.17g}\n")
+        for rid, t in zip(dataset.ids, t_values):
+            fh.write(f"{rid}\t{int(t < thr.v_beta)}\t{t:.17g}\n")
     print(f"wrote {len(dataset)} decisions to {args.output}")
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
-    head, model, thr = _unpack_artifact(data_mod.load_model(args.model))
     dataset = data_mod.load_dataset(args.input)
+    head, model, thr = _unpack_artifact(args.model, dataset)
     report = _evaluate(head, model, thr, dataset)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(report.to_text())
@@ -246,7 +248,7 @@ def cmd_diagnose(args) -> int:
     dataset = data_mod.load_dataset(args.input)
     head = model = None
     if args.model:
-        head, model, _ = _unpack_artifact(data_mod.load_model(args.model))
+        head, model, _ = _unpack_artifact(args.model, dataset)
     reports = diagnostics.normality_report(dataset.vectors, dataset.labels,
                                            head=head, k=args.k)
     with open(args.output + ".normality.tsv", "w", encoding="utf-8") as fh:
@@ -267,9 +269,7 @@ def cmd_diagnose(args) -> int:
                 fh.write(f"{label}\t{theo:.17g}\t{samp:.17g}\n")
 
     if model is None:
-        from .linalg import fit_gaussian
-        vectors = dataset.target_vectors()
-        model = fit_gaussian(vectors, ridge=1e-6)
+        model = fit_gaussian(dataset.target_vectors(), ridge=1e-6)
     with open(args.output + ".dist.tsv", "w", encoding="utf-8") as fh:
         fh.write("id\tlabel\td2\n")
         for rid, label, d2 in diagnostics.emit_distance_report(dataset, head, model):

@@ -326,13 +326,22 @@ def load_model(path) -> ModelArtifact:
         for i, row in enumerate(cov_rows):
             cov[i, : i + 1] = row
         cov = cov + np.tril(cov, -1).T
-        if bias.shape != (d_out,) or len(cov_rows) != d:
+        if bias.shape != (d_out,) or d != d_out or len(cov_rows) != d:
             raise ValueError("inconsistent dimensions")
-        return ModelArtifact(
+        art = ModelArtifact(
             d_in=d_in, d_out=d_out, weights=weights, bias=bias, mean=mean,
             cov=cov, n=n, ridge=float(scalars["ridge"]),
             beta_level=float(scalars["beta_level"]), beta_a=float(scalars["beta_a"]),
             beta_b=float(scalars["beta_b"]), v_beta=float(scalars["v_beta"]),
             seed=int(scalars["seed"]), config_hash=scalars["config_hash"])
+        if not all(np.all(np.isfinite(v)) for v in (weights, bias, mean, cov, art.ridge)):
+            raise ValueError("non-finite values")
+        if n <= d + 1:
+            raise ValueError(f"gauss_n {n} must exceed d+1 = {d + 1}")
+        if (art.beta_a, art.beta_b) != (d / 2, (n - d) / 2):
+            raise ValueError(f"Beta shapes must be d/2 = {d / 2} and (n-d)/2 = {(n - d) / 2}")
+        if not (0 < art.v_beta < 1 and 0 < art.beta_level < 1):
+            raise ValueError("v_beta and beta_level must lie in (0, 1)")
+        return art
     except (KeyError, ValueError, AttributeError) as exc:
         raise ParseError(f"{path}: malformed artifact ({exc})") from exc

@@ -21,8 +21,7 @@ from .errors import (
     SingularCovariance,
     ZeroVariance,
 )
-from .linalg import GaussianModel, cholesky
-from .mahalanobis import sq_mahalanobis
+from .linalg import GaussianModel, cholesky, whitened_sq_norms
 
 
 @dataclass(frozen=True)
@@ -156,11 +155,10 @@ def emit_qq(samples) -> list[tuple[float, float]]:
 def emit_distance_report(data, head, model: GaussianModel) -> list[tuple[str, int, float]]:
     """One (id, label, squared distance) record per instance, ordered by id."""
     records = sorted(data.records, key=lambda r: r.id)
-    out = []
-    for r in records:
-        v = head.project(r.vector) if head is not None else r.vector
-        if v.shape[0] != model.d:
-            raise DimensionMismatch(
-                f"record {r.id!r}: projected dimension {v.shape[0]} vs model {model.d}")
-        out.append((r.id, r.label, sq_mahalanobis(model, v)))
-    return out
+    v = np.stack([r.vector for r in records])
+    if head is not None:
+        v = head.project(v)
+    if v.shape[1] != model.d:
+        raise DimensionMismatch(f"projected dimension {v.shape[1]} vs model {model.d}")
+    d2 = whitened_sq_norms(model.chol, v - model.mean)
+    return [(r.id, r.label, d) for r, d in zip(records, d2.tolist())]

@@ -9,9 +9,10 @@ cost two triangular backsubstitutions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import (
     DimensionMismatch,
@@ -51,6 +52,12 @@ class GaussianModel:
     def d(self) -> int:
         return self.mean.shape[0]
 
+    @cached_property
+    def appended_chol(self) -> np.ndarray:
+        """Factor of (n-1)/n * cov + ridge*I: the ridged covariance after
+        appending a query, less the query's own rank-one term."""
+        return cholesky((self.n - 1) / self.n * self.cov + self.ridge * np.eye(self.d))
+
 
 def fit_gaussian(points, ridge: float = 1e-6) -> GaussianModel:
     """Sample mean and unbiased covariance of a point cloud.
@@ -79,11 +86,19 @@ def spd_solve(model: GaussianModel, v: np.ndarray) -> np.ndarray:
     return cho_solve((model.chol, True), v, check_finite=False)
 
 
+def whitened_sq_norms(chol: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """delta^T (L L^T)^{-1} delta for each row of the (N, d) deltas, by one
+    triangular solve against the (d, N) right-hand side."""
+    z = solve_triangular(chol, deltas.T, lower=True, check_finite=False)
+    return np.einsum("ij,ij->j", z, z)
+
+
 def append_point(model: GaussianModel, x: np.ndarray) -> GaussianModel:
     """Statistics of the model's n points plus x, via rank-1 updates.
 
     Cost is independent of n: O(d^2) for the moments plus one O(d^3)
-    refactorization, never a pass over the raw points.
+    refactorization.  Scoring uses the closed form in
+    ``mahalanobis.scores`` instead; this is its explicit reference.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (model.d,):
@@ -155,7 +170,3 @@ class SlidingWindow:
         self._pending = 0
         if len(self._buffer) >= 2:
             self._model = fit_gaussian(self.contents(), ridge=self.ridge)
-
-
-def window_push(w: SlidingWindow, batch) -> SlidingWindow:
-    return w.push(batch)

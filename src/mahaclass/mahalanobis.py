@@ -5,7 +5,7 @@ A query is tested by appending it to the target statistics, computing its
 squared distance under the updated mean/covariance, and normalizing to
 T = (n+1)/n^2 * d^2, which under the Gaussian null follows
 Beta(d/2, (n-d)/2).  The query never persists into the model: each
-decision scores against a frozen snapshot.
+decision scores against a frozen snapshot, in closed form (see ``scores``).
 """
 
 from __future__ import annotations
@@ -21,10 +21,8 @@ from .errors import (
     InsufficientSamples,
     ShapeMismatch,
 )
-from .linalg import GaussianModel, append_point, spd_solve
-
-TARGET = 1
-NON_TARGET = 0
+from .linalg import GaussianModel, spd_solve, whitened_sq_norms
+from .metrics import NON_TARGET, TARGET
 
 
 @dataclass(frozen=True)
@@ -43,7 +41,7 @@ class DecisionThreshold:
     def for_model(cls, model: GaussianModel, beta_level: float) -> "DecisionThreshold":
         params = null_beta_params(model)
         return cls(beta_level=beta_level, params=params,
-                   v_beta=beta_quantile(params, beta_level))
+                   v_beta=float(beta_quantile(params, beta_level)))
 
 
 def null_beta_params(model: GaussianModel) -> BetaParams:
@@ -54,12 +52,17 @@ def null_beta_params(model: GaussianModel) -> BetaParams:
     return BetaParams(d / 2.0, (n - d) / 2.0)
 
 
+def _deltas(model: GaussianModel, x) -> np.ndarray:
+    """Rows of the (N, d) array x minus the model mean."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != model.d:
+        raise DimensionMismatch(f"expected rows of length {model.d}, got shape {x.shape}")
+    return x - model.mean
+
+
 def sq_mahalanobis(model: GaussianModel, x: np.ndarray) -> float:
     """(x - mu)^T (Sigma + ridge*I)^{-1} (x - mu); zero iff x == mu."""
-    x = np.asarray(x, dtype=float)
-    delta = x - model.mean  # shape check happens in spd_solve
-    w = spd_solve(model, delta)
-    return max(float(delta @ w), 0.0)
+    return float(whitened_sq_norms(model.chol, _deltas(model, np.asarray(x)[None]))[0])
 
 
 def sim_mah(model: GaussianModel, x: np.ndarray, y: np.ndarray) -> float:
@@ -73,15 +76,25 @@ def sim_mah(model: GaussianModel, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.exp(-q / model.d))
 
 
+def scores(model: GaussianModel, x) -> np.ndarray:
+    """Normalized statistic T of each row of x, appended alone to the model.
+
+    Appending a query moves the ridged covariance to A + delta delta^T/(n+1),
+    with A = (n-1)/n * Sigma + ridge*I and delta = x - mu, and leaves the
+    query n/(n+1) * delta from the new mean.  With q = delta^T A^{-1} delta,
+    Sherman-Morrison gives d2 = (n/(n+1))^2 * q / (1 + q/(n+1)), so
+    T = (n+1)/n^2 * d2 = q / (n+1+q): exact, ridge included, and one
+    triangular solve against A's cached factor for the whole batch.
+    """
+    null_beta_params(model)  # n > d+1
+    q = whitened_sq_norms(model.appended_chol, _deltas(model, x))
+    return q / (model.n + 1 + q)
+
+
 def decision_statistic(model: GaussianModel, x: np.ndarray) -> DecisionScore:
-    """Append x, evaluate its squared distance, normalize to the Beta scale."""
-    n = model.n
-    if n <= model.d + 1:
-        raise InsufficientSamples(f"need n > d+1, got n={n}, d={model.d}")
-    updated = append_point(model, x)
-    d2 = sq_mahalanobis(updated, np.asarray(x, dtype=float))
-    t = (n + 1) / n**2 * d2
-    return DecisionScore(d2=d2, T=float(min(max(t, 0.0), 1.0)))
+    """``scores`` of the single query x, with its appended squared distance."""
+    t = float(scores(model, np.asarray(x)[None])[0])
+    return DecisionScore(d2=model.n**2 / (model.n + 1) * t, T=t)
 
 
 def beta_decide(model: GaussianModel, x: np.ndarray, thr: DecisionThreshold) -> int:
@@ -90,24 +103,7 @@ def beta_decide(model: GaussianModel, x: np.ndarray, thr: DecisionThreshold) -> 
     if not (np.isclose(thr.params.a, expected.a) and np.isclose(thr.params.b, expected.b)):
         raise ShapeMismatch(
             f"threshold shapes {thr.params} do not match model (n={model.n}, d={model.d})")
-    score = decision_statistic(model, x)
-    return TARGET if score.T < thr.v_beta else NON_TARGET
-
-
-def _confusion(predictions: np.ndarray, truth: np.ndarray):
-    tp = int(np.sum((predictions == TARGET) & (truth == TARGET)))
-    fp = int(np.sum((predictions == TARGET) & (truth == NON_TARGET)))
-    tn = int(np.sum((predictions == NON_TARGET) & (truth == NON_TARGET)))
-    fn = int(np.sum((predictions == NON_TARGET) & (truth == TARGET)))
-    return tp, fp, tn, fn
-
-
-def _f1_fpr(t_values: np.ndarray, truth: np.ndarray, v: float):
-    preds = np.where(t_values < v, TARGET, NON_TARGET)
-    tp, fp, tn, fn = _confusion(preds, truth)
-    f1 = 2 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) > 0 else 0.0
-    fpr = fp / (fp + tn) if (fp + tn) > 0 else 0.0
-    return f1, fpr
+    return TARGET if decision_statistic(model, x).T < thr.v_beta else NON_TARGET
 
 
 def calibrate(model: GaussianModel, dev_vectors, dev_labels,
@@ -120,33 +116,34 @@ def calibrate(model: GaussianModel, dev_vectors, dev_labels,
     """
     if objective not in ("f1", "f1-fpr-cap"):
         raise ValueError(f"unknown objective {objective!r}")
-    vectors = np.asarray(dev_vectors, dtype=float)
     truth = np.asarray(dev_labels, dtype=int)
     if len(set(truth.tolist())) < 2:
         raise DegenerateDevSet("dev split must contain both classes")
     params = null_beta_params(model)
-    t_values = np.array([decision_statistic(model, v).T for v in vectors])
+    t_values = scores(model, dev_vectors)
 
-    # (beta_level, critical value) candidates; a dev statistic t maps back
-    # to the level I_t(a, b), whose quantile is t itself.
-    candidates = [(reg_inc_beta(params, t), t) for t in sorted(set(t_values.tolist()))]
-    for g in np.linspace(0.01, 0.99, 99):
-        candidates.append((float(g), beta_quantile(params, float(g))))
-    candidates = [(b, v) for b, v in candidates if 0.0 < b < 1.0]
-    candidates.sort()
+    # (beta_level, critical value) candidates, sorted; a dev statistic t
+    # maps back to the level I_t(a, b), whose quantile is t itself.
+    grid = np.linspace(0.01, 0.99, 99)
+    unique_t = np.unique(t_values)
+    levels = np.concatenate([reg_inc_beta(params, unique_t), grid])
+    crit = np.concatenate([unique_t, beta_quantile(params, grid)])
+    keep = (levels > 0.0) & (levels < 1.0)
+    order = np.lexsort((crit[keep], levels[keep]))
+    levels, crit = levels[keep][order], crit[keep][order]
 
-    best = None
-    for beta_level, v in candidates:
-        f1, fpr = _f1_fpr(t_values, truth, v)
-        if objective == "f1-fpr-cap" and fpr > fpr_cap:
-            continue
-        # strict > keeps the smallest beta_level among ties
-        if best is None or f1 > best[0]:
-            best = (f1, beta_level, v)
-    if best is None:
+    # the strict test T < v counts the sorted statistics left of v
+    pos, neg = np.sort(t_values[truth == TARGET]), np.sort(t_values[truth == NON_TARGET])
+    tp = np.searchsorted(pos, crit, side="left")
+    fp = np.searchsorted(neg, crit, side="left")
+    f1 = 2 * tp / (tp + fp + pos.size)  # 2tp + fp + fn, never zero
+    fpr = fp / neg.size
+    allowed = fpr <= (fpr_cap if objective == "f1-fpr-cap" else np.inf)
+    if allowed.any():
+        # argmax returns the first maximum: the smallest level among ties
+        best = np.flatnonzero(allowed)[np.argmax(f1[allowed])]
+    else:
         # nothing satisfied the cap; fall back to the lowest-FPR candidate
-        scored = [(_f1_fpr(t_values, truth, v)[1], b, v) for b, v in candidates]
-        fpr, beta_level, v = min(scored)
-        return DecisionThreshold(beta_level=beta_level, params=params, v_beta=v)
-    _, beta_level, v = best
-    return DecisionThreshold(beta_level=beta_level, params=params, v_beta=v)
+        best = np.argmin(fpr)
+    return DecisionThreshold(beta_level=float(levels[best]), params=params,
+                             v_beta=float(crit[best]))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientClassData, NonFiniteLoss
+from .errors import InsufficientClassData, InvalidConfig, NonFiniteLoss
 from .linalg import GaussianModel, SlidingWindow
 from .loss import ContrastTriple, cosine_loss, mah_loss, mah_mean_loss
 from .seeds import rng_for
@@ -60,11 +60,11 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.loss_kind not in LOSS_KINDS:
-            raise ValueError(f"loss_kind must be one of {LOSS_KINDS}")
+            raise InvalidConfig(f"loss_kind must be one of {LOSS_KINDS}")
         if min(self.batch_size, self.window_multiplier, self.proj_dim) < 1:
-            raise ValueError("batch_size, window_multiplier and proj_dim must be positive")
+            raise InvalidConfig("batch_size, window_multiplier and proj_dim must be positive")
         if self.epochs < 0 or self.learning_rate <= 0 or self.ridge < 0:
-            raise ValueError("invalid epochs, learning_rate or ridge")
+            raise InvalidConfig("invalid epochs, learning_rate or ridge")
 
     @property
     def window_capacity(self) -> int:
@@ -132,11 +132,6 @@ class TripleSampler:
                                           negative=self.y[k], anchor_idx=i,
                                           positive_idx=j, negative_idx=k))
         return triples
-
-
-def sample_triples(data, batch_size: int, rng: np.random.Generator) -> list[ContrastTriple]:
-    return TripleSampler(data.target_vectors(), data.non_target_vectors(),
-                         rng).next_batch(batch_size)
 
 
 def _projected_triple(head: ProjectionHead, t: ContrastTriple) -> ContrastTriple:

@@ -163,7 +163,57 @@ class TestConfigFile:
         assert rc == cli.EXIT_USAGE
 
 
+def _edit_model(src, dst, edits):
+    """Copy a model file, setting the first value of each edited key."""
+    lines = []
+    for line in src.read_text().splitlines():
+        key, *values = line.split(" ")
+        if key in edits:
+            values[0] = edits[key]
+        lines.append(" ".join([key] + values))
+    dst.write_text("\n".join(lines) + "\n")
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("command", ["infer", "evaluate"])
+    @pytest.mark.parametrize("edits", [
+        {"mean": "nan"},
+        {"cov": "inf"},
+        {"beta_a": "2.5"},
+        {"v_beta": "1.5"},
+        {"v_beta": "0"},
+        {"gauss_n": "5", "beta_b": "0.5"},  # n <= d+1 with consistent shapes
+    ])
+    def test_invalid_model_is_data_error(self, workspace, tmp_path, command, edits):
+        _, data, model = workspace
+        bad = tmp_path / "bad.txt"
+        _edit_model(model, bad, edits)
+        out = tmp_path / "out.tsv"
+        rc = cli.main([command, "--model", str(bad), "--input", str(data),
+                       "--output", str(out)])
+        assert rc == cli.EXIT_DATA
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["infer", "evaluate", "diagnose"])
+    def test_dimension_mismatch_is_data_error(self, workspace, tmp_path, command):
+        _, _, model = workspace
+        wide = tmp_path / "wide.tsv"
+        assert cli.main(["synth", "--output", str(wide), "--d-in", "16", "--n-target", "20",
+                         "--m-non-target", "20", "--manifold-dim", "3"]) == 0
+        out = tmp_path / "out"
+        rc = cli.main([command, "--model", str(model), "--input", str(wide),
+                       "--output", str(out)])
+        assert rc == cli.EXIT_DATA
+        assert not list(tmp_path.glob("out*"))
+
+    def test_invalid_train_config_is_usage_error(self, workspace, tmp_path):
+        _, data, _ = workspace
+        out = tmp_path / "m.txt"
+        rc = cli.main(["train", "--input", str(data), "--output", str(out),
+                       "--proj-dim", "0"])
+        assert rc == cli.EXIT_USAGE
+        assert not out.exists()
+
     def test_missing_input_is_data_error(self, tmp_path):
         rc = cli.main(["train", "--input", str(tmp_path / "nope.tsv"),
                        "--output", str(tmp_path / "m.txt")])

@@ -10,7 +10,6 @@ from mahaclass.linalg import (
     cholesky,
     fit_gaussian,
     spd_solve,
-    window_push,
 )
 
 
@@ -137,7 +136,7 @@ class TestSlidingWindow:
         batches = [rng.normal(size=(4, 2)) for _ in range(3)]
         w = SlidingWindow(capacity=8, dim=2, update_frequency=4)
         for b in batches:
-            window_push(w, b)
+            w.push(b)
         ref = fit_gaussian(np.vstack(batches[-2:]), ridge=1e-6)
         np.testing.assert_allclose(w.model.mean, ref.mean)
         np.testing.assert_allclose(w.model.cov, ref.cov)

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import make_model
-from mahaclass.betadist import BetaParams, reg_inc_beta
+from mahaclass.betadist import BetaParams, beta_quantile, reg_inc_beta
 from mahaclass.errors import (
     DegenerateDevSet,
     DimensionMismatch,
     InsufficientSamples,
     ShapeMismatch,
 )
-from mahaclass.linalg import fit_gaussian
+from mahaclass.linalg import append_point, fit_gaussian
 from mahaclass.mahalanobis import (
     NON_TARGET,
     TARGET,
@@ -18,6 +18,7 @@ from mahaclass.mahalanobis import (
     calibrate,
     decision_statistic,
     null_beta_params,
+    scores,
     sim_mah,
     sq_mahalanobis,
 )
@@ -33,6 +34,33 @@ def naive_t(points: np.ndarray, x: np.ndarray) -> float:
     delta = x - mean
     d2 = float(delta @ np.linalg.solve(cov, delta))
     return (n + 1) / n**2 * d2
+
+
+def brute_force_calibrate(t_values, truth, params, objective, fpr_cap):
+    """The per-candidate scan: F1 and FPR recounted at every candidate."""
+    candidates = [(float(reg_inc_beta(params, t)), t) for t in sorted(set(t_values.tolist()))]
+    for g in np.linspace(0.01, 0.99, 99):
+        candidates.append((float(g), float(beta_quantile(params, float(g)))))
+    candidates = sorted((b, v) for b, v in candidates if 0.0 < b < 1.0)
+
+    def f1_fpr(v):
+        preds = t_values < v
+        tp = int(np.sum(preds & (truth == 1)))
+        fp = int(np.sum(preds & (truth == 0)))
+        fn = int(np.sum(~preds & (truth == 1)))
+        tn = int(np.sum(~preds & (truth == 0)))
+        return 2 * tp / (2 * tp + fp + fn), fp / (fp + tn)
+
+    best = None
+    for b, v in candidates:
+        f1, fpr = f1_fpr(v)
+        if objective == "f1-fpr-cap" and fpr > fpr_cap:
+            continue
+        if best is None or f1 > best[0]:
+            best = (f1, b, v)
+    if best is None:
+        return min((f1_fpr(v)[1], b, v) for b, v in candidates)[1:]
+    return best[1:]
 
 
 class TestSqMahalanobis:
@@ -87,15 +115,30 @@ class TestSimMah:
 
 class TestDecisionStatistic:
     def test_matches_brute_force(self):
+        # the closed form, one batched call over all queries, against
+        # appending each query and taking its distance under the refactored
+        # statistics; without a ridge, also against a full refit
         rng = np.random.default_rng(9)
-        for _ in range(20):
-            d = int(rng.integers(1, 6))
-            n = int(rng.integers(d + 2, 60))
-            pts = rng.normal(size=(n, d))
-            x = rng.normal(size=d)
-            model = fit_gaussian(pts, ridge=0.0)
-            got = decision_statistic(model, x).T
-            assert got == pytest.approx(naive_t(pts, x), rel=1e-9)
+        for ridge in (0.0, 1e-6, 0.3, 5.0):
+            for _ in range(20):
+                d = int(rng.integers(1, 6))
+                n = int(rng.integers(d + 2, 60))
+                pts = rng.normal(size=(n, d))
+                queries = 3.0 * rng.normal(size=(10, d))
+                model = fit_gaussian(pts, ridge=ridge)
+                want = [(n + 1) / n**2 * sq_mahalanobis(append_point(model, x), x)
+                        for x in queries]
+                np.testing.assert_allclose(scores(model, queries), want, rtol=1e-10)
+                np.testing.assert_allclose(
+                    [decision_statistic(model, x).T for x in queries], want, rtol=1e-10)
+                if ridge == 0.0:
+                    np.testing.assert_allclose(
+                        want, [naive_t(pts, x) for x in queries], rtol=1e-9)
+
+    def test_wrong_dimension(self):
+        model = fit_gaussian(np.random.default_rng(0).normal(size=(10, 2)), ridge=0.0)
+        with pytest.raises(DimensionMismatch):
+            scores(model, np.zeros((4, 3)))
 
     def test_query_at_mean(self):
         pts = np.random.default_rng(10).normal(size=(30, 3))
@@ -215,6 +258,22 @@ class TestCalibrate:
         fp = np.sum((preds == 1) & (labels == 0))
         tn = np.sum((preds == 0) & (labels == 0))
         assert fp / (fp + tn) <= 0.05
+
+    @pytest.mark.parametrize("objective,fpr_cap", [
+        ("f1", 0.05), ("f1-fpr-cap", 0.05), ("f1-fpr-cap", 0.0), ("f1-fpr-cap", -1.0)])
+    @pytest.mark.parametrize("seed", [20, 21, 22])
+    def test_matches_per_candidate_scan(self, seed, objective, fpr_cap):
+        # dev statistics denser than the grid, so some choices fall on them
+        model, vectors, labels = self._dev(seed, n_t=150, n_n=150, shift=1.0)
+        # duplicated rows tie their statistics, within and across classes
+        dup = np.random.default_rng(seed).integers(0, labels.size, size=30)
+        vectors = np.vstack([vectors, vectors[dup], vectors[dup[:10]]])
+        labels = np.concatenate([labels, labels[dup], 1 - labels[dup[:10]]])
+        t_values = scores(model, vectors)
+        assert np.unique(t_values).size <= t_values.size - 30
+        thr = calibrate(model, vectors, labels, objective=objective, fpr_cap=fpr_cap)
+        want = brute_force_calibrate(t_values, labels, thr.params, objective, fpr_cap)
+        assert (thr.beta_level, thr.v_beta) == want
 
     def test_single_class_dev_raises(self):
         model, vectors, labels = self._dev(17)

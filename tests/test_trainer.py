@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mahaclass.data import EmbeddingDataset, EmbeddingRecord
-from mahaclass.errors import InsufficientClassData
+from mahaclass.errors import InsufficientClassData, InvalidConfig
 from mahaclass.linalg import fit_gaussian
 from mahaclass.seeds import rng_for
 from mahaclass.trainer import (
@@ -38,11 +38,11 @@ class TestTrainConfig:
         assert cfg.window_capacity == 40
 
     def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             TrainConfig(loss_kind="hinge")
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             TrainConfig(batch_size=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             TrainConfig(learning_rate=0.0)
 
 
