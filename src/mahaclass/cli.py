@@ -15,7 +15,7 @@ import numpy as np
 from . import data as data_mod
 from . import diagnostics, metrics, trainer
 from .betadist import BetaParams
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NotPositiveDefinite, NumericalError, ParseError
 from .linalg import GaussianModel, cholesky, fit_gaussian
 from .mahalanobis import DecisionThreshold, calibrate, scores
 from .trainer import ProjectionHead, TrainConfig
@@ -166,7 +166,11 @@ def _unpack_artifact(path, dataset: data_mod.EmbeddingDataset):
                         f"the dataset is {dataset.d_in}-dim")
     head = ProjectionHead(weights=artifact.weights, bias=artifact.bias)
     d = artifact.mean.shape[0]
-    chol = cholesky(artifact.cov + artifact.ridge * np.eye(d))
+    try:
+        chol = cholesky(artifact.cov + artifact.ridge * np.eye(d))
+    except NotPositiveDefinite as exc:
+        raise ParseError(f"{path}: malformed artifact (cov + ridge*I is not "
+                         f"positive definite)") from exc
     model = GaussianModel(mean=artifact.mean, cov=artifact.cov, chol=chol,
                           n=artifact.n, ridge=artifact.ridge)
     thr = DecisionThreshold(beta_level=artifact.beta_level,

@@ -336,6 +336,8 @@ def load_model(path) -> ModelArtifact:
             seed=int(scalars["seed"]), config_hash=scalars["config_hash"])
         if not all(np.all(np.isfinite(v)) for v in (weights, bias, mean, cov, art.ridge)):
             raise ValueError("non-finite values")
+        if art.ridge < 0:
+            raise ValueError(f"ridge {art.ridge} must be non-negative")
         if n <= d + 1:
             raise ValueError(f"gauss_n {n} must exceed d+1 = {d + 1}")
         if (art.beta_a, art.beta_b) != (d / 2, (n - d) / 2):

@@ -79,11 +79,14 @@ def fit_gaussian(points, ridge: float = 1e-6) -> GaussianModel:
 
 
 def spd_solve(model: GaussianModel, v: np.ndarray) -> np.ndarray:
-    """Solve (cov + ridge*I) w = v through the cached Cholesky factor."""
+    """Solve (cov + ridge*I) w = v through the cached Cholesky factor, for
+    a vector or for each row of a (..., d) array, by one solve against the
+    (d, N) right-hand side."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (model.d,):
-        raise DimensionMismatch(f"expected vector of length {model.d}, got shape {v.shape}")
-    return cho_solve((model.chol, True), v, check_finite=False)
+    if v.ndim == 0 or v.shape[-1] != model.d:
+        raise DimensionMismatch(f"expected rows of length {model.d}, got shape {v.shape}")
+    w = cho_solve((model.chol, True), v.reshape(-1, model.d).T, check_finite=False)
+    return w.T.reshape(v.shape)
 
 
 def whitened_sq_norms(chol: np.ndarray, deltas: np.ndarray) -> np.ndarray:
@@ -115,7 +118,8 @@ def append_point(model: GaussianModel, x: np.ndarray) -> GaussianModel:
 
 @dataclass
 class SlidingWindow:
-    """Ring buffer of recent target vectors with batched statistics refresh.
+    """The most recent target vectors, oldest first, with batched
+    statistics refresh.
 
     Single-writer: concurrent pushes are not supported.  The derived
     model is a fresh immutable value on every refresh.
@@ -125,13 +129,14 @@ class SlidingWindow:
     dim: int
     update_frequency: int = 1
     ridge: float = 1e-6
-    _buffer: list = field(default_factory=list, repr=False)
+    _buffer: np.ndarray = field(init=False, repr=False)
     _pending: int = field(default=0, repr=False)
     _model: GaussianModel | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.capacity < 1 or self.update_frequency < 1:
             raise ValueError("capacity and update_frequency must be positive")
+        self._buffer = np.empty((0, self.dim))
 
     def __len__(self) -> int:
         return len(self._buffer)
@@ -139,9 +144,6 @@ class SlidingWindow:
     @property
     def model(self) -> GaussianModel | None:
         return self._model
-
-    def contents(self) -> np.ndarray:
-        return np.asarray(self._buffer, dtype=float).reshape(len(self._buffer), self.dim)
 
     def push(self, batch) -> "SlidingWindow":
         """Append a batch, dropping the oldest vectors beyond capacity.
@@ -155,10 +157,7 @@ class SlidingWindow:
         if batch.shape[1] != self.dim:
             raise DimensionMismatch(
                 f"window dimension is {self.dim}, batch has {batch.shape[1]}")
-        for row in batch:
-            self._buffer.append(row.copy())
-        if len(self._buffer) > self.capacity:
-            del self._buffer[: len(self._buffer) - self.capacity]
+        self._buffer = np.concatenate([self._buffer, batch])[-self.capacity:]
         self._pending += batch.shape[0]
         if self._pending >= self.update_frequency:
             self.refresh()
@@ -169,4 +168,4 @@ class SlidingWindow:
         incremental downdates)."""
         self._pending = 0
         if len(self._buffer) >= 2:
-            self._model = fit_gaussian(self.contents(), ridge=self.ridge)
+            self._model = fit_gaussian(self._buffer, ridge=self.ridge)

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientClassData, InvalidConfig, NonFiniteLoss
+from .errors import InsufficientClassData, InvalidConfig, NonFiniteLoss, NotPositiveDefinite
 from .linalg import GaussianModel, SlidingWindow
-from .loss import ContrastTriple, cosine_loss, mah_loss, mah_mean_loss
+from .loss import cosine_loss, mah_loss, mah_mean_loss
 from .seeds import rng_for
 
 LOSS_KINDS = ("mah", "mah_mean", "cosine")
@@ -117,33 +117,29 @@ class TripleSampler:
         self.rng = rng
         self._order: list[int] = []
 
-    def next_batch(self, batch_size: int) -> list[ContrastTriple]:
+    def next_batch(self, batch_size: int) -> np.ndarray:
+        """(3, batch_size) indices: anchor and positive rows of the target
+        set and negative rows of the non-target set; unpacks as i, j, k."""
         n, m = self.x.shape[0], self.y.shape[0]
-        triples = []
-        for _ in range(batch_size):
+        idx = np.empty((3, batch_size), dtype=np.intp)
+        for b in range(batch_size):
             if not self._order:
                 self._order = list(self.rng.permutation(n))
             i = int(self._order.pop())
             j = int(self.rng.integers(n - 1))
             if j >= i:
                 j += 1  # uniform over X minus the anchor
-            k = int(self.rng.integers(m))
-            triples.append(ContrastTriple(anchor=self.x[i], positive=self.x[j],
-                                          negative=self.y[k], anchor_idx=i,
-                                          positive_idx=j, negative_idx=k))
-        return triples
-
-
-def _projected_triple(head: ProjectionHead, t: ContrastTriple) -> ContrastTriple:
-    return ContrastTriple(anchor=head.project(t.anchor),
-                          positive=head.project(t.positive),
-                          negative=head.project(t.negative),
-                          anchor_idx=t.anchor_idx, positive_idx=t.positive_idx,
-                          negative_idx=t.negative_idx)
+            idx[:, b] = i, j, int(self.rng.integers(m))
+        return idx
 
 
 def train(data, cfg: TrainConfig):
     """One or more epochs of contrastive training over the train split.
+
+    Each step stacks the batch's raw rows into a (B, k, d_in) array, with
+    k = 3 (anchor, positive, negative) or k = 2 for mah_mean (anchor,
+    negative), projects it once, and takes the head gradient as one
+    product of the (B, k, d_out) loss gradient with the raw rows.
 
     Returns (head, final window model, per-batch loss log).
     """
@@ -168,32 +164,27 @@ def train(data, cfg: TrainConfig):
     for epoch in range(cfg.epochs):
         for batch_i in range(n_batches):
             size = min(cfg.batch_size, x_t.shape[0] - batch_i * cfg.batch_size)
-            triples = sampler.next_batch(size)
-            projected = [_projected_triple(head, t) for t in triples]
-            window.push(np.stack([p.anchor for p in projected]))
-
-            model = window.model
-            dw = np.zeros_like(head.weights)
-            db = np.zeros_like(head.bias)
-            if cfg.loss_kind == "mah":
-                lv = mah_loss(projected, model)
-            elif cfg.loss_kind == "cosine":
-                lv = cosine_loss(projected)
-            else:
-                lv = mah_mean_loss([p.anchor for p in projected],
-                                   [p.negative for p in projected], model)
-            if not math.isfinite(lv.value):
-                raise NonFiniteLoss(f"loss diverged at epoch {epoch}, batch {batch_i}")
-            if cfg.loss_kind == "mah_mean":
-                for t, (gx, gy) in zip(triples, lv.grads):
-                    dw += np.outer(gx, t.anchor) + np.outer(gy, t.negative)
-                    db += gx + gy
-            else:
-                for t, (ga, gp, gn) in zip(triples, lv.grads):
-                    dw += (np.outer(ga, t.anchor) + np.outer(gp, t.positive)
-                           + np.outer(gn, t.negative))
-                    db += ga + gp + gn
-            head.weights, head.bias = opt.step([head.weights, head.bias], [dw, db])
+            i, j, k = sampler.next_batch(size)
+            rows = ([sampler.x[i], sampler.y[k]] if cfg.loss_kind == "mah_mean"
+                    else [sampler.x[i], sampler.x[j], sampler.y[k]])
+            raw = np.stack(rows, axis=1)
+            z = head.project(raw)
+            try:
+                window.push(z[:, 0])
+                if cfg.loss_kind == "mah":
+                    lv = mah_loss(z, window.model)
+                elif cfg.loss_kind == "cosine":
+                    lv = cosine_loss(z)
+                else:
+                    lv = mah_mean_loss(z[:, 0], z[:, 1], window.model)
+                if not math.isfinite(lv.value):
+                    raise NonFiniteLoss(f"loss is {lv.value}")
+            except (NotPositiveDefinite, NonFiniteLoss) as exc:
+                raise NonFiniteLoss(
+                    f"training diverged at epoch {epoch}, batch {batch_i}: {exc}") from exc
+            g = lv.grads
+            dw = g.reshape(-1, d_out).T @ raw.reshape(-1, d_in)
+            head.weights, head.bias = opt.step([head.weights, head.bias], [dw, g.sum((0, 1))])
             log.append(LogEntry(epoch=epoch, batch=batch_i, loss=lv.value))
     window.refresh()
     return head, window.model, log

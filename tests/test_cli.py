@@ -183,6 +183,8 @@ class TestExitCodes:
         {"v_beta": "1.5"},
         {"v_beta": "0"},
         {"gauss_n": "5", "beta_b": "0.5"},  # n <= d+1 with consistent shapes
+        {"ridge": "-100"},
+        {"cov": "-5"},  # cov + ridge*I not positive definite
     ])
     def test_invalid_model_is_data_error(self, workspace, tmp_path, command, edits):
         _, data, model = workspace
@@ -212,6 +214,21 @@ class TestExitCodes:
         rc = cli.main(["train", "--input", str(data), "--output", str(out),
                        "--proj-dim", "0"])
         assert rc == cli.EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("loss", ["mah", "mah-mean"])
+    def test_diverging_run_is_numerical_error(self, tmp_path, capsys, loss):
+        # lr 1e6 blows the head up at the first step: mah similarities
+        # underflow to zero, mah-mean's window covariance stops factoring
+        data = tmp_path / "data.tsv"
+        assert cli.main(["synth", "--output", str(data), "--seed", "1", "--d-in", "32",
+                         "--n-target", "600", "--m-non-target", "300"]) == 0
+        out = tmp_path / "m.txt"
+        capsys.readouterr()
+        rc = cli.main(["train", "--input", str(data), "--output", str(out),
+                       "--seed", "1", "--loss", loss, "--lr", "1e6"])
+        assert rc == cli.EXIT_NUMERICAL
+        assert "diverged at epoch 0, batch 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_input_is_data_error(self, tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_model
-from mahaclass.errors import DimensionMismatch, EmptyBatch, ZeroVector
+from mahaclass.errors import DimensionMismatch, EmptyBatch, NonFiniteLoss, ZeroVector
 from mahaclass.linalg import fit_gaussian
 from mahaclass.loss import ContrastTriple, cosine_loss, mah_loss, mah_mean_loss
 
@@ -74,6 +74,43 @@ class TestMahLoss:
         model, *_ = random_case(23)
         with pytest.raises(EmptyBatch):
             mah_loss([], model)
+
+    def test_underflowing_similarities(self):
+        # both similarities exp(-q/d) underflow: the ratio is 0/0
+        model = make_model(np.zeros(2), np.eye(2), n=10)
+        t = ContrastTriple(anchor=np.full(2, 1e3), positive=np.zeros(2),
+                           negative=np.zeros(2))
+        with pytest.raises(NonFiniteLoss):
+            mah_loss([t], model)
+
+    def test_ragged_batch(self):
+        model, a, p, n = random_case(31)
+        with pytest.raises(DimensionMismatch):
+            mah_loss([ContrastTriple(a, p, n[:2])], model)
+        with pytest.raises(DimensionMismatch):
+            mah_loss([ContrastTriple(a[:2], p[:2], n[:2])], model)
+
+
+@pytest.mark.parametrize("kind", ["mah", "mah_mean", "cosine"])
+def test_batch_is_the_mean_of_its_rows(kind):
+    # distinct random triples: a batch of 7 is the mean of its 7 singleton
+    # calls, row by row, and each gradient row is the singleton's over 7
+    model, *_ = random_case(32)
+    batch = np.random.default_rng(32).normal(size=(7, 3, 4))
+
+    def loss(rows):
+        if kind == "mah":
+            return mah_loss(rows, model)
+        if kind == "cosine":
+            return cosine_loss(rows)
+        return mah_mean_loss(rows[:, 0], rows[:, 2], model)
+
+    whole = loss(batch)
+    singles = [loss(batch[b:b + 1]) for b in range(7)]
+    assert whole.value == pytest.approx(np.mean([s.value for s in singles]), rel=1e-12)
+    assert whole.grads.shape == (7, 2 if kind == "mah_mean" else 3, 4)
+    for b, s in enumerate(singles):
+        np.testing.assert_allclose(whole.grads[b], s.grads[0] / 7, rtol=1e-12, atol=1e-15)
 
 
 class TestMahMeanLoss:

@@ -66,27 +66,26 @@ class TestTripleSampler:
         data = toy_data(1, n=20, m=10)
         s = TripleSampler(data.target_vectors(), data.non_target_vectors(),
                           rng_for(0, "triples"))
-        batch = s.next_batch(20)
-        assert sorted(t.anchor_idx for t in batch) == list(range(20))
+        i, _, _ = s.next_batch(20)
+        assert sorted(i) == list(range(20))
 
     def test_positive_never_the_anchor(self):
         data = toy_data(2, n=10, m=10)
         s = TripleSampler(data.target_vectors(), data.non_target_vectors(),
                           rng_for(1, "triples"))
-        for t in s.next_batch(200):
-            assert t.positive_idx != t.anchor_idx
-            assert 0 <= t.positive_idx < 10
-            assert 0 <= t.negative_idx < 10
+        i, j, k = s.next_batch(200)
+        assert np.all(j != i)
+        assert np.all((0 <= j) & (j < 10))
+        assert np.all((0 <= k) & (k < 10))
 
     def test_positive_marginal_is_uniform(self):
         from scipy.stats import chi2
         data = toy_data(3, n=20, m=5)
         s = TripleSampler(data.target_vectors(), data.non_target_vectors(),
                           rng_for(2, "triples"))
-        counts = np.zeros(20)
         draws = 20000
-        for t in s.next_batch(draws):
-            counts[t.positive_idx] += 1
+        _, j, _ = s.next_batch(draws)
+        counts = np.bincount(j, minlength=20)
         expected = draws / 20
         stat = np.sum((counts - expected) ** 2 / expected)
         assert stat < chi2.ppf(0.999, 19)
