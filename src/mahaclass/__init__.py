@@ -10,7 +10,6 @@ from .mahalanobis import (
     calibrate,
     decision_statistic,
     scores,
-    sim_mah,
     sq_mahalanobis,
 )
 
@@ -19,5 +18,5 @@ __all__ = [
     "GaussianModel", "SlidingWindow", "append_point", "cholesky",
     "fit_gaussian", "spd_solve",
     "DecisionScore", "DecisionThreshold", "beta_decide", "calibrate",
-    "decision_statistic", "scores", "sim_mah", "sq_mahalanobis",
+    "decision_statistic", "scores", "sq_mahalanobis",
 ]

@@ -28,8 +28,9 @@ EXIT_NUMERICAL = 4
 _LOSS_FLAGS = {"mah": "mah", "mah-mean": "mah_mean", "cosine": "cosine"}
 
 
-def _read_config_file(path) -> dict[str, str]:
-    values = {}
+def _config_tokens(path) -> list[str]:
+    """Each key=value line of a config file as one --key=value token."""
+    tokens = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -38,8 +39,8 @@ def _read_config_file(path) -> dict[str, str]:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-    return values
+            tokens.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return tokens
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,31 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(parser, args, argv):
-    if getattr(args, "config", None):
-        values = _read_config_file(args.config)
-        sub = next(a for a in parser._actions
-                   if isinstance(a, argparse._SubParsersAction))
-        flag_map = {a.dest: a for a in sub.choices[args.command]._actions}
-        for key, raw in values.items():
-            dest = key.replace("-", "_")
-            if dest not in flag_map or dest in ("config", "command"):
-                raise ConfigError(f"unknown config key {key!r}")
-        # flags explicitly present on the command line win
-        explicit = {t.split("=")[0].lstrip("-").replace("-", "_")
-                    for t in argv if t.startswith("--")}
-        for key, raw in values.items():
-            dest = key.replace("-", "_")
-            if dest in explicit:
-                continue
-            action = flag_map[dest]
-            value = action.type(raw) if action.type else raw
-            if action.choices and value not in action.choices:
-                raise ConfigError(f"config key {key!r}: invalid value {raw!r}")
-            setattr(args, dest, value)
-    return args
-
-
 def _train_config(args, d_in: int) -> TrainConfig:
     return TrainConfig(loss_kind=_LOSS_FLAGS[args.loss], batch_size=args.batch_size,
                        window_multiplier=args.window_mult, learning_rate=args.lr,
@@ -192,9 +168,14 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _train_and_calibrate(dataset, args):
-    train_ds, dev_ds, test_ds = data_mod.split(dataset, seed=args.seed)
-    cfg = _train_config(args, dataset.d_in)
+def _split(args):
+    """The train, dev and test parts of --input.  Only the parts are kept,
+    so the whole set is freed before training."""
+    return data_mod.split(data_mod.load_dataset(args.input), seed=args.seed)
+
+
+def _train_and_calibrate(train_ds, dev_ds, args):
+    cfg = _train_config(args, train_ds.d_in)
     head, model, log = trainer.train(train_ds, cfg)
     if getattr(args, "refit_full", False):
         model = trainer.refit_model(train_ds, head, cfg.ridge)
@@ -203,7 +184,7 @@ def _train_and_calibrate(dataset, args):
     else:
         thr = calibrate(model, head.project(dev_ds.vectors), dev_ds.labels,
                         objective=args.calibrate, fpr_cap=args.fpr_cap)
-    return train_ds, dev_ds, test_ds, head, model, thr, log
+    return head, model, thr, log
 
 
 def _evaluate(head, model, thr, dataset) -> metrics.MetricsReport:
@@ -214,8 +195,8 @@ def _evaluate(head, model, thr, dataset) -> metrics.MetricsReport:
 
 
 def cmd_train(args) -> int:
-    dataset = data_mod.load_dataset(args.input)
-    _, dev_ds, _, head, model, thr, log = _train_and_calibrate(dataset, args)
+    train_ds, dev_ds, _ = _split(args)
+    head, model, thr, log = _train_and_calibrate(train_ds, dev_ds, args)
     data_mod.save_model(_artifact_from(head, model, thr, args), args.output)
     if args.log:
         trainer.write_training_log(log, args.log)
@@ -283,11 +264,11 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    dataset = data_mod.load_dataset(args.input)
+    train_ds, dev_ds, test_ds = _split(args)
     rows = []
     for loss_flag in ("mah", "mah-mean", "cosine"):
         args.loss = loss_flag
-        train_ds, dev_ds, test_ds, head, model, thr, _ = _train_and_calibrate(dataset, args)
+        head, model, thr, _ = _train_and_calibrate(train_ds, dev_ds, args)
         for decision in ("beta", "mlp"):
             if decision == "beta":
                 report = _evaluate(head, model, thr, test_ds)
@@ -321,7 +302,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config_file(parser, args, argv)
+        if args.config:
+            # the file's flags go first, so the command line's own flags win
+            try:
+                args = parser.parse_args(argv[:1] + _config_tokens(args.config) + argv[1:])
+            except SystemExit as exc:  # argparse has printed the usage error
+                return exc.code
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,8 @@ File formats (normative, bit-exact round trip):
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,68 +36,61 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-@dataclass(frozen=True)
-class EmbeddingRecord:
-    id: str
-    label: int
-    vector: np.ndarray
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class EmbeddingDataset:
-    records: list[EmbeddingRecord]
-    d_in: int = field(init=False)
-    n_target: int = field(init=False)
-    m_non_target: int = field(init=False)
+    """A labelled embedding matrix as three columns: ``ids`` (a list of N
+    strings), ``labels`` ((N,) ints, 1 target) and ``vectors`` ((N, d) floats)."""
+
+    ids: list[str]
+    labels: np.ndarray
+    vectors: np.ndarray
 
     def __post_init__(self):
-        if not self.records:
+        n = len(self.ids)
+        if n == 0:
             raise InvalidConfig("dataset must contain at least one record")
-        d = self.records[0].vector.shape[0]
-        seen = set()
-        for r in self.records:
-            if r.id in seen:
-                raise DuplicateId(f"duplicate id {r.id!r}")
-            seen.add(r.id)
-            if r.vector.shape != (d,):
-                raise DimensionMismatch(
-                    f"record {r.id!r} has dimension {r.vector.shape[0]}, expected {d}")
-            if not np.all(np.isfinite(r.vector)):
-                raise ParseError(f"record {r.id!r} contains non-finite values")
-            if r.label not in (0, 1):
-                raise ParseError(f"record {r.id!r} has label {r.label}, expected 0 or 1")
-        self.d_in = d
-        self.n_target = sum(1 for r in self.records if r.label == 1)
-        self.m_non_target = len(self.records) - self.n_target
+        if self.labels.shape != (n,) or self.vectors.ndim != 2 or len(self.vectors) != n:
+            raise DimensionMismatch(f"{n} ids, labels of shape {self.labels.shape} and "
+                                    f"vectors of shape {self.vectors.shape} do not line up")
+        dup, count = Counter(self.ids).most_common(1)[0]
+        if count > 1:
+            raise DuplicateId(f"duplicate id {dup!r}")
+        bad = ~np.isfinite(self.vectors).all(axis=1)
+        if bad.any():
+            raise ParseError(f"record {self.ids[np.argmax(bad)]!r} contains non-finite values")
+        bad = (self.labels != 0) & (self.labels != 1)
+        if bad.any():
+            i = np.argmax(bad)
+            raise ParseError(f"record {self.ids[i]!r} has label {self.labels[i]}, expected 0 or 1")
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
 
     @property
-    def vectors(self) -> np.ndarray:
-        return np.stack([r.vector for r in self.records])
+    def d_in(self) -> int:
+        return self.vectors.shape[1]
 
     @property
-    def labels(self) -> np.ndarray:
-        return np.array([r.label for r in self.records], dtype=int)
+    def n_target(self) -> int:
+        return int(np.count_nonzero(self.labels))
 
     @property
-    def ids(self) -> list[str]:
-        return [r.id for r in self.records]
+    def m_non_target(self) -> int:
+        return len(self) - self.n_target
 
     def target_vectors(self) -> np.ndarray:
-        return np.stack([r.vector for r in self.records if r.label == 1])
+        return self.vectors[self.labels == 1]
 
     def non_target_vectors(self) -> np.ndarray:
-        return np.stack([r.vector for r in self.records if r.label == 0])
-
-    def subset(self, indices) -> "EmbeddingDataset":
-        return EmbeddingDataset([self.records[i] for i in indices])
+        return self.vectors[self.labels == 0]
 
 
 def load_dataset(path) -> EmbeddingDataset:
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
+    """Parse a dataset file, streaming every component into one buffer."""
+    ids, labels, width = [], [], None
+
+    def components(fh):
+        nonlocal width
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -108,19 +102,27 @@ def load_dataset(path) -> EmbeddingDataset:
             if label_s not in ("0", "1"):
                 raise ParseError(f"line {lineno}: label must be 0 or 1, got {label_s!r}")
             try:
-                vec = np.array([float(t) for t in vec_s.split()], dtype=float)
+                vec = [float(t) for t in vec_s.split()]
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from exc
-            records.append(EmbeddingRecord(id=rid, label=int(label_s), vector=vec))
-    if not records:
+            width = len(vec) if width is None else width
+            if len(vec) != width:
+                raise ParseError(f"line {lineno}: {len(vec)} components, expected {width}")
+            ids.append(rid)
+            labels.append(int(label_s))
+            yield from vec
+
+    with open(path, "r", encoding="utf-8") as fh:
+        flat = np.fromiter(components(fh), dtype=float)
+    if not ids:
         raise ParseError(f"{path}: no records")
-    return EmbeddingDataset(records)
+    return EmbeddingDataset(ids, np.array(labels), flat.reshape(len(ids), width))
 
 
 def save_dataset(data: EmbeddingDataset, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for r in data.records:
-            fh.write(f"{r.id}\t{r.label}\t{' '.join(_fmt(v) for v in r.vector)}\n")
+        for rid, label, row in zip(data.ids, data.labels.tolist(), data.vectors):
+            fh.write(f"{rid}\t{label}\t{' '.join(_fmt(v) for v in row.tolist())}\n")
 
 
 def split(data: EmbeddingDataset, ratios=(0.8, 0.1, 0.1), seed: int = 0):
@@ -130,17 +132,18 @@ def split(data: EmbeddingDataset, ratios=(0.8, 0.1, 0.1), seed: int = 0):
     rng = rng_for(seed, "split")
     parts = ([], [], [])
     for label in (1, 0):
-        idx = [i for i, r in enumerate(data.records) if r.label == label]
+        idx = np.flatnonzero(data.labels == label)
         rng.shuffle(idx)
         c = len(idx)
         b1 = int(round(ratios[0] * c))
         b2 = int(round((ratios[0] + ratios[1]) * c))
-        parts[0].extend(idx[:b1])
-        parts[1].extend(idx[b1:b2])
-        parts[2].extend(idx[b2:])
+        for part, chunk in zip(parts, np.split(idx, [b1, b2])):
+            part.append(chunk)
+    parts = [np.sort(np.concatenate(p)) for p in parts]
     if any(len(p) == 0 for p in parts):
         raise TooSmallForSplit(f"{len(data)} records cannot fill all three splits")
-    return tuple(data.subset(sorted(p)) for p in parts)
+    return tuple(EmbeddingDataset([data.ids[i] for i in p], data.labels[p], data.vectors[p])
+                 for p in parts)
 
 
 # -- synthetic benchmark -----------------------------------------------------
@@ -201,12 +204,9 @@ def synth_target_moments(cfg: SynthConfig):
 def synth_benchmark(cfg: SynthConfig) -> EmbeddingDataset:
     mu, basis, scales = _synth_geometry(cfg)
     rng = rng_for(cfg.seed, "synth-sample")
-    records = []
 
     z = rng.normal(size=(cfg.n_target, cfg.manifold_dim)) * scales
     targets = mu + z @ basis.T + _AMBIENT_NOISE * rng.normal(size=(cfg.n_target, cfg.d_in))
-    for i, v in enumerate(targets):
-        records.append(EmbeddingRecord(id=f"t{i:06d}", label=1, vector=v))
 
     # component weights: 10% uniform background, rest split evenly
     m = cfg.m_non_target
@@ -233,9 +233,9 @@ def synth_benchmark(cfg: SynthConfig) -> EmbeddingDataset:
                    + 2.0 * _AMBIENT_NOISE * rng.normal(size=(counts[k], cfg.d_in)))
     neg.append(rng.uniform(-1.5 * spread, 1.5 * spread, size=(n_bg, cfg.d_in)) + mu)
 
-    for i, v in enumerate(np.vstack(neg)):
-        records.append(EmbeddingRecord(id=f"n{i:06d}", label=0, vector=v))
-    return EmbeddingDataset(records)
+    ids = [f"t{i:06d}" for i in range(cfg.n_target)] + [f"n{i:06d}" for i in range(m)]
+    return EmbeddingDataset(ids, np.repeat([1, 0], [cfg.n_target, m]),
+                            np.vstack([targets, *neg]))
 
 
 # -- model artifact ----------------------------------------------------------

@@ -165,11 +165,11 @@ def emit_qq(samples) -> list[tuple[float, float]]:
 
 def emit_distance_report(data, head, model: GaussianModel) -> list[tuple[str, int, float]]:
     """One (id, label, squared distance) record per instance, ordered by id."""
-    records = sorted(data.records, key=lambda r: r.id)
-    v = np.stack([r.vector for r in records])
+    order = sorted(range(len(data)), key=data.ids.__getitem__)
+    v = data.vectors[order]
     if head is not None:
         v = head.project(v)
     if v.shape[1] != model.d:
         raise DimensionMismatch(f"projected dimension {v.shape[1]} vs model {model.d}")
     d2 = whitened_sq_norms(model.chol, v - model.mean)
-    return [(r.id, r.label, d) for r, d in zip(records, d2.tolist())]
+    return list(zip([data.ids[i] for i in order], data.labels[order].tolist(), d2.tolist()))

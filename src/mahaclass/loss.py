@@ -51,8 +51,9 @@ def _stack(batch, k: int) -> np.ndarray:
     return x
 
 
-def _mah_sims(model: GaussianModel, delta: np.ndarray):
-    """sim_mah = exp(-q/d) for each row of delta = u - v, with
+def mah_sims(model: GaussianModel, delta) -> tuple[np.ndarray, np.ndarray]:
+    """The Mahalanobis similarity kernel exp(-q/d), in (0, 1], for each row
+    of delta = u - v (any (..., d) array), with
     q = delta^T (Sigma + ridge*I)^{-1} delta, and w = (Sigma + ridge*I)^{-1}
     delta, so that d(sim)/du = -(2/d) sim w = -d(sim)/dv."""
     w = spd_solve(model, delta)
@@ -79,7 +80,7 @@ def _ratio_loss(s: np.ndarray, ds_da: np.ndarray, ds_dv: np.ndarray) -> LossValu
 def mah_loss(batch, model: GaussianModel) -> LossValue:
     """Mean over triples of sim(x, y-) / (sim(x, x+) + sim(x, y-))."""
     x = _stack(batch, 3)
-    s, w = _mah_sims(model, x[:, :1] - x[:, 1:])
+    s, w = mah_sims(model, x[:, :1] - x[:, 1:])
     ds_da = (-2.0 / model.d) * s[..., None] * w
     return _ratio_loss(s, ds_da, -ds_da)
 
@@ -93,7 +94,7 @@ def mah_mean_loss(targets, negatives, model: GaussianModel) -> LossValue:
     if len(targets) != len(negatives):
         raise DimensionMismatch("targets and negatives must be paired")
     z = _stack(list(zip(targets, negatives)), 2)
-    s, w = _mah_sims(model, z - model.mean)
+    s, w = mah_sims(model, z - model.mean)
     s_c = np.clip(s, LOG_CLAMP, 1.0 - LOG_CLAMP)
     sx, sy = s_c[:, 0], s_c[:, 1]
     # d(-log sx)/dx = (2/d) w_x;  d(-log(1 - sy))/dy = -(2/d) sy/(1-sy) w_y

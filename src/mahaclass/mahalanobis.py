@@ -1,5 +1,5 @@
-"""Squared Mahalanobis distance, its similarity kernel, and the
-Beta-distribution decision rule with dev-set threshold calibration.
+"""Squared Mahalanobis distance and the Beta-distribution decision rule
+with dev-set threshold calibration.
 
 A query is tested by appending it to the target statistics, computing its
 squared distance under the updated mean/covariance, and normalizing to
@@ -21,7 +21,7 @@ from .errors import (
     InsufficientSamples,
     ShapeMismatch,
 )
-from .linalg import GaussianModel, spd_solve, whitened_sq_norms
+from .linalg import GaussianModel, whitened_sq_norms
 from .metrics import NON_TARGET, TARGET
 
 
@@ -63,17 +63,6 @@ def _deltas(model: GaussianModel, x) -> np.ndarray:
 def sq_mahalanobis(model: GaussianModel, x: np.ndarray) -> float:
     """(x - mu)^T (Sigma + ridge*I)^{-1} (x - mu); zero iff x == mu."""
     return float(whitened_sq_norms(model.chol, _deltas(model, np.asarray(x)[None]))[0])
-
-
-def sim_mah(model: GaussianModel, x: np.ndarray, y: np.ndarray) -> float:
-    """exp(-q/d) with q the squared Mahalanobis form of x - y; in (0, 1]."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"shapes differ: {x.shape} vs {y.shape}")
-    delta = x - y
-    q = max(float(delta @ spd_solve(model, delta)), 0.0)
-    return float(np.exp(-q / model.d))
 
 
 def scores(model: GaussianModel, x) -> np.ndarray:

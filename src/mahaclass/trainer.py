@@ -155,8 +155,13 @@ def train(data, cfg: TrainConfig):
                            update_frequency=cfg.batch_size, ridge=cfg.ridge)
 
     # warm start: statistics must exist before the first loss evaluation
-    window.push(head.project(x_t[-cfg.window_capacity:]))
-    window.refresh()
+    try:
+        window.push(head.project(x_t[-cfg.window_capacity:]))
+        window.refresh()
+    except NotPositiveDefinite as exc:
+        raise NotPositiveDefinite(
+            f"warm-start window ({len(window)} rows, dimension {d_out}, ridge {cfg.ridge}) "
+            f"does not factor: {exc}") from exc
 
     opt = Adam([head.weights.shape, head.bias.shape], lr=cfg.learning_rate)
     log: list[LogEntry] = []

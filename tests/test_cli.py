@@ -154,6 +154,39 @@ class TestConfigFile:
                        str(tmp_path / "m.txt"), "--config", str(cfg)])
         assert rc == cli.EXIT_USAGE
 
+    def test_bad_value_is_usage_error(self, workspace, tmp_path, capsys):
+        _, data, _ = workspace
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("batch-size = abc\n")
+        out = tmp_path / "m.txt"
+        rc = cli.main(["train", "--input", str(data), "--output", str(out),
+                       "--config", str(cfg)])
+        assert rc == cli.EXIT_USAGE
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_boolean_value_is_not_switched_on(self, workspace, tmp_path):
+        # a store-true flag takes no value, so a file cannot set it to "false"
+        _, data, _ = workspace
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("refit-full = false\n")
+        out = tmp_path / "m.txt"
+        rc = cli.main(["train", "--input", str(data), "--output", str(out),
+                       "--config", str(cfg)] + TRAIN_FLAGS)
+        assert rc == cli.EXIT_USAGE
+        assert not out.exists()
+
+    def test_abbreviated_flag_overrides_config(self, workspace, tmp_path):
+        # 128 target training rows: batch size 8 logs 16 batches, 32 logs 4
+        _, data, _ = workspace
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("batch-size = 32\n")
+        log = tmp_path / "log.tsv"
+        assert cli.main(["train", "--input", str(data), "--output", str(tmp_path / "m.txt"),
+                         "--log", str(log), "--seed", "1", "--proj-dim", "4",
+                         "--window-mult", "10", "--batch", "8", "--config", str(cfg)]) == 0
+        assert len(log.read_text().splitlines()) == 16
+
     def test_malformed_line_is_usage_error(self, workspace, tmp_path):
         _, data, _ = workspace
         cfg = tmp_path / "run.cfg"
@@ -229,6 +262,32 @@ class TestExitCodes:
                        "--seed", "1", "--loss", loss, "--lr", "1e6"])
         assert rc == cli.EXIT_NUMERICAL
         assert "diverged at epoch 0, batch 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_warm_start_failure_names_the_window(self, tmp_path, capsys):
+        # 16 target training rows cannot span the 32-dim window without a ridge
+        data = tmp_path / "data.tsv"
+        assert cli.main(["synth", "--output", str(data), "--d-in", "32",
+                         "--n-target", "20", "--m-non-target", "100"]) == 0
+        out = tmp_path / "m.txt"
+        capsys.readouterr()
+        rc = cli.main(["train", "--input", str(data), "--output", str(out), "--ridge", "0"])
+        assert rc == cli.EXIT_NUMERICAL
+        assert "warm-start window (16 rows, dimension 32, ridge 0.0)" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "infer"])
+    def test_ragged_dataset_is_data_error(self, workspace, tmp_path, capsys, command):
+        _, data, model = workspace
+        ragged = tmp_path / "ragged.tsv"
+        ragged.write_text(data.read_text() + "zz\t0\t1.0 2.0\n")
+        out = tmp_path / "out.tsv"
+        capsys.readouterr()
+        rc = cli.main([command, "--model", str(model), "--input", str(ragged),
+                       "--output", str(out)] if command == "infer" else
+                      [command, "--input", str(ragged), "--output", str(out)])
+        assert rc == cli.EXIT_DATA
+        assert "line 481" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_input_is_data_error(self, tmp_path):

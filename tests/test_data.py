@@ -3,7 +3,6 @@ import pytest
 
 from mahaclass.data import (
     EmbeddingDataset,
-    EmbeddingRecord,
     ModelArtifact,
     SynthConfig,
     load_dataset,
@@ -26,10 +25,8 @@ from mahaclass.errors import (
 
 def toy_dataset(n=10, d=3, seed=0):
     rng = np.random.default_rng(seed)
-    return EmbeddingDataset([
-        EmbeddingRecord(id=f"r{i}", label=int(i % 2), vector=rng.normal(size=d))
-        for i in range(n)
-    ])
+    return EmbeddingDataset([f"r{i}" for i in range(n)], np.arange(n) % 2,
+                            rng.normal(size=(n, d)))
 
 
 class TestDataset:
@@ -41,18 +38,29 @@ class TestDataset:
         assert ds.m_non_target == 5
 
     def test_duplicate_id(self):
-        recs = [EmbeddingRecord("a", 1, np.zeros(2)), EmbeddingRecord("a", 0, np.ones(2))]
         with pytest.raises(DuplicateId):
-            EmbeddingDataset(recs)
+            EmbeddingDataset(["a", "a"], np.array([1, 0]), np.array([np.zeros(2), np.ones(2)]))
 
     def test_ragged_dimensions(self):
-        recs = [EmbeddingRecord("a", 1, np.zeros(2)), EmbeddingRecord("b", 0, np.ones(3))]
+        # columns whose shapes disagree; a ragged file is the loader's ParseError
         with pytest.raises(DimensionMismatch):
-            EmbeddingDataset(recs)
+            EmbeddingDataset(["a", "b"], np.array([1, 0]), np.zeros((3, 2)))
+        with pytest.raises(DimensionMismatch):
+            EmbeddingDataset(["a", "b"], np.array([1, 0, 1]), np.zeros((2, 2)))
+        with pytest.raises(DimensionMismatch):
+            EmbeddingDataset(["a", "b"], np.array([1, 0]), np.zeros(2))
 
     def test_non_finite(self):
-        with pytest.raises(ParseError):
-            EmbeddingDataset([EmbeddingRecord("a", 1, np.array([1.0, np.nan]))])
+        with pytest.raises(ParseError, match="'b'"):
+            EmbeddingDataset(["a", "b"], np.array([1, 0]), np.array([[1.0, 2.0], [1.0, np.nan]]))
+
+    def test_bad_label(self):
+        with pytest.raises(ParseError, match="'b' has label 2"):
+            EmbeddingDataset(["a", "b"], np.array([1, 2]), np.zeros((2, 2)))
+
+    def test_empty(self):
+        with pytest.raises(InvalidConfig):
+            EmbeddingDataset([], np.zeros(0, dtype=int), np.zeros((0, 2)))
 
     def test_class_views(self):
         ds = toy_dataset(6)
@@ -85,6 +93,12 @@ class TestDatasetIo:
         p = tmp_path / "bad.tsv"
         p.write_text("a\t2\t1.0 2.0\n")
         with pytest.raises(ParseError):
+            load_dataset(p)
+
+    def test_ragged_rows(self, tmp_path):
+        p = tmp_path / "ragged.tsv"
+        p.write_text("a\t1\t1.0 2.0 3.0\nb\t0\t1.0 2.0 3.0\nzz\t0\t1.0 2.0\n")
+        with pytest.raises(ParseError, match="line 3"):
             load_dataset(p)
 
     def test_bad_float(self, tmp_path):
@@ -121,6 +135,14 @@ class TestSplit:
         c = split(ds, seed=8)
         assert a[0].ids == b[0].ids
         assert a[0].ids != c[0].ids
+
+    def test_pinned_ids(self):
+        # the benchmark's held-out set is a split part: its ids and order are frozen
+        tr, dev, te = split(toy_dataset(20), seed=5)
+        assert tr.ids == ["r0", "r2", "r3", "r4", "r5", "r6", "r7", "r8", "r9", "r10",
+                          "r11", "r12", "r14", "r15", "r17", "r19"]
+        assert dev.ids == ["r1", "r18"]
+        assert te.ids == ["r13", "r16"]
 
     def test_too_small(self):
         with pytest.raises(TooSmallForSplit):

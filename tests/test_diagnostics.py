@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from mahaclass.data import EmbeddingDataset, EmbeddingRecord
+from mahaclass.data import EmbeddingDataset
 from mahaclass.diagnostics import (
     ad_statistic_from_probs,
     anderson_darling,
@@ -172,15 +172,15 @@ class TestEmitters:
 
     def test_distance_report_sorted_and_projected(self):
         rng = np.random.default_rng(64)
-        recs = [EmbeddingRecord(id=f"x{i}", label=int(i % 2), vector=rng.normal(size=4))
-                for i in (3, 1, 2, 0, 5, 4)]
-        data = EmbeddingDataset(recs)
+        order = [3, 1, 2, 0, 5, 4]
+        data = EmbeddingDataset([f"x{i}" for i in order], np.array(order) % 2,
+                                rng.normal(size=(6, 4)))
         head = ProjectionHead(weights=rng.normal(size=(2, 4)), bias=np.zeros(2))
         model = fit_gaussian(head.project(data.vectors), ridge=1e-6)
         rows = emit_distance_report(data, head, model)
         assert [r[0] for r in rows] == sorted(data.ids)
         from mahaclass.mahalanobis import sq_mahalanobis
         for rid, label, d2 in rows:
-            rec = next(r for r in recs if r.id == rid)
-            assert d2 == pytest.approx(sq_mahalanobis(model, head.project(rec.vector)))
-            assert label == rec.label
+            i = data.ids.index(rid)
+            assert d2 == pytest.approx(sq_mahalanobis(model, head.project(data.vectors[i])))
+            assert label == data.labels[i]

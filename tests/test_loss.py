@@ -4,7 +4,7 @@ import pytest
 from conftest import make_model
 from mahaclass.errors import DimensionMismatch, EmptyBatch, NonFiniteLoss, ZeroVector
 from mahaclass.linalg import fit_gaussian
-from mahaclass.loss import ContrastTriple, cosine_loss, mah_loss, mah_mean_loss
+from mahaclass.loss import ContrastTriple, cosine_loss, mah_loss, mah_mean_loss, mah_sims
 
 
 def fd_grad(f, x, eps=1e-6):
@@ -24,6 +24,33 @@ def random_case(seed, d=4, n=30):
     p = rng.normal(size=d)
     neg = rng.normal(size=d) + 2.0
     return model, a, p, neg
+
+
+class TestMahSims:
+    def test_identical_points(self):
+        m = make_model(np.zeros(2), np.eye(2), n=10)
+        assert mah_sims(m, np.ones(2) - np.ones(2))[0] == 1.0
+
+    def test_unit_distance_per_dim(self):
+        # q = d gives exp(-1) regardless of dimension
+        for d in (1, 2, 5):
+            m = make_model(np.zeros(d), np.eye(d), n=10)
+            x = np.zeros(d)
+            y = np.full(d, 1.0)
+            assert mah_sims(m, x - y)[0] == pytest.approx(np.exp(-1.0), rel=1e-12)
+
+    def test_symmetry_and_range(self):
+        rng = np.random.default_rng(8)
+        m = fit_gaussian(rng.normal(size=(30, 4)), ridge=1e-6)
+        x, y = rng.normal(size=4), rng.normal(size=4)
+        s, _ = mah_sims(m, np.stack([x - y, y - x]))
+        assert s[0] == pytest.approx(s[1], rel=1e-12)
+        assert 0.0 < s[0] <= 1.0
+
+    def test_shape_mismatch(self):
+        m = make_model(np.zeros(2), np.eye(2), n=10)
+        with pytest.raises(DimensionMismatch):
+            mah_sims(m, np.zeros(3))
 
 
 class TestMahLoss:

@@ -19,7 +19,6 @@ from mahaclass.mahalanobis import (
     decision_statistic,
     null_beta_params,
     scores,
-    sim_mah,
     sq_mahalanobis,
 )
 
@@ -85,32 +84,6 @@ class TestSqMahalanobis:
         d2 = sq_mahalanobis(fit_gaussian(pts, ridge=0.0), x)
         d2_t = sq_mahalanobis(fit_gaussian(pts @ a.T + b, ridge=0.0), a @ x + b)
         assert d2_t == pytest.approx(d2, rel=1e-9)
-
-
-class TestSimMah:
-    def test_identical_points(self):
-        m = make_model(np.zeros(2), np.eye(2), n=10)
-        assert sim_mah(m, np.ones(2), np.ones(2)) == 1.0
-
-    def test_unit_distance_per_dim(self):
-        # q = d gives exp(-1) regardless of dimension
-        for d in (1, 2, 5):
-            m = make_model(np.zeros(d), np.eye(d), n=10)
-            x = np.zeros(d)
-            y = np.full(d, 1.0)
-            assert sim_mah(m, x, y) == pytest.approx(np.exp(-1.0), rel=1e-12)
-
-    def test_symmetry_and_range(self):
-        rng = np.random.default_rng(8)
-        m = fit_gaussian(rng.normal(size=(30, 4)), ridge=1e-6)
-        x, y = rng.normal(size=4), rng.normal(size=4)
-        assert sim_mah(m, x, y) == pytest.approx(sim_mah(m, y, x), rel=1e-12)
-        assert 0.0 < sim_mah(m, x, y) <= 1.0
-
-    def test_shape_mismatch(self):
-        m = make_model(np.zeros(2), np.eye(2), n=10)
-        with pytest.raises(DimensionMismatch):
-            sim_mah(m, np.zeros(2), np.zeros(3))
 
 
 class TestDecisionStatistic:

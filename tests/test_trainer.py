@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mahaclass.data import EmbeddingDataset, EmbeddingRecord
+from mahaclass.data import EmbeddingDataset
 from mahaclass.errors import InsufficientClassData, InvalidConfig
 from mahaclass.linalg import fit_gaussian
 from mahaclass.seeds import rng_for
@@ -19,11 +19,9 @@ from mahaclass.trainer import (
 
 
 def make_dataset(x_target, x_non_target):
-    recs = [EmbeddingRecord(id=f"t{i}", label=1, vector=np.asarray(v, float))
-            for i, v in enumerate(x_target)]
-    recs += [EmbeddingRecord(id=f"n{i}", label=0, vector=np.asarray(v, float))
-             for i, v in enumerate(x_non_target)]
-    return EmbeddingDataset(recs)
+    n, m = len(x_target), len(x_non_target)
+    return EmbeddingDataset([f"t{i}" for i in range(n)] + [f"n{i}" for i in range(m)],
+                            np.repeat([1, 0], [n, m]), np.vstack([x_target, x_non_target]))
 
 
 def toy_data(seed=0, n=48, m=48, d=6, shift=4.0):
