@@ -269,15 +269,10 @@ def cmd_ablate(args) -> int:
     for loss_flag in ("mah", "mah-mean", "cosine"):
         args.loss = loss_flag
         head, model, thr, _ = _train_and_calibrate(train_ds, dev_ds, args)
-        for decision in ("beta", "mlp"):
-            if decision == "beta":
-                report = _evaluate(head, model, thr, test_ds)
-            else:
-                mlp = trainer.train_mlp(train_ds, head, epochs=args.mlp_epochs,
-                                        seed=args.seed)
-                preds = mlp.predict(head.project(test_ds.vectors))
-                report = metrics.score(preds, test_ds.labels)
-            rows.append((loss_flag, decision, report))
+        rows.append((loss_flag, "beta", _evaluate(head, model, thr, test_ds)))
+        mlp = trainer.train_mlp(train_ds, head, epochs=args.mlp_epochs, seed=args.seed)
+        preds = mlp.predict(head.project(test_ds.vectors))
+        rows.append((loss_flag, "mlp", metrics.score(preds, test_ds.labels)))
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write("loss\tdecision\tacc\tpr\tfpr\tf1\n")
         for loss_flag, decision, r in rows:

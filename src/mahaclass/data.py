@@ -105,6 +105,8 @@ def load_dataset(path) -> EmbeddingDataset:
                 vec = [float(t) for t in vec_s.split()]
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from exc
+            if not vec:
+                raise ParseError(f"line {lineno}: no vector components")
             width = len(vec) if width is None else width
             if len(vec) != width:
                 raise ParseError(f"line {lineno}: {len(vec)} components, expected {width}")

@@ -112,16 +112,20 @@ def ad_statistic_from_probs(probs) -> float:
     return float(-n - np.mean((2 * i - 1) * (np.log(p) + np.log1p(-p[::-1]))))
 
 
-def anderson_darling(samples) -> float:
-    """A^2 against the normal with estimated mean and standard deviation."""
+def _standardized_order_statistics(samples) -> np.ndarray:
+    """Sorted (x - mean) / sd with ddof=1, for a non-constant sample of n >= 2."""
     x = np.asarray(samples, dtype=float)
     if x.shape[0] < 2:
         raise InsufficientSamples("need at least 2 samples")
     s = x.std(ddof=1)
     if s == 0.0:
         raise ZeroVariance("sample is constant")
-    z = (x - x.mean()) / s
-    return ad_statistic_from_probs(ndtr(np.sort(z)))
+    return np.sort((x - x.mean()) / s)
+
+
+def anderson_darling(samples) -> float:
+    """A^2 against the normal with estimated mean and standard deviation."""
+    return ad_statistic_from_probs(ndtr(_standardized_order_statistics(samples)))
 
 
 def normality_report(vectors, labels, head=None, k: int = 3) -> list[NormalityReport]:
@@ -151,15 +155,8 @@ def normality_report(vectors, labels, head=None, k: int = 3) -> list[NormalityRe
 def emit_qq(samples) -> list[tuple[float, float]]:
     """Normal Q-Q pairs: (theoretical quantile at (i-0.5)/n, standardized
     order statistic)."""
-    x = np.asarray(samples, dtype=float)
-    n = x.shape[0]
-    if n < 2:
-        raise InsufficientSamples("need at least 2 samples")
-    s = x.std(ddof=1)
-    if s == 0.0:
-        raise ZeroVariance("sample is constant")
-    z = np.sort((x - x.mean()) / s)
-    theo = ndtri((np.arange(1, n + 1) - 0.5) / n)
+    z = _standardized_order_statistics(samples)
+    theo = ndtri((np.arange(1, len(z) + 1) - 0.5) / len(z))
     return list(zip(theo.tolist(), z.tolist()))
 
 

@@ -16,11 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientClassData, InvalidConfig, NonFiniteLoss, NotPositiveDefinite
-from .linalg import GaussianModel, SlidingWindow
+from .linalg import GaussianModel, SlidingWindow, fit_gaussian
 from .loss import cosine_loss, mah_loss, mah_mean_loss
 from .seeds import rng_for
 
 LOSS_KINDS = ("mah", "mah_mean", "cosine")
+MLP_BATCH_SIZE = 32
 
 
 @dataclass
@@ -79,28 +80,32 @@ class LogEntry:
 
 
 class Adam:
-    """Adaptive moment estimation over a list of parameter arrays."""
+    """Adaptive moment estimation over one flat parameter buffer.  ``params``
+    and ``grads`` are views of it and of the gradient buffer, shaped like the
+    initial arrays; callers fill ``grads``, then ``step()`` updates in place."""
 
-    def __init__(self, shapes, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, arrays, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
+        self.p = np.concatenate([a.ravel() for a in arrays])
+        self.g = np.zeros_like(self.p)
+        self.m = np.zeros_like(self.p)
+        self.v = np.zeros_like(self.p)
+        ends = np.cumsum([a.size for a in arrays])
+        self.params = [self.p[e - a.size:e].reshape(a.shape) for a, e in zip(arrays, ends)]
+        self.grads = [self.g[e - a.size:e].reshape(a.shape) for a, e in zip(arrays, ends)]
 
-    def step(self, params, grads):
+    def step(self) -> None:
         self.t += 1
-        out = []
-        for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            m_hat = self.m[i] / (1 - self.beta1**self.t)
-            v_hat = self.v[i] / (1 - self.beta2**self.t)
-            out.append(p - self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
-        return out
+        self.m *= self.BETA1
+        self.m += (1 - self.BETA1) * self.g
+        self.v *= self.BETA2
+        self.v += (1 - self.BETA2) * self.g * self.g
+        m_hat = self.m / (1 - self.BETA1**self.t)
+        v_hat = self.v / (1 - self.BETA2**self.t)
+        self.p -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 class TripleSampler:
@@ -149,7 +154,10 @@ def train(data, cfg: TrainConfig):
             f"need >= 2 target and >= 1 non-target, got {data.n_target}/{data.m_non_target}")
     d_in = data.d_in
     d_out = min(cfg.proj_dim, d_in)
-    head = ProjectionHead.init(d_in, d_out, rng_for(cfg.seed, "head-init"))
+    init = ProjectionHead.init(d_in, d_out, rng_for(cfg.seed, "head-init"))
+    opt = Adam([init.weights, init.bias], lr=cfg.learning_rate)
+    head = ProjectionHead(*opt.params)
+    dw, db = opt.grads
     sampler = TripleSampler(x_t, data.non_target_vectors(), rng_for(cfg.seed, "triples"))
     window = SlidingWindow(capacity=cfg.window_capacity, dim=d_out,
                            update_frequency=cfg.batch_size, ridge=cfg.ridge)
@@ -163,7 +171,6 @@ def train(data, cfg: TrainConfig):
             f"warm-start window ({len(window)} rows, dimension {d_out}, ridge {cfg.ridge}) "
             f"does not factor: {exc}") from exc
 
-    opt = Adam([head.weights.shape, head.bias.shape], lr=cfg.learning_rate)
     log: list[LogEntry] = []
     n_batches = math.ceil(x_t.shape[0] / cfg.batch_size)
     for epoch in range(cfg.epochs):
@@ -188,8 +195,9 @@ def train(data, cfg: TrainConfig):
                 raise NonFiniteLoss(
                     f"training diverged at epoch {epoch}, batch {batch_i}: {exc}") from exc
             g = lv.grads
-            dw = g.reshape(-1, d_out).T @ raw.reshape(-1, d_in)
-            head.weights, head.bias = opt.step([head.weights, head.bias], [dw, g.sum((0, 1))])
+            np.matmul(g.reshape(-1, d_out).T, raw.reshape(-1, d_in), out=dw)
+            np.sum(g, axis=(0, 1), out=db)
+            opt.step()
             log.append(LogEntry(epoch=epoch, batch=batch_i, loss=lv.value))
     window.refresh()
     return head, window.model, log
@@ -198,8 +206,6 @@ def train(data, cfg: TrainConfig):
 def refit_model(data, head: ProjectionHead, ridge: float) -> GaussianModel:
     """Gaussian statistics over all projected target training points
     (alternative to the final sliding-window model)."""
-    from .linalg import fit_gaussian
-
     return fit_gaussian(head.project(data.target_vectors()), ridge=ridge)
 
 
@@ -240,28 +246,25 @@ class MlpHead:
         return cls(layers=layers)
 
 
-def train_mlp(data, head: ProjectionHead, epochs: int = 50, batch_size: int = 32,
-              learning_rate: float = 1e-3, hidden: tuple[int, int] | None = None,
+def train_mlp(data, head: ProjectionHead, epochs: int = 50, learning_rate: float = 1e-3,
               seed: int = 0) -> MlpHead:
     """Binary log-loss training of the ablation classifier on frozen
-    projected embeddings."""
+    projected embeddings; the hidden layers have d and d // 2 units."""
     if data.n_target < 1 or data.m_non_target < 1:
         raise InsufficientClassData("both classes required")
     x = head.project(data.vectors)
     y = data.labels.astype(float)
     d = x.shape[1]
-    if hidden is None:
-        hidden = (d, max(d // 2, 1))
-    rng = rng_for(seed, "mlp-init")
-    mlp = MlpHead.init(d, hidden, rng)
-    shapes = [a.shape for w_b in mlp.layers for a in w_b]
-    opt = Adam(shapes, lr=learning_rate)
+    init = MlpHead.init(d, (d, max(d // 2, 1)), rng_for(seed, "mlp-init"))
+    opt = Adam([a for w_b in init.layers for a in w_b], lr=learning_rate)
+    mlp = MlpHead(layers=list(zip(opt.params[0::2], opt.params[1::2])))
+    grads = list(zip(opt.grads[0::2], opt.grads[1::2]))
     order_rng = rng_for(seed, "mlp-batches")
     n = x.shape[0]
     for _ in range(epochs):
         order = order_rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start: start + batch_size]
+        for start in range(0, n, MLP_BATCH_SIZE):
+            idx = order[start: start + MLP_BATCH_SIZE]
             xb, yb = x[idx], y[idx]
             acts = mlp.forward(xb)
             logits = acts[-1][:, 0]
@@ -270,15 +273,12 @@ def train_mlp(data, head: ProjectionHead, epochs: int = 50, batch_size: int = 32
                 raise NonFiniteLoss("MLP training diverged")
             # d(BCE)/d(logit) = p - y
             delta = ((p - yb) / xb.shape[0])[:, None]
-            grads = []
             for i in range(len(mlp.layers) - 1, -1, -1):
                 w, _ = mlp.layers[i]
-                grads.append(np.sum(delta, axis=0))          # bias
-                grads.append(delta.T @ acts[i])              # weights
+                dw, db = grads[i]
+                np.sum(delta, axis=0, out=db)
+                np.matmul(delta.T, acts[i], out=dw)
                 if i > 0:
                     delta = (delta @ w) * (1.0 - acts[i] ** 2)
-            grads = grads[::-1]
-            params = [a for w_b in mlp.layers for a in w_b]
-            new = opt.step(params, grads)
-            mlp.layers = [(new[2 * i], new[2 * i + 1]) for i in range(len(mlp.layers))]
+            opt.step()
     return mlp

@@ -290,6 +290,17 @@ class TestExitCodes:
         assert "line 481" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "diagnose"])
+    def test_rows_without_components_are_data_error(self, tmp_path, capsys, command):
+        data = tmp_path / "empty_vectors.tsv"
+        data.write_text("".join(f"r{i}\t{int(i < 20)}\t\n" for i in range(40)))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        rc = cli.main([command, "--input", str(data), "--output", str(out)])
+        assert rc == cli.EXIT_DATA
+        assert "line 1: no vector components" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [data]
+
     def test_missing_input_is_data_error(self, tmp_path):
         rc = cli.main(["train", "--input", str(tmp_path / "nope.tsv"),
                        "--output", str(tmp_path / "m.txt")])

@@ -101,6 +101,12 @@ class TestDatasetIo:
         with pytest.raises(ParseError, match="line 3"):
             load_dataset(p)
 
+    def test_no_components(self, tmp_path):
+        p = tmp_path / "empty_vectors.tsv"
+        p.write_text("".join(f"r{i}\t{i % 2}\t\n" for i in range(4)))
+        with pytest.raises(ParseError, match="line 1: no vector components"):
+            load_dataset(p)
+
     def test_bad_float(self, tmp_path):
         p = tmp_path / "bad.tsv"
         p.write_text("a\t1\t1.0 oops\n")

@@ -44,19 +44,55 @@ class TestTrainConfig:
             TrainConfig(learning_rate=0.0)
 
 
+def reference_adam(params, lr, steps_grads):
+    """The per-array Adam update, building a new list of arrays each step;
+    yields the parameters after every step."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(steps_grads, start=1):
+        out = []
+        for i, (p, g) in enumerate(zip(params, grads)):
+            m[i] = beta1 * m[i] + (1 - beta1) * g
+            v[i] = beta2 * v[i] + (1 - beta2) * g * g
+            m_hat = m[i] / (1 - beta1**t)
+            v_hat = v[i] / (1 - beta2**t)
+            out.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
+        params = out
+        yield params
+
+
 class TestAdam:
     def test_first_step_is_lr_sized(self):
         # bias correction makes the first update lr * sign(grad)
-        opt = Adam([(2,)], lr=0.1)
-        (p,) = opt.step([np.zeros(2)], [np.array([1.0, -3.0])])
-        np.testing.assert_allclose(p, [-0.1, 0.1], rtol=1e-6)
+        opt = Adam([np.zeros(2)], lr=0.1)
+        opt.grads[0][:] = [1.0, -3.0]
+        opt.step()
+        np.testing.assert_allclose(opt.params[0], [-0.1, 0.1], rtol=1e-6)
 
     def test_converges_on_quadratic(self):
-        opt = Adam([(2,)], lr=0.05)
-        p = np.array([3.0, -2.0])
+        opt = Adam([np.array([3.0, -2.0])], lr=0.05)
+        (p,), (g,) = opt.params, opt.grads
         for _ in range(600):
-            (p,) = opt.step([p], [2.0 * p])
+            np.multiply(2.0, p, out=g)
+            opt.step()
         assert np.linalg.norm(p) < 1e-3
+
+    def test_matches_per_array_update(self):
+        rng = np.random.default_rng(71)
+        shapes = [(4, 3), (5,), (2, 3, 2)]
+        # parameters of the step's size, so a last-bit change in an update shows
+        init = [rng.normal(scale=0.01, size=s) for s in shapes]
+        steps_grads = [[rng.normal(scale=10.0 ** rng.integers(-3, 3), size=s) for s in shapes]
+                       for _ in range(25)]
+        opt = Adam(init, lr=0.01)
+        assert [p.shape for p in opt.params] == shapes
+        for grads, expected in zip(steps_grads, reference_adam(init, 0.01, steps_grads)):
+            for view, g in zip(opt.grads, grads):
+                view[...] = g
+            opt.step()
+            for got, want in zip(opt.params, expected):
+                np.testing.assert_array_equal(got, want)
 
 
 class TestTripleSampler:
