@@ -8,17 +8,15 @@ with the same flags reproduces its output byte for byte.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
-
-import numpy as np
 
 from . import data as data_mod
 from . import diagnostics, metrics, trainer
-from .betadist import BetaParams
-from .errors import ConfigError, DataError, NotPositiveDefinite, NumericalError, ParseError
-from .linalg import GaussianModel, cholesky, fit_gaussian
-from .mahalanobis import DecisionThreshold, calibrate, scores
-from .trainer import ProjectionHead, TrainConfig
+from .errors import ConfigError, DataError, NumericalError
+from .linalg import fit_gaussian
+from .mahalanobis import DecisionThreshold, calibrate
+from .trainer import TrainConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -41,6 +39,21 @@ def _config_tokens(path) -> list[str]:
             key, _, value = line.partition("=")
             tokens.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
     return tokens
+
+
+def _checked(cast, ok, requirement: str):
+    """argparse type that also rejects a value failing ok: exit 2, before any work."""
+    def parse(text):
+        if not ok(value := cast(text)):
+            raise argparse.ArgumentTypeError(f"{text!r} {requirement}")
+        return value
+    parse.__name__ = cast.__name__  # keeps argparse's "invalid int value" wording
+    return parse
+
+
+_LEVEL = _checked(float, lambda v: 0 < v < 1, "must lie in (0, 1)")
+_RATE = _checked(float, lambda v: 0 <= v <= 1, "must lie in [0, 1]")
+_COUNT = _checked(int, lambda v: v >= 1, "must be at least 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ridge", type=float, default=1e-6)
         p.add_argument("--proj-dim", type=int, default=64)
         p.add_argument("--calibrate", choices=["f1", "f1-fpr-cap"], default="f1")
-        p.add_argument("--fpr-cap", type=float, default=0.05)
-        p.add_argument("--beta-level", type=float, default=None,
+        p.add_argument("--fpr-cap", type=_RATE, default=0.05)
+        p.add_argument("--beta-level", type=_LEVEL, default=None,
                        help="fixed quantile level; skips dev-set calibration")
 
     p = sub.add_parser("train", help="train, calibrate on dev, save the model")
@@ -101,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True, help="prefix for report files")
     p.add_argument("--model", help="optional model artifact; raw vectors otherwise")
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--k", type=_COUNT, default=3)
 
     p = sub.add_parser("ablate", help="loss x decision-head comparison grid")
     common(p)
@@ -112,47 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _train_config(args, d_in: int) -> TrainConfig:
-    return TrainConfig(loss_kind=_LOSS_FLAGS[args.loss], batch_size=args.batch_size,
-                       window_multiplier=args.window_mult, learning_rate=args.lr,
-                       epochs=args.epochs, ridge=args.ridge,
-                       proj_dim=min(args.proj_dim, d_in), seed=args.seed)
-
-
 def _config_hash(args) -> str:
     keys = sorted(k for k in vars(args)
                   if k not in ("command", "config", "input", "output", "log"))
     text = ";".join(f"{k}={getattr(args, k)}" for k in keys)
-    return data_mod.config_hash(text)
-
-
-def _artifact_from(head, model, thr, args) -> data_mod.ModelArtifact:
-    return data_mod.ModelArtifact(
-        d_in=head.d_in, d_out=head.d_out, weights=head.weights, bias=head.bias,
-        mean=model.mean, cov=model.cov, n=model.n, ridge=model.ridge,
-        beta_level=thr.beta_level, beta_a=thr.params.a, beta_b=thr.params.b,
-        v_beta=thr.v_beta, seed=args.seed, config_hash=_config_hash(args))
-
-
-def _unpack_artifact(path, dataset: data_mod.EmbeddingDataset):
-    """(head, model, threshold) of a model file that can score dataset."""
-    artifact = data_mod.load_model(path)
-    if artifact.d_in != dataset.d_in:
-        raise DataError(f"{path} takes {artifact.d_in}-dim input, "
-                        f"the dataset is {dataset.d_in}-dim")
-    head = ProjectionHead(weights=artifact.weights, bias=artifact.bias)
-    d = artifact.mean.shape[0]
-    try:
-        chol = cholesky(artifact.cov + artifact.ridge * np.eye(d))
-    except NotPositiveDefinite as exc:
-        raise ParseError(f"{path}: malformed artifact (cov + ridge*I is not "
-                         f"positive definite)") from exc
-    model = GaussianModel(mean=artifact.mean, cov=artifact.cov, chol=chol,
-                          n=artifact.n, ridge=artifact.ridge)
-    thr = DecisionThreshold(beta_level=artifact.beta_level,
-                            params=BetaParams(artifact.beta_a, artifact.beta_b),
-                            v_beta=artifact.v_beta)
-    return head, model, thr
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 def cmd_synth(args) -> int:
@@ -175,7 +152,10 @@ def _split(args):
 
 
 def _train_and_calibrate(train_ds, dev_ds, args):
-    cfg = _train_config(args, train_ds.d_in)
+    cfg = TrainConfig(loss_kind=_LOSS_FLAGS[args.loss], batch_size=args.batch_size,
+                      window_multiplier=args.window_mult, learning_rate=args.lr,
+                      epochs=args.epochs, ridge=args.ridge, proj_dim=args.proj_dim,
+                      seed=args.seed)  # train() caps proj_dim at the input width
     head, model, log = trainer.train(train_ds, cfg)
     if getattr(args, "refit_full", False):
         model = trainer.refit_model(train_ds, head, cfg.ridge)
@@ -184,25 +164,25 @@ def _train_and_calibrate(train_ds, dev_ds, args):
     else:
         thr = calibrate(model, head.project(dev_ds.vectors), dev_ds.labels,
                         objective=args.calibrate, fpr_cap=args.fpr_cap)
-    return head, model, thr, log
+    return data_mod.Detector.of(head, model, thr, args.seed, _config_hash(args)), log
 
 
-def _evaluate(head, model, thr, dataset) -> metrics.MetricsReport:
-    t_values = scores(model, head.project(dataset.vectors))
-    report = metrics.score((t_values < thr.v_beta).astype(int), dataset.labels)
+def _evaluate(det: data_mod.Detector, dataset) -> metrics.MetricsReport:
+    t_values = det.scores(dataset.vectors)
+    report = metrics.score((t_values < det.v_beta).astype(int), dataset.labels)
     report.auc = metrics.roc_auc(-t_values, dataset.labels)
     return report
 
 
 def cmd_train(args) -> int:
     train_ds, dev_ds, _ = _split(args)
-    head, model, thr, log = _train_and_calibrate(train_ds, dev_ds, args)
-    data_mod.save_model(_artifact_from(head, model, thr, args), args.output)
+    det, log = _train_and_calibrate(train_ds, dev_ds, args)
+    data_mod.save_model(det, args.output)
     if args.log:
         trainer.write_training_log(log, args.log)
-    report = _evaluate(head, model, thr, dev_ds)
-    print(f"model written to {args.output} (beta={thr.beta_level:.6g}, "
-          f"v_beta={thr.v_beta:.6g})")
+    report = _evaluate(det, dev_ds)
+    print(f"model written to {args.output} (beta={det.beta_level:.6g}, "
+          f"v_beta={det.v_beta:.6g})")
     print("dev metrics:")
     print(report.to_text(), end="")
     return EXIT_OK
@@ -210,19 +190,18 @@ def cmd_train(args) -> int:
 
 def cmd_infer(args) -> int:
     dataset = data_mod.load_dataset(args.input)
-    head, model, thr = _unpack_artifact(args.model, dataset)
-    t_values = scores(model, head.project(dataset.vectors)).tolist()
+    det = data_mod.load_model(args.model)
+    t_values = det.scores(dataset.vectors).tolist()
     with open(args.output, "w", encoding="utf-8") as fh:
         for rid, t in zip(dataset.ids, t_values):
-            fh.write(f"{rid}\t{int(t < thr.v_beta)}\t{t:.17g}\n")
+            fh.write(f"{rid}\t{int(t < det.v_beta)}\t{t:.17g}\n")
     print(f"wrote {len(dataset)} decisions to {args.output}")
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
     dataset = data_mod.load_dataset(args.input)
-    head, model, thr = _unpack_artifact(args.model, dataset)
-    report = _evaluate(head, model, thr, dataset)
+    report = _evaluate(data_mod.load_model(args.model), dataset)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(report.to_text())
     print(report.to_text(), end="")
@@ -231,11 +210,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_diagnose(args) -> int:
     dataset = data_mod.load_dataset(args.input)
-    head = model = None
-    if args.model:
-        head, model, _ = _unpack_artifact(args.model, dataset)
+    det = data_mod.load_model(args.model) if args.model else None
     reports = diagnostics.normality_report(dataset.vectors, dataset.labels,
-                                           head=head, k=args.k)
+                                           head=det, k=args.k)
     with open(args.output + ".normality.tsv", "w", encoding="utf-8") as fh:
         fh.write("label\tn\tk\thz\t" +
                  "\t".join(f"ad_{j + 1}" for j in range(args.k)) + "\n")
@@ -246,18 +223,17 @@ def cmd_diagnose(args) -> int:
     # Q-Q data for the first reduced dimension of each class
     with open(args.output + ".qq.tsv", "w", encoding="utf-8") as fh:
         fh.write("label\ttheoretical\tsample\n")
-        vectors = head.project(dataset.vectors) if head else dataset.vectors
+        vectors = dataset.vectors if det is None else det.project(dataset.vectors)
         for label in sorted(set(dataset.labels.tolist())):
             cls = vectors[dataset.labels == label]
             first = diagnostics.pca_reduce(cls, 1).points[:, 0]
             for theo, samp in diagnostics.emit_qq(first):
                 fh.write(f"{label}\t{theo:.17g}\t{samp:.17g}\n")
 
-    if model is None:
-        model = fit_gaussian(dataset.target_vectors(), ridge=1e-6)
+    model = fit_gaussian(dataset.target_vectors(), ridge=1e-6) if det is None else det.gaussian
     with open(args.output + ".dist.tsv", "w", encoding="utf-8") as fh:
         fh.write("id\tlabel\td2\n")
-        for rid, label, d2 in diagnostics.emit_distance_report(dataset, head, model):
+        for rid, label, d2 in diagnostics.emit_distance_report(dataset, det, model):
             fh.write(f"{rid}\t{label}\t{d2:.17g}\n")
     print(f"wrote {args.output}.normality.tsv, .qq.tsv, .dist.tsv")
     return EXIT_OK
@@ -268,10 +244,10 @@ def cmd_ablate(args) -> int:
     rows = []
     for loss_flag in ("mah", "mah-mean", "cosine"):
         args.loss = loss_flag
-        head, model, thr, _ = _train_and_calibrate(train_ds, dev_ds, args)
-        rows.append((loss_flag, "beta", _evaluate(head, model, thr, test_ds)))
-        mlp = trainer.train_mlp(train_ds, head, epochs=args.mlp_epochs, seed=args.seed)
-        preds = mlp.predict(head.project(test_ds.vectors))
+        det, _ = _train_and_calibrate(train_ds, dev_ds, args)
+        rows.append((loss_flag, "beta", _evaluate(det, test_ds)))
+        mlp = trainer.train_mlp(train_ds, det, epochs=args.mlp_epochs, seed=args.seed)
+        preds = mlp.predict(det.project(test_ds.vectors))
         rows.append((loss_flag, "mlp", metrics.score(preds, test_ds.labels)))
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write("loss\tdecision\tacc\tpr\tfpr\tf1\n")
@@ -304,15 +280,10 @@ def main(argv=None) -> int:
             except SystemExit as exc:  # argparse has printed the usage error
                 return exc.code
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, DataError, OSError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DataError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return (EXIT_USAGE if isinstance(exc, ConfigError) else
+                EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_DATA)
 
 
 def entry() -> None:

@@ -1,5 +1,6 @@
-"""Dataset ingestion, deterministic stratified splitting, model artifact
-serialization, and the synthetic benchmark generator.
+"""Dataset ingestion, deterministic stratified splitting, the synthetic
+benchmark generator, and the trained model (``Detector``) with its file
+format.
 
 File formats (normative, bit-exact round trip):
 
@@ -12,24 +13,29 @@ File formats (normative, bit-exact round trip):
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import mahalanobis
 from .errors import (
+    DataError,
     DimensionMismatch,
     DuplicateId,
     InvalidConfig,
+    NotPositiveDefinite,
     ParseError,
     TooSmallForSplit,
     VersionMismatch,
 )
+from .linalg import GaussianModel, cholesky
 from .seeds import rng_for
+from .trainer import ProjectionHead
 
 ARTIFACT_MAGIC = "mahaclass-model"
 ARTIFACT_VERSION = 1
+SPLIT_RATIOS = (0.8, 0.1, 0.1)  # train, dev, test
 
 
 def _fmt(x: float) -> str:
@@ -114,8 +120,11 @@ def load_dataset(path) -> EmbeddingDataset:
             labels.append(int(label_s))
             yield from vec
 
-    with open(path, "r", encoding="utf-8") as fh:
-        flat = np.fromiter(components(fh), dtype=float)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            flat = np.fromiter(components(fh), dtype=float)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
     if not ids:
         raise ParseError(f"{path}: no records")
     return EmbeddingDataset(ids, np.array(labels), flat.reshape(len(ids), width))
@@ -127,18 +136,16 @@ def save_dataset(data: EmbeddingDataset, path) -> None:
             fh.write(f"{rid}\t{label}\t{' '.join(_fmt(v) for v in row.tolist())}\n")
 
 
-def split(data: EmbeddingDataset, ratios=(0.8, 0.1, 0.1), seed: int = 0):
-    """Stratified train/dev/test split, deterministic under seed."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise InvalidConfig(f"ratios must sum to 1, got {ratios}")
+def split(data: EmbeddingDataset, seed: int = 0):
+    """Stratified train/dev/test split in SPLIT_RATIOS, deterministic under seed."""
     rng = rng_for(seed, "split")
     parts = ([], [], [])
     for label in (1, 0):
         idx = np.flatnonzero(data.labels == label)
         rng.shuffle(idx)
         c = len(idx)
-        b1 = int(round(ratios[0] * c))
-        b2 = int(round((ratios[0] + ratios[1]) * c))
+        b1 = int(round(SPLIT_RATIOS[0] * c))
+        b2 = int(round((SPLIT_RATIOS[0] + SPLIT_RATIOS[1]) * c))
         for part, chunk in zip(parts, np.split(idx, [b1, b2])):
             part.append(chunk)
     parts = [np.sort(np.concatenate(p)) for p in parts]
@@ -240,62 +247,105 @@ def synth_benchmark(cfg: SynthConfig) -> EmbeddingDataset:
                             np.vstack([targets, *neg]))
 
 
-# -- model artifact ----------------------------------------------------------
+# -- trained model -----------------------------------------------------------
 
-@dataclass
-class ModelArtifact:
-    d_in: int
-    d_out: int
-    weights: np.ndarray
+@dataclass(frozen=True, eq=False)
+class Detector:
+    """A trained model, the whole decision rule: projection ``weights`` and
+    ``bias``, the projected target-class Gaussian, and the threshold ``v_beta``
+    on T.  The fields are what a model file holds; construction checks them
+    (ValueError) and factors cov + ridge*I once, as ``gaussian``."""
+
+    weights: np.ndarray  # (d_out, d_in)
     bias: np.ndarray
     mean: np.ndarray
     cov: np.ndarray
     n: int
     ridge: float
     beta_level: float
-    beta_a: float
-    beta_b: float
     v_beta: float
     seed: int
     config_hash: str
-    version: int = ARTIFACT_VERSION
+    gaussian: GaussianModel = field(init=False, repr=False)
+
+    def __post_init__(self):
+        d = self.d_out
+        if (self.bias.shape, self.mean.shape, self.cov.shape) != ((d,), (d,), (d, d)):
+            raise ValueError("inconsistent dimensions")
+        if not all(np.isfinite(v).all() for v in (self.weights, self.bias, self.mean,
+                                                  self.cov, self.ridge)):
+            raise ValueError("non-finite values")
+        if self.ridge < 0:
+            raise ValueError(f"ridge {self.ridge} must be non-negative")
+        if self.n <= d + 1:
+            raise ValueError(f"gauss_n {self.n} must exceed d+1 = {d + 1}")
+        if not (0 < self.v_beta < 1 and 0 < self.beta_level < 1):
+            raise ValueError("v_beta and beta_level must lie in (0, 1)")
+        try:
+            chol = cholesky(self.cov + self.ridge * np.eye(d))
+        except NotPositiveDefinite as exc:
+            raise ValueError("cov + ridge*I is not positive definite") from exc
+        object.__setattr__(self, "gaussian",
+                           GaussianModel(self.mean, self.cov, chol, self.n, self.ridge))
+
+    @classmethod
+    def of(cls, head: ProjectionHead, model: GaussianModel,
+           thr: mahalanobis.DecisionThreshold, seed: int, config_hash: str) -> Detector:
+        return cls(head.weights, head.bias, model.mean, model.cov, model.n, model.ridge,
+                   thr.beta_level, thr.v_beta, seed, config_hash)
+
+    @property
+    def d_in(self) -> int:
+        return self.weights.shape[1]
+
+    @property
+    def d_out(self) -> int:
+        return self.weights.shape[0]
+
+    @property
+    def beta_a(self) -> float:
+        return self.d_out / 2.0
+
+    @property
+    def beta_b(self) -> float:
+        return (self.n - self.d_out) / 2.0
+
+    def project(self, raw) -> np.ndarray:
+        """Raw (N, d_in) rows in the projected space; DataError at another width."""
+        if np.ndim(raw) != 2 or np.shape(raw)[1] != self.d_in:
+            raise DataError(f"the model takes {self.d_in}-dim input, "
+                            f"got rows of shape {np.shape(raw)}")
+        return ProjectionHead(self.weights, self.bias).project(raw)
+
+    def scores(self, raw) -> np.ndarray:
+        """Normalized statistic T of each raw row (see ``mahalanobis.scores``)."""
+        return mahalanobis.scores(self.gaussian, self.project(raw))
 
 
-def config_hash(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-
-
-def save_model(artifact: ModelArtifact, path) -> None:
-    a = artifact
-    lines = [f"{ARTIFACT_MAGIC} {a.version}"]
-    lines.append(f"d_in {a.d_in}")
-    lines.append(f"d_out {a.d_out}")
-    lines.append(f"seed {a.seed}")
-    lines.append(f"config_hash {a.config_hash}")
-    lines.append(f"gauss_n {a.n}")
-    lines.append(f"ridge {_fmt(a.ridge)}")
-    lines.append(f"beta_level {_fmt(a.beta_level)}")
-    lines.append(f"beta_a {_fmt(a.beta_a)}")
-    lines.append(f"beta_b {_fmt(a.beta_b)}")
-    lines.append(f"v_beta {_fmt(a.v_beta)}")
-    lines.append("bias " + " ".join(_fmt(v) for v in a.bias))
-    for row in a.weights:
-        lines.append("w " + " ".join(_fmt(v) for v in row))
-    lines.append("mean " + " ".join(_fmt(v) for v in a.mean))
-    for i in range(a.mean.shape[0]):
-        lines.append("cov " + " ".join(_fmt(v) for v in a.cov[i, : i + 1]))
-    lines.append("end")
+def save_model(det: Detector, path) -> None:
+    plain = [("d_in", det.d_in), ("d_out", det.d_out), ("seed", det.seed),
+             ("config_hash", det.config_hash), ("gauss_n", det.n)]
+    floats = [("ridge", det.ridge), ("beta_level", det.beta_level), ("beta_a", det.beta_a),
+              ("beta_b", det.beta_b), ("v_beta", det.v_beta)]
+    rows = [("bias", det.bias), *(("w", row) for row in det.weights), ("mean", det.mean),
+            *(("cov", det.cov[i, : i + 1]) for i in range(det.d_out))]
+    lines = [f"{ARTIFACT_MAGIC} {ARTIFACT_VERSION}", *(f"{k} {v}" for k, v in plain),
+             *(f"{k} {_fmt(v)}" for k, v in floats),
+             *(f"{k} " + " ".join(_fmt(v) for v in row) for k, row in rows), "end"]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_model(path) -> ModelArtifact:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError(f"{path}: empty file")
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != ARTIFACT_MAGIC:
+def load_model(path) -> Detector:
+    """The Detector a model file holds; ParseError naming the file when it
+    is not one, VersionMismatch when it has another format version."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
+    head = lines[0].split() if lines else []
+    if len(head) != 2 or head[0] != ARTIFACT_MAGIC or not head[1].isdigit():
         raise ParseError(f"{path}: not a model artifact")
     if int(head[1]) != ARTIFACT_VERSION:
         raise VersionMismatch(
@@ -304,48 +354,30 @@ def load_model(path) -> ModelArtifact:
         raise ParseError(f"{path}: truncated artifact (missing end marker)")
 
     scalars: dict[str, str] = {}
-    w_rows, cov_rows = [], []
-    bias = mean = None
-    for line in lines[1:-1]:
-        key, _, rest = line.partition(" ")
-        if key == "w":
-            w_rows.append([float(t) for t in rest.split()])
-        elif key == "cov":
-            cov_rows.append([float(t) for t in rest.split()])
-        elif key == "bias":
-            bias = np.array([float(t) for t in rest.split()])
-        elif key == "mean":
-            mean = np.array([float(t) for t in rest.split()])
-        else:
-            scalars[key] = rest
+    rows: dict[str, list] = {"w": [], "cov": [], "bias": [], "mean": []}
     try:
-        d_in = int(scalars["d_in"])
-        d_out = int(scalars["d_out"])
-        n = int(scalars["gauss_n"])
-        weights = np.array(w_rows, dtype=float).reshape(d_out, d_in)
-        d = mean.shape[0]
+        for line in lines[1:-1]:
+            key, _, rest = line.partition(" ")
+            if key in rows:
+                rows[key].append([float(t) for t in rest.split()])
+            else:
+                scalars[key] = rest
+        d = int(scalars["d_out"])
+        (bias,), (mean,), cov_rows = rows["bias"], rows["mean"], rows["cov"]
+        if len(cov_rows) != d:
+            raise ValueError(f"{len(cov_rows)} cov rows, expected {d}")
         cov = np.zeros((d, d))
         for i, row in enumerate(cov_rows):
             cov[i, : i + 1] = row
-        cov = cov + np.tril(cov, -1).T
-        if bias.shape != (d_out,) or d != d_out or len(cov_rows) != d:
-            raise ValueError("inconsistent dimensions")
-        art = ModelArtifact(
-            d_in=d_in, d_out=d_out, weights=weights, bias=bias, mean=mean,
-            cov=cov, n=n, ridge=float(scalars["ridge"]),
-            beta_level=float(scalars["beta_level"]), beta_a=float(scalars["beta_a"]),
-            beta_b=float(scalars["beta_b"]), v_beta=float(scalars["v_beta"]),
+        det = Detector(
+            weights=np.array(rows["w"], dtype=float).reshape(d, int(scalars["d_in"])),
+            bias=np.array(bias), mean=np.array(mean), cov=cov + np.tril(cov, -1).T,
+            n=int(scalars["gauss_n"]), ridge=float(scalars["ridge"]),
+            beta_level=float(scalars["beta_level"]), v_beta=float(scalars["v_beta"]),
             seed=int(scalars["seed"]), config_hash=scalars["config_hash"])
-        if not all(np.all(np.isfinite(v)) for v in (weights, bias, mean, cov, art.ridge)):
-            raise ValueError("non-finite values")
-        if art.ridge < 0:
-            raise ValueError(f"ridge {art.ridge} must be non-negative")
-        if n <= d + 1:
-            raise ValueError(f"gauss_n {n} must exceed d+1 = {d + 1}")
-        if (art.beta_a, art.beta_b) != (d / 2, (n - d) / 2):
-            raise ValueError(f"Beta shapes must be d/2 = {d / 2} and (n-d)/2 = {(n - d) / 2}")
-        if not (0 < art.v_beta < 1 and 0 < art.beta_level < 1):
-            raise ValueError("v_beta and beta_level must lie in (0, 1)")
-        return art
-    except (KeyError, ValueError, AttributeError) as exc:
+        if (float(scalars["beta_a"]), float(scalars["beta_b"])) != (det.beta_a, det.beta_b):
+            raise ValueError(f"Beta shapes must be d/2 = {det.beta_a} "
+                             f"and (n-d)/2 = {det.beta_b}")
+        return det
+    except (KeyError, ValueError) as exc:
         raise ParseError(f"{path}: malformed artifact ({exc})") from exc

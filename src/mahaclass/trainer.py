@@ -22,6 +22,7 @@ from .seeds import rng_for
 
 LOSS_KINDS = ("mah", "mah_mean", "cosine")
 MLP_BATCH_SIZE = 32
+MLP_LEARNING_RATE = 1e-3
 
 
 @dataclass
@@ -30,10 +31,6 @@ class ProjectionHead:
 
     weights: np.ndarray  # (d_out, d_in)
     bias: np.ndarray     # (d_out,)
-
-    @property
-    def d_in(self) -> int:
-        return self.weights.shape[1]
 
     @property
     def d_out(self) -> int:
@@ -246,17 +243,16 @@ class MlpHead:
         return cls(layers=layers)
 
 
-def train_mlp(data, head: ProjectionHead, epochs: int = 50, learning_rate: float = 1e-3,
-              seed: int = 0) -> MlpHead:
-    """Binary log-loss training of the ablation classifier on frozen
-    projected embeddings; the hidden layers have d and d // 2 units."""
+def train_mlp(data, head, epochs: int = 50, seed: int = 0) -> MlpHead:
+    """Binary log-loss training of the ablation classifier on embeddings
+    frozen under ``head.project``; the hidden layers have d and d // 2 units."""
     if data.n_target < 1 or data.m_non_target < 1:
         raise InsufficientClassData("both classes required")
     x = head.project(data.vectors)
     y = data.labels.astype(float)
     d = x.shape[1]
     init = MlpHead.init(d, (d, max(d // 2, 1)), rng_for(seed, "mlp-init"))
-    opt = Adam([a for w_b in init.layers for a in w_b], lr=learning_rate)
+    opt = Adam([a for w_b in init.layers for a in w_b], lr=MLP_LEARNING_RATE)
     mlp = MlpHead(layers=list(zip(opt.params[0::2], opt.params[1::2])))
     grads = list(zip(opt.grads[0::2], opt.grads[1::2]))
     order_rng = rng_for(seed, "mlp-batches")

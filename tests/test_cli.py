@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -218,6 +220,8 @@ class TestExitCodes:
         {"gauss_n": "5", "beta_b": "0.5"},  # n <= d+1 with consistent shapes
         {"ridge": "-100"},
         {"cov": "-5"},  # cov + ridge*I not positive definite
+        {"w": "abc"},
+        {"bias": "0x1"},
     ])
     def test_invalid_model_is_data_error(self, workspace, tmp_path, command, edits):
         _, data, model = workspace
@@ -300,6 +304,64 @@ class TestExitCodes:
         assert rc == cli.EXIT_DATA
         assert "line 1: no vector components" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [data]
+
+    @pytest.mark.parametrize("command, flag, make", [
+        ("infer", "--model", lambda p: p.write_text("mahaclass-model x\nend\n")),
+        ("infer", "--model", lambda p: p.write_bytes(b"mahaclass-model 1\n\xff\nend\n")),
+        ("infer", "--input", lambda p: p.write_bytes(b"r0\t1\t1.0\nr1\t0\t\xff\n")),
+        ("train", "--input", lambda p: p.write_bytes(b"r0\t1\t\xe9\n")),
+        ("infer", "--model", Path.mkdir),
+        ("infer", "--input", Path.mkdir),
+        ("train", "--input", Path.mkdir),
+        ("infer", "--output", Path.mkdir),
+        ("train", "--output", Path.mkdir),
+    ], ids=["model-version-x", "model-not-utf8", "input-not-utf8", "train-input-not-utf8",
+            "model-dir", "input-dir", "train-input-dir", "output-dir", "train-output-dir"])
+    def test_unreadable_file_is_data_error(self, workspace, tmp_path, capsys,
+                                           command, flag, make):
+        _, data, model = workspace
+        paths = {"--input": data, "--output": tmp_path / "out"}
+        if command == "infer":
+            paths["--model"] = model
+        bad = paths[flag] = tmp_path / "bad"
+        make(bad)
+        capsys.readouterr()
+        argv = [command] + [str(v) for kv in paths.items() for v in kv]
+        rc = cli.main(argv + TRAIN_FLAGS if command == "train" else argv)
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err
+        assert [p.name for p in tmp_path.iterdir()] == ["bad"]
+        assert not bad.is_dir() or not any(bad.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--beta-level", "1.5"],
+        ["train", "--beta-level", "0"],
+        ["train", "--beta-level", "nan"],
+        ["train", "--calibrate", "f1-fpr-cap", "--fpr-cap", "7"],
+        ["ablate", "--fpr-cap", "-0.1"],
+        ["diagnose", "--k", "0"],
+    ])
+    def test_out_of_range_flag_is_usage_error(self, workspace, tmp_path, capsys, argv):
+        _, data, _ = workspace
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--input", str(data), "--output", str(tmp_path / "out")])
+        assert exc.value.code == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "must " in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("line", ["beta-level = 1.5", "fpr-cap = 7"])
+    def test_out_of_range_config_value_is_usage_error(self, workspace, tmp_path, line):
+        _, data, _ = workspace
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "m.txt"
+        rc = cli.main(["train", "--input", str(data), "--output", str(out),
+                       "--config", str(cfg)] + TRAIN_FLAGS)
+        assert rc == cli.EXIT_USAGE
+        assert not out.exists()
 
     def test_missing_input_is_data_error(self, tmp_path):
         rc = cli.main(["train", "--input", str(tmp_path / "nope.tsv"),

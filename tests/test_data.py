@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from mahaclass.betadist import BetaParams
 from mahaclass.data import (
+    Detector,
     EmbeddingDataset,
-    ModelArtifact,
     SynthConfig,
     load_dataset,
     load_model,
@@ -14,6 +17,7 @@ from mahaclass.data import (
     synth_target_moments,
 )
 from mahaclass.errors import (
+    DataError,
     DuplicateId,
     DimensionMismatch,
     InvalidConfig,
@@ -21,6 +25,9 @@ from mahaclass.errors import (
     TooSmallForSplit,
     VersionMismatch,
 )
+from mahaclass.linalg import GaussianModel, cholesky
+from mahaclass.mahalanobis import DecisionThreshold, beta_decide, scores
+from mahaclass.trainer import TrainConfig, train
 
 
 def toy_dataset(n=10, d=3, seed=0):
@@ -154,10 +161,6 @@ class TestSplit:
         with pytest.raises(TooSmallForSplit):
             split(toy_dataset(4), seed=0)
 
-    def test_bad_ratios(self):
-        with pytest.raises(InvalidConfig):
-            split(toy_dataset(100), ratios=(0.5, 0.2, 0.2), seed=0)
-
 
 class TestSynthBenchmark:
     def test_shapes_and_counts(self):
@@ -201,20 +204,21 @@ class TestSynthBenchmark:
             SynthConfig(separation=-1.0)
 
 
+def make_detector(seed=0, d_in=5, d_out=3):
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(d_out, d_in))
+    a = rng.normal(size=(20, d_out))
+    cov = a.T @ a / 19
+    return Detector(
+        weights=w, bias=rng.normal(size=d_out), mean=rng.normal(size=d_out), cov=cov,
+        n=20, ridge=1e-6, beta_level=0.95, v_beta=0.31, seed=seed, config_hash="ab" * 8)
+
+
 class TestModelArtifact:
-    def _artifact(self, seed=0, d_in=5, d_out=3):
-        rng = np.random.default_rng(seed)
-        w = rng.normal(size=(d_out, d_in))
-        a = rng.normal(size=(20, d_out))
-        cov = a.T @ a / 19
-        return ModelArtifact(
-            d_in=d_in, d_out=d_out, weights=w, bias=rng.normal(size=d_out),
-            mean=rng.normal(size=d_out), cov=cov, n=20, ridge=1e-6,
-            beta_level=0.95, beta_a=1.5, beta_b=8.5, v_beta=0.31,
-            seed=seed, config_hash="ab" * 8)
+    """The model file: a Detector's save/load round trip."""
 
     def test_round_trip_exact(self, tmp_path):
-        art = self._artifact()
+        art = make_detector()
         path = tmp_path / "model.txt"
         save_model(art, path)
         back = load_model(path)
@@ -225,20 +229,21 @@ class TestModelArtifact:
         assert (back.n, back.ridge, back.seed) == (art.n, art.ridge, art.seed)
         assert back.v_beta == art.v_beta
         assert back.config_hash == art.config_hash
+        assert (back.d_in, back.d_out, back.beta_a, back.beta_b) == (5, 3, 1.5, 8.5)
         # and the re-serialization is byte-identical
         path2 = tmp_path / "model2.txt"
         save_model(back, path2)
         assert path.read_bytes() == path2.read_bytes()
 
     def test_cov_symmetry_restored(self, tmp_path):
-        art = self._artifact(seed=1)
+        art = make_detector(seed=1)
         path = tmp_path / "m.txt"
         save_model(art, path)
         cov = load_model(path).cov
         np.testing.assert_array_equal(cov, cov.T)
 
     def test_version_mismatch(self, tmp_path):
-        art = self._artifact()
+        art = make_detector()
         path = tmp_path / "m.txt"
         save_model(art, path)
         lines = path.read_text().splitlines()
@@ -248,7 +253,7 @@ class TestModelArtifact:
             load_model(path)
 
     def test_truncated(self, tmp_path):
-        art = self._artifact()
+        art = make_detector()
         path = tmp_path / "m.txt"
         save_model(art, path)
         lines = path.read_text().splitlines()
@@ -261,3 +266,86 @@ class TestModelArtifact:
         path.write_text("something else entirely\n")
         with pytest.raises(ParseError):
             load_model(path)
+
+    def test_non_integer_version_is_parse_error(self, tmp_path):
+        path = tmp_path / "m.txt"
+        save_model(make_detector(), path)
+        path.write_text(path.read_text().replace("mahaclass-model 1", "mahaclass-model x"))
+        with pytest.raises(ParseError, match="not a model artifact"):
+            load_model(path)
+
+    def test_not_utf8_is_parse_error(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"mahaclass-model 1\n\xff\xfe\nend\n")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            load_model(path)
+
+    def test_extra_cov_row_is_parse_error(self, tmp_path):
+        path = tmp_path / "m.txt"
+        save_model(make_detector(), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-1] + ["cov 1 2 3 4", "end"]) + "\n")
+        with pytest.raises(ParseError, match="4 cov rows, expected 3"):
+            load_model(path)
+
+
+def trained_parts(seed=0):
+    """(data, head, window model, threshold) of a small trained run."""
+    data = synth_benchmark(SynthConfig(d_in=6, n_target=80, m_non_target=80,
+                                       manifold_dim=2, seed=seed))
+    head, model, _ = train(data, TrainConfig(proj_dim=3, window_multiplier=4,
+                                             batch_size=8, seed=seed))
+    return data, head, model, DecisionThreshold.for_model(model, 0.9)
+
+
+class TestDetector:
+    def test_derived_fields(self):
+        det = make_detector(d_in=5, d_out=3)
+        assert (det.d_in, det.d_out, det.beta_a, det.beta_b) == (5, 3, 1.5, 8.5)
+        np.testing.assert_array_equal(det.gaussian.chol, cholesky(det.cov + 1e-6 * np.eye(3)))
+
+    @pytest.mark.parametrize("change", [
+        {"mean": np.array([0.0, np.nan, 0.0])},
+        {"bias": np.zeros(4)},
+        {"cov": np.eye(2)},
+        {"cov": -np.eye(3)},  # cov + ridge*I is not positive definite
+        {"ridge": -1.0},
+        {"n": 4},  # n <= d+1
+        {"v_beta": 1.0},
+        {"beta_level": 0.0},
+    ])
+    def test_invariants_checked_at_construction(self, change):
+        with pytest.raises(ValueError):
+            replace(make_detector(), **change)
+
+    def test_project_rejects_other_widths(self):
+        det = make_detector(d_in=5)
+        with pytest.raises(DataError, match="5-dim input"):
+            det.project(np.zeros((2, 4)))
+        with pytest.raises(DataError):
+            det.scores(np.zeros(5))
+
+    def test_scores_of_trained_parts(self):
+        data, head, model, thr = trained_parts()
+        det = Detector.of(head, model, thr, seed=0, config_hash="0" * 16)
+        assert (det.beta_level, det.v_beta) == (thr.beta_level, thr.v_beta)
+        assert (det.beta_a, det.beta_b) == (thr.params.a, thr.params.b)
+        np.testing.assert_array_equal(det.scores(data.vectors),
+                                      scores(model, head.project(data.vectors)))
+
+    def test_benchmark_decider_contract(self, tmp_path):
+        # the benchmark rebuilds its one-row decider from these ten attributes
+        # of a loaded model; its decisions must be the Detector's own
+        data, head, model, thr = trained_parts(seed=1)
+        path = tmp_path / "m.txt"
+        save_model(Detector.of(head, model, thr, seed=1, config_hash="0" * 16), path)
+        det = load_model(path)
+        gauss = GaussianModel(mean=det.mean, cov=det.cov, n=det.n, ridge=det.ridge,
+                              chol=cholesky(det.cov + det.ridge * np.eye(det.mean.shape[0])))
+        thr2 = DecisionThreshold(beta_level=det.beta_level,
+                                 params=BetaParams(det.beta_a, det.beta_b), v_beta=det.v_beta)
+        rows = data.vectors @ det.weights.T + det.bias
+        decided = [beta_decide(gauss, row, thr2) for row in rows]
+        expected = (det.scores(data.vectors) < det.v_beta).astype(int)
+        assert 0 < expected.sum() < len(expected)
+        np.testing.assert_array_equal(decided, expected)

@@ -233,7 +233,7 @@ class TestMlp:
     def test_learns_separable_classes(self):
         data = toy_data(12, n=80, m=80, d=4, shift=5.0)
         head = ProjectionHead(weights=np.eye(4), bias=np.zeros(4))
-        mlp = train_mlp(data, head, epochs=60, learning_rate=1e-2, seed=3)
+        mlp = train_mlp(data, head, epochs=150, seed=3)
         preds = mlp.predict(data.vectors)
         assert np.mean(preds == data.labels) > 0.95
 
