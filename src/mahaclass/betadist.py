@@ -1,7 +1,10 @@
 """Regularized incomplete Beta function and its inverse.
 
 Thin wrappers over ``scipy.special.betainc`` and ``betaincinv`` that add
-the package's domain errors.  Both work elementwise on arrays.
+the package's domain errors.  Both work elementwise on arrays.  Each
+imports ``scipy.special`` when called, not at module load, so that
+importing the CLI does not pay for it: ``infer`` and ``evaluate`` never
+call either function.
 """
 
 from __future__ import annotations
@@ -9,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaincinv
 
 from .errors import InvalidShape, OutOfDomain
 
@@ -29,6 +31,7 @@ def reg_inc_beta(p: BetaParams, x):
     x = np.asarray(x, dtype=float)
     if not np.all((x >= 0.0) & (x <= 1.0)):
         raise OutOfDomain(f"x must lie in [0, 1], got {x}")
+    from scipy.special import betainc
     return betainc(p.a, p.b, x)
 
 
@@ -37,4 +40,5 @@ def beta_quantile(p: BetaParams, prob):
     prob = np.asarray(prob, dtype=float)
     if not np.all((prob > 0.0) & (prob < 1.0)):
         raise OutOfDomain(f"prob must lie in (0, 1), got {prob}")
+    from scipy.special import betaincinv
     return betaincinv(p.a, p.b, prob)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 
 from . import data as data_mod
@@ -54,6 +55,9 @@ def _checked(cast, ok, requirement: str):
 _LEVEL = _checked(float, lambda v: 0 < v < 1, "must lie in (0, 1)")
 _RATE = _checked(float, lambda v: 0 <= v <= 1, "must lie in [0, 1]")
 _COUNT = _checked(int, lambda v: v >= 1, "must be at least 1")
+_NON_NEGATIVE = _checked(float, lambda v: math.isfinite(v) and v >= 0,
+                         "must be finite and non-negative")
+_POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0, "must be finite and positive")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,15 +76,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-non-target", type=int, default=8000)
     p.add_argument("--manifold-dim", type=int, default=8)
     p.add_argument("--components", type=int, default=3)
-    p.add_argument("--separation", type=float, default=3.0)
+    p.add_argument("--separation", type=_POSITIVE, default=3.0)
 
     def train_flags(p):
         p.add_argument("--loss", choices=sorted(_LOSS_FLAGS), default="mah-mean")
         p.add_argument("--batch-size", type=int, default=16)
         p.add_argument("--window-mult", type=int, default=100)
         p.add_argument("--epochs", type=int, default=1)
-        p.add_argument("--lr", type=float, default=1e-3)
-        p.add_argument("--ridge", type=float, default=1e-6)
+        p.add_argument("--lr", type=_POSITIVE, default=1e-3)
+        p.add_argument("--ridge", type=_NON_NEGATIVE, default=1e-6)
         p.add_argument("--proj-dim", type=int, default=64)
         p.add_argument("--calibrate", choices=["f1", "f1-fpr-cap"], default="f1")
         p.add_argument("--fpr-cap", type=_RATE, default=0.05)

@@ -13,6 +13,7 @@ File formats (normative, bit-exact round trip):
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -183,8 +184,8 @@ class SynthConfig:
             raise InvalidConfig("non-target mixture needs at least 2 components")
         if not (1 <= self.manifold_dim <= self.d_in):
             raise InvalidConfig("manifold_dim must lie in [1, d_in]")
-        if self.separation <= 0:
-            raise InvalidConfig("separation must be positive")
+        if not (self.separation > 0 and math.isfinite(self.separation)):
+            raise InvalidConfig("separation must be finite and positive")
 
 
 _AMBIENT_NOISE = 0.1

@@ -3,7 +3,9 @@ normality, Anderson-Darling univariate normality, Q-Q data, and
 squared-distance separability reports.
 
 Statistics are reported raw (no p-values); for both tests, larger values
-mean greater deviation from normality.
+mean greater deviation from normality.  ``scipy.special`` is imported by
+the two functions that use it, when called, so importing the CLI does
+not load it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve
-from scipy.special import ndtr, ndtri
 
 from .errors import (
     DimensionMismatch,
@@ -125,7 +126,9 @@ def _standardized_order_statistics(samples) -> np.ndarray:
 
 def anderson_darling(samples) -> float:
     """A^2 against the normal with estimated mean and standard deviation."""
-    return ad_statistic_from_probs(ndtr(_standardized_order_statistics(samples)))
+    z = _standardized_order_statistics(samples)
+    from scipy.special import ndtr
+    return ad_statistic_from_probs(ndtr(z))
 
 
 def normality_report(vectors, labels, head=None, k: int = 3) -> list[NormalityReport]:
@@ -156,6 +159,7 @@ def emit_qq(samples) -> list[tuple[float, float]]:
     """Normal Q-Q pairs: (theoretical quantile at (i-0.5)/n, standardized
     order statistic)."""
     z = _standardized_order_statistics(samples)
+    from scipy.special import ndtri
     theo = ndtri((np.arange(1, len(z) + 1) - 0.5) / len(z))
     return list(zip(theo.tolist(), z.tolist()))
 

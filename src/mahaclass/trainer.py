@@ -61,7 +61,8 @@ class TrainConfig:
             raise InvalidConfig(f"loss_kind must be one of {LOSS_KINDS}")
         if min(self.batch_size, self.window_multiplier, self.proj_dim) < 1:
             raise InvalidConfig("batch_size, window_multiplier and proj_dim must be positive")
-        if self.epochs < 0 or self.learning_rate <= 0 or self.ridge < 0:
+        if not (self.epochs >= 0 and self.learning_rate > 0 and self.ridge >= 0
+                and math.isfinite(self.learning_rate) and math.isfinite(self.ridge)):
             raise InvalidConfig("invalid epochs, learning_rate or ridge")
 
     @property

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -352,7 +355,27 @@ class TestExitCodes:
         assert out == "" and "must " in err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("line", ["beta-level = 1.5", "fpr-cap = 7"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--ridge"), ("train", "--lr"), ("ablate", "--ridge"), ("ablate", "--lr"),
+        ("synth", "--separation"),
+    ])
+    def test_non_finite_flag_is_usage_error(self, workspace, tmp_path, capsys,
+                                            command, flag, value):
+        _, data, _ = workspace
+        argv = [command, f"{flag}={value}", "--output", str(tmp_path / "out")]
+        if command != "synth":
+            argv += ["--input", str(data)]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "must be finite" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("line", ["beta-level = 1.5", "fpr-cap = 7",
+                                      "ridge = nan", "lr = inf"])
     def test_out_of_range_config_value_is_usage_error(self, workspace, tmp_path, line):
         _, data, _ = workspace
         cfg = tmp_path / "run.cfg"
@@ -393,3 +416,15 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
         assert exc.value.code == 2
+
+
+def test_cli_import_leaves_scipy_stats_and_special_unloaded():
+    # a fresh interpreter, since this suite itself imports scipy.stats
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, mahaclass.cli; "
+            "print(*(m for m in ('scipy.stats', 'scipy.special') if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.split() == []

@@ -202,6 +202,9 @@ class TestSynthBenchmark:
             SynthConfig(manifold_dim=99, d_in=8)
         with pytest.raises(InvalidConfig):
             SynthConfig(separation=-1.0)
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(InvalidConfig):
+                SynthConfig(separation=value)
 
 
 def make_detector(seed=0, d_in=5, d_out=3):

@@ -69,6 +69,18 @@ def pairwise_auc(scores, truth):
     return wins / (len(pos) * len(neg))
 
 
+def rank_sum_auc(scores, truth):
+    """The Mann-Whitney U from scipy's average ranks over the pooled sample."""
+    from scipy.stats import rankdata
+
+    s = np.asarray(scores, float)
+    y = np.asarray(truth, int)
+    n_pos = int(np.sum(y == 1))
+    n_neg = len(y) - n_pos
+    u = float(np.sum(rankdata(s)[y == 1])) - n_pos * (n_pos + 1) / 2.0
+    return u / (n_pos * n_neg)
+
+
 class TestRocAuc:
     def test_perfect_separation(self):
         assert roc_auc([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0]) == 1.0
@@ -102,3 +114,24 @@ class TestRocAuc:
         s = np.round(rng.normal(size=n_pos + n_neg), 1)
         y = np.array([1] * n_pos + [0] * n_neg)
         assert roc_auc(s, y) == pytest.approx(pairwise_auc(s, y), abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bitwise_equal_to_rank_sum(self, seed):
+        # both numerators are exact half-integers, so the two forms agree to
+        # the last bit, not just approximately, however many ties there are
+        rng = np.random.default_rng(seed)
+        for n in (2, 41, 3_000, 100_000):
+            y = rng.integers(0, 2, size=n)
+            y[:2] = (0, 1)
+            quantized = np.round(rng.normal(size=n), int(rng.integers(0, 3)))
+            half_tied = quantized.copy()
+            half_tied[: n // 2] = 0.0
+            cases = [
+                quantized,
+                half_tied,
+                np.full(n, 0.25),  # every pair tied
+                np.where(y == 1, 2.0, 1.0),  # targets all above, each class one tie block
+                np.where(y == 1, -10.0, quantized),  # targets all below
+            ]
+            for s in cases:
+                assert roc_auc(s, y) == rank_sum_auc(s, y)

@@ -43,6 +43,12 @@ class TestTrainConfig:
         with pytest.raises(InvalidConfig):
             TrainConfig(learning_rate=0.0)
 
+    @pytest.mark.parametrize("field", ["learning_rate", "ridge"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(InvalidConfig):
+            TrainConfig(**{field: value})
+
 
 def reference_adam(params, lr, steps_grads):
     """The per-array Adam update, building a new list of arrays each step;
