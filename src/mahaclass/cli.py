@@ -55,6 +55,7 @@ def _checked(cast, ok, requirement: str):
 _LEVEL = _checked(float, lambda v: 0 < v < 1, "must lie in (0, 1)")
 _RATE = _checked(float, lambda v: 0 <= v <= 1, "must lie in [0, 1]")
 _COUNT = _checked(int, lambda v: v >= 1, "must be at least 1")
+_EPOCHS = _checked(int, lambda v: v >= 0, "must be non-negative")
 _NON_NEGATIVE = _checked(float, lambda v: math.isfinite(v) and v >= 0,
                          "must be finite and non-negative")
 _POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0, "must be finite and positive")
@@ -125,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     train_flags(p)
-    p.add_argument("--mlp-epochs", type=int, default=50)
+    p.add_argument("--mlp-epochs", type=_EPOCHS, default=50)
     return parser
 
 

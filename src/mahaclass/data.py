@@ -186,6 +186,13 @@ class SynthConfig:
             raise InvalidConfig("manifold_dim must lie in [1, d_in]")
         if not (self.separation > 0 and math.isfinite(self.separation)):
             raise InvalidConfig("separation must be finite and positive")
+        # Normal draws stay below 40 in magnitude (numpy's sampler cannot pass
+        # about 14) and the manifold scales at most 2, so no coordinate of the mixture (its offsets and the
+        # background slab of +-2.1 * separation included) reaches
+        # 100 * manifold_dim * separation beyond the target mean.
+        if not math.isfinite(100.0 * self.manifold_dim * self.separation):
+            raise InvalidConfig(f"separation {self.separation} overflows the mixture's "
+                                f"coordinates at manifold_dim {self.manifold_dim}")
 
 
 _AMBIENT_NOISE = 0.1

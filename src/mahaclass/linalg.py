@@ -2,8 +2,8 @@
 
 Covariances use the unbiased (n-1) estimator throughout.  A small ridge
 (lambda * I) keeps the Cholesky factor well defined when the scatter is
-rank deficient; the factor is cached on the model so Mahalanobis solves
-cost two triangular backsubstitutions.
+rank deficient; the factor is cached on the model, so a Mahalanobis
+distance costs one triangular solve and ``spd_solve`` two.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import (
     DimensionMismatch,
@@ -25,11 +26,14 @@ def cholesky(m: np.ndarray) -> np.ndarray:
     """Lower-triangular factor L with L @ L.T == m.
 
     Raises NotPositiveDefinite when a pivot is not strictly positive,
-    which for a covariance signals that the ridge is too small.
+    which for a covariance signals that the ridge is too small, or when an
+    entry is not finite (LAPACK factors an infinite diagonal without error).
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise NotPositiveDefinite("matrix has non-finite entries")
     # symmetrize to kill representation noise before factoring
     m = 0.5 * (m + m.T)
     try:
@@ -91,8 +95,16 @@ def spd_solve(model: GaussianModel, v: np.ndarray) -> np.ndarray:
 
 def whitened_sq_norms(chol: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """delta^T (L L^T)^{-1} delta for each row of the (N, d) deltas, by one
-    triangular solve against the (d, N) right-hand side."""
-    z = solve_triangular(chol, deltas.T, lower=True, check_finite=False)
+    triangular solve against the (d, N) right-hand side.
+
+    LAPACK's dtrtrs is handed U = L^T and solves U^T z = delta: the factor
+    from ``np.linalg.cholesky`` is C-ordered, so U is a Fortran-ordered
+    array that LAPACK reads without a copy.
+    """
+    z, info = dtrtrs(chol.T, deltas.T, lower=0, trans=1)
+    if info != 0:
+        raise NotPositiveDefinite(f"triangular solve failed (LAPACK info {info}): "
+                                  "zero pivot in the factor")
     return np.einsum("ij,ij->j", z, z)
 
 

@@ -86,13 +86,19 @@ def decision_statistic(model: GaussianModel, x: np.ndarray) -> DecisionScore:
     return DecisionScore(d2=model.n**2 / (model.n + 1) * t, T=t)
 
 
+def _isclose(a: float, b: float) -> bool:
+    """``np.isclose(a, b)`` (atol 1e-8, rtol 1e-5) for finite scalar b, at a
+    fraction of its cost."""
+    return abs(a - b) <= 1e-8 + 1e-5 * abs(b)
+
+
 def beta_decide(model: GaussianModel, x: np.ndarray, thr: DecisionThreshold) -> int:
     """1 (target) iff the normalized statistic falls strictly below v_beta."""
     expected = null_beta_params(model)
-    if not (np.isclose(thr.params.a, expected.a) and np.isclose(thr.params.b, expected.b)):
+    if not (_isclose(thr.params.a, expected.a) and _isclose(thr.params.b, expected.b)):
         raise ShapeMismatch(
             f"threshold shapes {thr.params} do not match model (n={model.n}, d={model.d})")
-    return TARGET if decision_statistic(model, x).T < thr.v_beta else NON_TARGET
+    return TARGET if scores(model, np.asarray(x)[None])[0] < thr.v_beta else NON_TARGET
 
 
 def calibrate(model: GaussianModel, dev_vectors, dev_labels,

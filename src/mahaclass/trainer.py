@@ -136,6 +136,10 @@ class TripleSampler:
         return idx
 
 
+# A diverging run is caught by the explicit checks on the loss, the head
+# parameters and the window factor (exit 4), so the overflow on the way
+# there is not reported a second time as a RuntimeWarning.
+@np.errstate(over="ignore", invalid="ignore")
 def train(data, cfg: TrainConfig):
     """One or more epochs of contrastive training over the train split.
 
@@ -196,6 +200,9 @@ def train(data, cfg: TrainConfig):
             np.matmul(g.reshape(-1, d_out).T, raw.reshape(-1, d_in), out=dw)
             np.sum(g, axis=(0, 1), out=db)
             opt.step()
+            if not np.isfinite(opt.p).all():
+                raise NonFiniteLoss(f"training diverged at epoch {epoch}, batch {batch_i}: "
+                                    "head parameters are not finite")
             log.append(LogEntry(epoch=epoch, batch=batch_i, loss=lv.value))
     window.refresh()
     return head, window.model, log
@@ -247,6 +254,8 @@ class MlpHead:
 def train_mlp(data, head, epochs: int = 50, seed: int = 0) -> MlpHead:
     """Binary log-loss training of the ablation classifier on embeddings
     frozen under ``head.project``; the hidden layers have d and d // 2 units."""
+    if epochs < 0:
+        raise InvalidConfig(f"epochs must be non-negative, got {epochs}")
     if data.n_target < 1 or data.m_non_target < 1:
         raise InsufficientClassData("both classes required")
     x = head.project(data.vectors)

@@ -271,6 +271,33 @@ class TestExitCodes:
         assert "diverged at epoch 0, batch 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("lr, reason", [
+        # the head stays finite but the window covariance overflows
+        ("1e200", "batch 1: matrix has non-finite entries"),
+        # the first Adam step overflows the head itself
+        ("1e308", "batch 0: head parameters are not finite"),
+    ], ids=["window", "head"])
+    def test_huge_learning_rate_is_numerical_error(self, workspace, tmp_path, capsys,
+                                                   lr, reason):
+        _, data, _ = workspace
+        out, log = tmp_path / "m.txt", tmp_path / "log.tsv"
+        capsys.readouterr()
+        rc = cli.main(["train", "--input", str(data), "--output", str(out), "--log", str(log),
+                       "--seed", "1", "--lr", lr] + TRAIN_FLAGS)
+        assert rc == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert f"training diverged at epoch 0, {reason}" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_overflowing_separation_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "d.tsv"
+        capsys.readouterr()
+        rc = cli.main(["synth", "--output", str(out), "--d-in", "4", "--manifold-dim", "2",
+                       "--separation", "1e308"])
+        assert rc == cli.EXIT_USAGE
+        assert "separation 1e+308 overflows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_warm_start_failure_names_the_window(self, tmp_path, capsys):
         # 16 target training rows cannot span the 32-dim window without a ridge
         data = tmp_path / "data.tsv"
@@ -344,6 +371,7 @@ class TestExitCodes:
         ["train", "--calibrate", "f1-fpr-cap", "--fpr-cap", "7"],
         ["ablate", "--fpr-cap", "-0.1"],
         ["diagnose", "--k", "0"],
+        ["ablate", "--mlp-epochs", "-1"],
     ])
     def test_out_of_range_flag_is_usage_error(self, workspace, tmp_path, capsys, argv):
         _, data, _ = workspace
@@ -385,6 +413,23 @@ class TestExitCodes:
                        "--config", str(cfg)] + TRAIN_FLAGS)
         assert rc == cli.EXIT_USAGE
         assert not out.exists()
+
+    def test_negative_mlp_epochs_in_config_is_usage_error(self, workspace, tmp_path, capsys):
+        _, data, _ = workspace
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mlp_epochs = -1\n")
+        out = tmp_path / "grid.tsv"
+        capsys.readouterr()
+        rc = cli.main(["ablate", "--input", str(data), "--output", str(out),
+                       "--config", str(cfg)] + TRAIN_FLAGS)
+        assert rc == cli.EXIT_USAGE
+        assert "--mlp-epochs: '-1' must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_mlp_epochs_is_accepted(self):
+        args = cli.build_parser().parse_args(["ablate", "--input", "x", "--output", "y",
+                                              "--mlp-epochs", "0"])
+        assert args.mlp_epochs == 0
 
     def test_missing_input_is_data_error(self, tmp_path):
         rc = cli.main(["train", "--input", str(tmp_path / "nope.tsv"),

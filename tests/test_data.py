@@ -202,9 +202,20 @@ class TestSynthBenchmark:
             SynthConfig(manifold_dim=99, d_in=8)
         with pytest.raises(InvalidConfig):
             SynthConfig(separation=-1.0)
-        for value in (float("nan"), float("inf")):
+        for value in (float("nan"), float("inf"), 1e308):
             with pytest.raises(InvalidConfig):
                 SynthConfig(separation=value)
+
+    def test_huge_separation_round_trips(self, tmp_path):
+        cfg = SynthConfig(d_in=4, n_target=40, m_non_target=80, manifold_dim=2,
+                          separation=1e300)
+        ds = synth_benchmark(cfg)
+        path = tmp_path / "d.tsv"
+        save_dataset(ds, path)
+        back = load_dataset(path)
+        assert np.isfinite(back.vectors).all()
+        assert np.abs(back.vectors).max() > 1e299
+        np.testing.assert_array_equal(back.vectors, ds.vectors)
 
 
 def make_detector(seed=0, d_in=5, d_out=3):

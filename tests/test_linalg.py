@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from mahaclass.errors import DimensionMismatch, NotPositiveDefinite, TooFewSamples
 from mahaclass.linalg import (
@@ -10,6 +11,7 @@ from mahaclass.linalg import (
     cholesky,
     fit_gaussian,
     spd_solve,
+    whitened_sq_norms,
 )
 
 
@@ -26,6 +28,44 @@ class TestCholesky:
     def test_indefinite_raises(self):
         with pytest.raises(NotPositiveDefinite):
             cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_raises(self, bad):
+        # LAPACK factors an infinite diagonal without complaint
+        m = np.eye(3)
+        m[1, 1] = bad
+        with pytest.raises(NotPositiveDefinite, match="non-finite"):
+            cholesky(m)
+
+
+class TestWhitenedSqNorms:
+    @staticmethod
+    def reference(chol, deltas):
+        """scipy's solve on the C-ordered factor, the order np.linalg.cholesky
+        returns; for a Fortran-ordered factor scipy solves another, equivalent
+        system, whose one-row result can differ in the last bits."""
+        z = solve_triangular(np.ascontiguousarray(chol), deltas.T, lower=True,
+                             check_finite=False)
+        return np.einsum("ij,ij->j", z, z)
+
+    @pytest.mark.parametrize("d", [1, 3, 32, 64])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bitwise_equal_to_solve_triangular(self, d, order):
+        rng = np.random.default_rng(d)
+        a = rng.normal(size=(3 * d + 5, d))
+        chol = np.asarray(cholesky(a.T @ a / (3 * d + 4)), order=order)
+        for n_rows in (1, 7, 500):
+            deltas = 3.0 * rng.normal(size=(n_rows, d))
+            got = whitened_sq_norms(chol, deltas)
+            np.testing.assert_array_equal(got, self.reference(chol, deltas))
+            z = solve_triangular(chol, deltas.T, lower=True, check_finite=False)
+            np.testing.assert_allclose(got, np.einsum("ij,ij->j", z, z), rtol=1e-13)
+
+    def test_zero_pivot_raises(self):
+        chol = np.tril(np.ones((4, 4)))
+        chol[2, 2] = 0.0
+        with pytest.raises(NotPositiveDefinite):
+            whitened_sq_norms(chol, np.ones((3, 4)))
 
 
 class TestFitGaussian:

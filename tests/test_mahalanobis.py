@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_model
 from mahaclass.betadist import BetaParams, beta_quantile, reg_inc_beta
@@ -14,6 +16,7 @@ from mahaclass.mahalanobis import (
     NON_TARGET,
     TARGET,
     DecisionThreshold,
+    _isclose,
     beta_decide,
     calibrate,
     decision_statistic,
@@ -185,6 +188,52 @@ class TestBetaDecide:
     def test_null_params(self):
         p = null_beta_params(self.model)
         assert p == BetaParams(1.5, 23.5)
+
+    @staticmethod
+    def near_edge(b, steps):
+        """b plus and minus np.isclose's tolerance, nudged by a few ulps."""
+        tol = 1e-8 + 1e-5 * abs(b)
+        out = [b, np.inf, -np.inf]
+        for edge in (b + tol, b - tol):
+            out.append(edge)
+            lo = hi = edge
+            for _ in range(steps):
+                lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+                out += [lo, hi]
+        return out
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=1e-3, max_value=1e9, allow_nan=False, allow_infinity=False))
+    def test_shape_test_agrees_with_isclose(self, b):
+        for a in self.near_edge(b, steps=3):
+            assert _isclose(a, b) == bool(np.isclose(a, b)), (a, b)
+
+    def test_threshold_shapes_at_tolerance_edge(self):
+        # accepted exactly when np.isclose accepts both shapes
+        x = self.model.mean + 0.1
+        expected = null_beta_params(self.model)
+        for a in self.near_edge(expected.a, steps=2):
+            for b in self.near_edge(expected.b, steps=2):
+                if not (a > 0 and b > 0):
+                    continue
+                thr = DecisionThreshold(0.9, BetaParams(a, b), self.thr.v_beta)
+                if np.isclose(a, expected.a) and np.isclose(b, expected.b):
+                    assert beta_decide(self.model, x, thr) == TARGET
+                else:
+                    with pytest.raises(ShapeMismatch):
+                        beta_decide(self.model, x, thr)
+
+    def test_equals_batched_scores_row_by_row(self):
+        rng = np.random.default_rng(14)
+        model = fit_gaussian(rng.normal(size=(400, 32)), ridge=1e-6)
+        x = model.mean + 1.05 * rng.normal(size=(2500, 32))
+        t = scores(model, x)
+        for level in (0.2, 0.5, 0.9):
+            thr = DecisionThreshold.for_model(model, level)
+            expected = np.where(t < thr.v_beta, TARGET, NON_TARGET)
+            got = [beta_decide(model, row, thr) for row in x]
+            np.testing.assert_array_equal(got, expected)
+            assert 0 < np.count_nonzero(expected == TARGET) < len(x)
 
 
 class TestCalibrate:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mahaclass.data import EmbeddingDataset
-from mahaclass.errors import InsufficientClassData, InvalidConfig
+from mahaclass.errors import InsufficientClassData, InvalidConfig, NonFiniteLoss
 from mahaclass.linalg import fit_gaussian
 from mahaclass.seeds import rng_for
 from mahaclass.trainer import (
@@ -167,6 +167,13 @@ class TestTrain:
         np.testing.assert_allclose(model.mean, expected.mean, rtol=1e-12)
         np.testing.assert_allclose(model.cov, expected.cov, rtol=1e-12)
 
+    def test_overflowing_window_diverges(self):
+        # the head stays finite, but the covariance of its projections overflows
+        data = toy_data(6, n=64)
+        cfg = TrainConfig(proj_dim=3, window_multiplier=4, learning_rate=1e200)
+        with pytest.raises(NonFiniteLoss, match="epoch 0, batch 1: matrix has non-finite"):
+            train(data, cfg)
+
     def test_proj_dim_clamped_to_input(self):
         data = toy_data(6, d=4)
         head, model, _ = train(data, TrainConfig(proj_dim=64, window_multiplier=10,
@@ -242,6 +249,12 @@ class TestMlp:
         mlp = train_mlp(data, head, epochs=150, seed=3)
         preds = mlp.predict(data.vectors)
         assert np.mean(preds == data.labels) > 0.95
+
+    def test_negative_epochs_rejected(self):
+        data = toy_data(13, n=30, m=30, d=3)
+        head = ProjectionHead(weights=np.eye(3), bias=np.zeros(3))
+        with pytest.raises(InvalidConfig):
+            train_mlp(data, head, epochs=-1)
 
     def test_deterministic(self):
         data = toy_data(13, n=30, m=30, d=3)
