@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidShape, OutOfDomain
+from .errors import NumericalError
 
 
 @dataclass(frozen=True)
@@ -23,14 +23,14 @@ class BetaParams:
 
     def __post_init__(self):
         if not (self.a > 0 and self.b > 0):
-            raise InvalidShape(f"shapes must be positive, got a={self.a}, b={self.b}")
+            raise NumericalError(f"shapes must be positive, got a={self.a}, b={self.b}")
 
 
 def reg_inc_beta(p: BetaParams, x):
     """I_x(a, b), the Beta(a, b) CDF at x."""
     x = np.asarray(x, dtype=float)
     if not np.all((x >= 0.0) & (x <= 1.0)):
-        raise OutOfDomain(f"x must lie in [0, 1], got {x}")
+        raise NumericalError(f"x must lie in [0, 1], got {x}")
     from scipy.special import betainc
     return betainc(p.a, p.b, x)
 
@@ -39,6 +39,6 @@ def beta_quantile(p: BetaParams, prob):
     """x with I_x(a, b) = prob."""
     prob = np.asarray(prob, dtype=float)
     if not np.all((prob > 0.0) & (prob < 1.0)):
-        raise OutOfDomain(f"prob must lie in (0, 1), got {prob}")
+        raise NumericalError(f"prob must lie in (0, 1), got {prob}")
     from scipy.special import betaincinv
     return betaincinv(p.a, p.b, prob)

@@ -30,15 +30,18 @@ _LOSS_FLAGS = {"mah": "mah", "mah-mean": "mah_mean", "cosine": "cosine"}
 def _config_tokens(path) -> list[str]:
     """Each key=value line of a config file as one --key=value token."""
     tokens = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            tokens.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise ConfigError(f"{path}:{lineno}: expected key=value")
+                key, _, value = line.partition("=")
+                tokens.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text") from exc
     return tokens
 
 
@@ -216,8 +219,8 @@ def cmd_evaluate(args) -> int:
 def cmd_diagnose(args) -> int:
     dataset = data_mod.load_dataset(args.input)
     det = data_mod.load_model(args.model) if args.model else None
-    reports = diagnostics.normality_report(dataset.vectors, dataset.labels,
-                                           head=det, k=args.k)
+    vectors = dataset.vectors if det is None else det.project(dataset.vectors)
+    reports = diagnostics.normality_report(vectors, dataset.labels, k=args.k)
     with open(args.output + ".normality.tsv", "w", encoding="utf-8") as fh:
         fh.write("label\tn\tk\thz\t" +
                  "\t".join(f"ad_{j + 1}" for j in range(args.k)) + "\n")
@@ -228,7 +231,6 @@ def cmd_diagnose(args) -> int:
     # Q-Q data for the first reduced dimension of each class
     with open(args.output + ".qq.tsv", "w", encoding="utf-8") as fh:
         fh.write("label\ttheoretical\tsample\n")
-        vectors = dataset.vectors if det is None else det.project(dataset.vectors)
         for label in sorted(set(dataset.labels.tolist())):
             cls = vectors[dataset.labels == label]
             first = diagnostics.pca_reduce(cls, 1).points[:, 0]
@@ -238,7 +240,8 @@ def cmd_diagnose(args) -> int:
     model = fit_gaussian(dataset.target_vectors(), ridge=1e-6) if det is None else det.gaussian
     with open(args.output + ".dist.tsv", "w", encoding="utf-8") as fh:
         fh.write("id\tlabel\td2\n")
-        for rid, label, d2 in diagnostics.emit_distance_report(dataset, det, model):
+        for rid, label, d2 in diagnostics.emit_distance_report(dataset.ids, dataset.labels,
+                                                               vectors, model):
             fh.write(f"{rid}\t{label}\t{d2:.17g}\n")
     print(f"wrote {args.output}.normality.tsv, .qq.tsv, .dist.tsv")
     return EXIT_OK

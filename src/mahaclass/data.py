@@ -20,16 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mahalanobis
-from .errors import (
-    DataError,
-    DimensionMismatch,
-    DuplicateId,
-    InvalidConfig,
-    NotPositiveDefinite,
-    ParseError,
-    TooSmallForSplit,
-    VersionMismatch,
-)
+from .errors import ConfigError, DataError, NotPositiveDefinite, NumericalError
 from .linalg import GaussianModel, cholesky
 from .seeds import rng_for
 from .trainer import ProjectionHead
@@ -55,20 +46,20 @@ class EmbeddingDataset:
     def __post_init__(self):
         n = len(self.ids)
         if n == 0:
-            raise InvalidConfig("dataset must contain at least one record")
+            raise ConfigError("dataset must contain at least one record")
         if self.labels.shape != (n,) or self.vectors.ndim != 2 or len(self.vectors) != n:
-            raise DimensionMismatch(f"{n} ids, labels of shape {self.labels.shape} and "
-                                    f"vectors of shape {self.vectors.shape} do not line up")
+            raise NumericalError(f"{n} ids, labels of shape {self.labels.shape} and "
+                                 f"vectors of shape {self.vectors.shape} do not line up")
         dup, count = Counter(self.ids).most_common(1)[0]
         if count > 1:
-            raise DuplicateId(f"duplicate id {dup!r}")
+            raise DataError(f"duplicate id {dup!r}")
         bad = ~np.isfinite(self.vectors).all(axis=1)
         if bad.any():
-            raise ParseError(f"record {self.ids[np.argmax(bad)]!r} contains non-finite values")
+            raise DataError(f"record {self.ids[np.argmax(bad)]!r} contains non-finite values")
         bad = (self.labels != 0) & (self.labels != 1)
         if bad.any():
             i = np.argmax(bad)
-            raise ParseError(f"record {self.ids[i]!r} has label {self.labels[i]}, expected 0 or 1")
+            raise DataError(f"record {self.ids[i]!r} has label {self.labels[i]}, expected 0 or 1")
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -104,19 +95,19 @@ def load_dataset(path) -> EmbeddingDataset:
                 continue
             parts = line.split("\t")
             if len(parts) != 3:
-                raise ParseError(f"line {lineno}: expected 3 tab-separated fields")
+                raise DataError(f"line {lineno}: expected 3 tab-separated fields")
             rid, label_s, vec_s = parts
             if label_s not in ("0", "1"):
-                raise ParseError(f"line {lineno}: label must be 0 or 1, got {label_s!r}")
+                raise DataError(f"line {lineno}: label must be 0 or 1, got {label_s!r}")
             try:
                 vec = [float(t) for t in vec_s.split()]
             except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
+                raise DataError(f"line {lineno}: {exc}") from exc
             if not vec:
-                raise ParseError(f"line {lineno}: no vector components")
+                raise DataError(f"line {lineno}: no vector components")
             width = len(vec) if width is None else width
             if len(vec) != width:
-                raise ParseError(f"line {lineno}: {len(vec)} components, expected {width}")
+                raise DataError(f"line {lineno}: {len(vec)} components, expected {width}")
             ids.append(rid)
             labels.append(int(label_s))
             yield from vec
@@ -125,9 +116,9 @@ def load_dataset(path) -> EmbeddingDataset:
         with open(path, "r", encoding="utf-8") as fh:
             flat = np.fromiter(components(fh), dtype=float)
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
     if not ids:
-        raise ParseError(f"{path}: no records")
+        raise DataError(f"{path}: no records")
     return EmbeddingDataset(ids, np.array(labels), flat.reshape(len(ids), width))
 
 
@@ -151,7 +142,7 @@ def split(data: EmbeddingDataset, seed: int = 0):
             part.append(chunk)
     parts = [np.sort(np.concatenate(p)) for p in parts]
     if any(len(p) == 0 for p in parts):
-        raise TooSmallForSplit(f"{len(data)} records cannot fill all three splits")
+        raise DataError(f"{len(data)} records cannot fill all three splits")
     return tuple(EmbeddingDataset([data.ids[i] for i in p], data.labels[p], data.vectors[p])
                  for p in parts)
 
@@ -179,20 +170,20 @@ class SynthConfig:
 
     def __post_init__(self):
         if self.d_in < 1 or self.n_target < 1 or self.m_non_target < 1:
-            raise InvalidConfig("sizes must be positive")
+            raise ConfigError("sizes must be positive")
         if self.components < 2:
-            raise InvalidConfig("non-target mixture needs at least 2 components")
+            raise ConfigError("non-target mixture needs at least 2 components")
         if not (1 <= self.manifold_dim <= self.d_in):
-            raise InvalidConfig("manifold_dim must lie in [1, d_in]")
+            raise ConfigError("manifold_dim must lie in [1, d_in]")
         if not (self.separation > 0 and math.isfinite(self.separation)):
-            raise InvalidConfig("separation must be finite and positive")
+            raise ConfigError("separation must be finite and positive")
         # Normal draws stay below 40 in magnitude (numpy's sampler cannot pass
         # about 14) and the manifold scales at most 2, so no coordinate of the mixture (its offsets and the
         # background slab of +-2.1 * separation included) reaches
         # 100 * manifold_dim * separation beyond the target mean.
         if not math.isfinite(100.0 * self.manifold_dim * self.separation):
-            raise InvalidConfig(f"separation {self.separation} overflows the mixture's "
-                                f"coordinates at manifold_dim {self.manifold_dim}")
+            raise ConfigError(f"separation {self.separation} overflows the mixture's "
+                              f"coordinates at manifold_dim {self.manifold_dim}")
 
 
 _AMBIENT_NOISE = 0.1
@@ -318,12 +309,20 @@ class Detector:
     def beta_b(self) -> float:
         return (self.n - self.d_out) / 2.0
 
+    @np.errstate(over="ignore", invalid="ignore")  # reported below as a NumericalError
     def project(self, raw) -> np.ndarray:
-        """Raw (N, d_in) rows in the projected space; DataError at another width."""
+        """Raw (N, d_in) rows in the projected space; DataError at another
+        width, NumericalError naming the first row that projects past the
+        largest double."""
         if np.ndim(raw) != 2 or np.shape(raw)[1] != self.d_in:
             raise DataError(f"the model takes {self.d_in}-dim input, "
                             f"got rows of shape {np.shape(raw)}")
-        return ProjectionHead(self.weights, self.bias).project(raw)
+        z = ProjectionHead(self.weights, self.bias).project(raw)
+        bad = ~np.isfinite(z).all(axis=1)
+        if bad.any():
+            raise NumericalError(f"row {np.argmax(bad)} of the input (counting from 0) "
+                                 "does not project to finite values")
+        return z
 
     def scores(self, raw) -> np.ndarray:
         """Normalized statistic T of each raw row (see ``mahalanobis.scores``)."""
@@ -345,21 +344,21 @@ def save_model(det: Detector, path) -> None:
 
 
 def load_model(path) -> Detector:
-    """The Detector a model file holds; ParseError naming the file when it
-    is not one, VersionMismatch when it has another format version."""
+    """The Detector a model file holds; DataError naming the file when it
+    is not one or has another format version."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
     head = lines[0].split() if lines else []
     if len(head) != 2 or head[0] != ARTIFACT_MAGIC or not head[1].isdigit():
-        raise ParseError(f"{path}: not a model artifact")
+        raise DataError(f"{path}: not a model artifact")
     if int(head[1]) != ARTIFACT_VERSION:
-        raise VersionMismatch(
+        raise DataError(
             f"{path}: format version {head[1]}, this build reads version {ARTIFACT_VERSION}")
     if lines[-1].strip() != "end":
-        raise ParseError(f"{path}: truncated artifact (missing end marker)")
+        raise DataError(f"{path}: truncated artifact (missing end marker)")
 
     scalars: dict[str, str] = {}
     rows: dict[str, list] = {"w": [], "cov": [], "bias": [], "mean": []}
@@ -388,4 +387,4 @@ def load_model(path) -> Detector:
                              f"and (n-d)/2 = {det.beta_b}")
         return det
     except (KeyError, ValueError) as exc:
-        raise ParseError(f"{path}: malformed artifact ({exc})") from exc
+        raise DataError(f"{path}: malformed artifact ({exc})") from exc

@@ -2,10 +2,12 @@
 normality, Anderson-Darling univariate normality, Q-Q data, and
 squared-distance separability reports.
 
-Statistics are reported raw (no p-values); for both tests, larger values
-mean greater deviation from normality.  ``scipy.special`` is imported by
-the two functions that use it, when called, so importing the CLI does
-not load it.
+Every function takes points in the space under test, raw or already
+projected by a model; the caller projects once and passes the same rows
+to each report.  Statistics are reported raw (no p-values); for both
+tests, larger values mean greater deviation from normality.  Failures
+are ``NumericalError``.  ``scipy.special`` is imported by the two
+functions that use it, when called, so importing the CLI does not load it.
 """
 
 from __future__ import annotations
@@ -15,13 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .errors import (
-    DimensionMismatch,
-    InsufficientSamples,
-    NotPositiveDefinite,
-    SingularCovariance,
-    ZeroVariance,
-)
+from .errors import NumericalError
 from .linalg import GaussianModel, cholesky, whitened_sq_norms
 
 _HZ_BLOCK_ROWS = 512  # rows of the pairwise kernel held at once by henze_zirkler
@@ -52,7 +48,7 @@ def pca_reduce(points, k: int) -> PcaResult:
     x = np.asarray(points, dtype=float)
     n, d = x.shape
     if k < 1 or k > min(d, n - 1):
-        raise InsufficientSamples(f"need 1 <= k <= min(d, n-1), got k={k}, n={n}, d={d}")
+        raise NumericalError(f"need 1 <= k <= min(d, n-1), got k={k}, n={n}, d={d}")
     xc = x - x.mean(axis=0)
     _, s, vt = np.linalg.svd(xc, full_matrices=False)
     var = s**2 / (n - 1)
@@ -72,13 +68,9 @@ def henze_zirkler(points) -> float:
     x = np.asarray(points, dtype=float)
     n, d = x.shape
     if n <= d:
-        raise SingularCovariance(f"need n > d, got n={n}, d={d}")
+        raise NumericalError(f"need n > d, got n={n}, d={d}")
     xc = x - x.mean(axis=0)
-    cov = xc.T @ xc / n
-    try:
-        chol = cholesky(cov)
-    except NotPositiveDefinite as exc:
-        raise SingularCovariance(str(exc)) from exc
+    chol = cholesky(xc.T @ xc / n)
     beta = ((n * (2 * d + 1) / 4.0) ** (1.0 / (d + 4))) / np.sqrt(2.0)
     b2 = beta**2
     # G[i, j] = xc_i^T cov^{-1} xc_j; pairwise distances from its diagonal.
@@ -117,10 +109,10 @@ def _standardized_order_statistics(samples) -> np.ndarray:
     """Sorted (x - mean) / sd with ddof=1, for a non-constant sample of n >= 2."""
     x = np.asarray(samples, dtype=float)
     if x.shape[0] < 2:
-        raise InsufficientSamples("need at least 2 samples")
+        raise NumericalError("need at least 2 samples")
     s = x.std(ddof=1)
     if s == 0.0:
-        raise ZeroVariance("sample is constant")
+        raise NumericalError("sample is constant")
     return np.sort((x - x.mean()) / s)
 
 
@@ -131,21 +123,15 @@ def anderson_darling(samples) -> float:
     return ad_statistic_from_probs(ndtr(z))
 
 
-def normality_report(vectors, labels, head=None, k: int = 3) -> list[NormalityReport]:
-    """Per-class HZ and per-dimension AD statistics in PCA-reduced space.
-
-    ``head`` is an optional projection applied before reduction; None
-    analyzes the raw vectors.
-    """
+def normality_report(vectors, labels, k: int = 3) -> list[NormalityReport]:
+    """Per-class HZ and per-dimension AD statistics in PCA-reduced space."""
     x = np.asarray(vectors, dtype=float)
     y = np.asarray(labels, dtype=int)
-    if head is not None:
-        x = head.project(x)
     reports = []
     for label in sorted(set(y.tolist())):
         cls = x[y == label]
         if cls.shape[0] <= k:
-            raise InsufficientSamples(
+            raise NumericalError(
                 f"class {label} has {cls.shape[0]} samples, need more than k={k}")
         red = pca_reduce(cls, k)
         hz = henze_zirkler(red.points)
@@ -164,13 +150,12 @@ def emit_qq(samples) -> list[tuple[float, float]]:
     return list(zip(theo.tolist(), z.tolist()))
 
 
-def emit_distance_report(data, head, model: GaussianModel) -> list[tuple[str, int, float]]:
-    """One (id, label, squared distance) record per instance, ordered by id."""
-    order = sorted(range(len(data)), key=data.ids.__getitem__)
-    v = data.vectors[order]
-    if head is not None:
-        v = head.project(v)
+def emit_distance_report(ids, labels, vectors,
+                         model: GaussianModel) -> list[tuple[str, int, float]]:
+    """One (id, label, squared distance) record per row of vectors, ordered by id."""
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    v = vectors[order]
     if v.shape[1] != model.d:
-        raise DimensionMismatch(f"projected dimension {v.shape[1]} vs model {model.d}")
+        raise NumericalError(f"projected dimension {v.shape[1]} vs model {model.d}")
     d2 = whitened_sq_norms(model.chol, v - model.mean)
-    return list(zip([data.ids[i] for i in order], data.labels[order].tolist(), d2.tolist()))
+    return list(zip([ids[i] for i in order], labels[order].tolist(), d2.tolist()))

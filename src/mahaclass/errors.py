@@ -1,12 +1,22 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package: one class per CLI exit code.
 
-Two broad families matter for the CLI exit codes: ``DataError`` (bad or
-inconsistent inputs) and ``NumericalError`` (computations that cannot
-proceed), plus ``ConfigError`` for invalid configuration.
+``cli.main`` maps each family to its exit code: ``ConfigError`` (2, an
+invalid flag or configuration), ``DataError`` (3, bad or inconsistent
+input files; ``OSError`` maps there too) and ``NumericalError`` (4, a
+computation that cannot proceed).  The message says which check fired.
+
+Two subclasses remain because code catches them by name: the trainer
+rewraps ``NotPositiveDefinite`` and ``NonFiniteLoss`` into a divergence
+error naming the epoch and batch, and ``data.Detector`` turns a
+``NotPositiveDefinite`` model covariance into a malformed-file error.
 """
 
 
 class MahaclassError(Exception):
+    pass
+
+
+class ConfigError(MahaclassError):
     pass
 
 
@@ -18,93 +28,9 @@ class NumericalError(MahaclassError):
     pass
 
 
-class ConfigError(MahaclassError):
-    pass
-
-
-# -- numerical ---------------------------------------------------------------
-
 class NotPositiveDefinite(NumericalError):
     pass
 
 
-class DimensionMismatch(NumericalError):
-    pass
-
-
-class TooFewSamples(NumericalError):
-    pass
-
-
-class InvalidShape(NumericalError):
-    pass
-
-
-class OutOfDomain(NumericalError):
-    pass
-
-
-class InsufficientSamples(NumericalError):
-    pass
-
-
-class ShapeMismatch(NumericalError):
-    pass
-
-
-class EmptyBatch(NumericalError):
-    pass
-
-
-class ZeroVector(NumericalError):
-    pass
-
-
 class NonFiniteLoss(NumericalError):
-    pass
-
-
-class SingularCovariance(NumericalError):
-    pass
-
-
-class ZeroVariance(NumericalError):
-    pass
-
-
-class SingleClass(NumericalError):
-    pass
-
-
-class LengthMismatch(NumericalError):
-    pass
-
-
-class InsufficientClassData(NumericalError):
-    pass
-
-
-class DegenerateDevSet(NumericalError):
-    pass
-
-
-# -- data --------------------------------------------------------------------
-
-class ParseError(DataError):
-    pass
-
-
-class DuplicateId(DataError):
-    pass
-
-
-class TooSmallForSplit(DataError):
-    pass
-
-
-class VersionMismatch(DataError):
-    pass
-
-
-class InvalidConfig(ConfigError):
     pass

@@ -15,11 +15,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dtrtrs
 
-from .errors import (
-    DimensionMismatch,
-    NotPositiveDefinite,
-    TooFewSamples,
-)
+from .errors import NotPositiveDefinite, NumericalError
 
 
 def cholesky(m: np.ndarray) -> np.ndarray:
@@ -31,7 +27,7 @@ def cholesky(m: np.ndarray) -> np.ndarray:
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+        raise NumericalError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise NotPositiveDefinite("matrix has non-finite entries")
     # symmetrize to kill representation noise before factoring
@@ -73,7 +69,7 @@ def fit_gaussian(points, ridge: float = 1e-6) -> GaussianModel:
         x = np.atleast_2d(x)
     n, d = x.shape
     if n < 2:
-        raise TooFewSamples(f"need at least 2 points, got {n}")
+        raise NumericalError(f"need at least 2 points, got {n}")
     mean = x.mean(axis=0)
     xc = x - mean
     cov = xc.T @ xc / (n - 1)
@@ -88,7 +84,7 @@ def spd_solve(model: GaussianModel, v: np.ndarray) -> np.ndarray:
     (d, N) right-hand side."""
     v = np.asarray(v, dtype=float)
     if v.ndim == 0 or v.shape[-1] != model.d:
-        raise DimensionMismatch(f"expected rows of length {model.d}, got shape {v.shape}")
+        raise NumericalError(f"expected rows of length {model.d}, got shape {v.shape}")
     w = cho_solve((model.chol, True), v.reshape(-1, model.d).T, check_finite=False)
     return w.T.reshape(v.shape)
 
@@ -117,7 +113,7 @@ def append_point(model: GaussianModel, x: np.ndarray) -> GaussianModel:
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (model.d,):
-        raise DimensionMismatch(f"expected vector of length {model.d}, got shape {x.shape}")
+        raise NumericalError(f"expected vector of length {model.d}, got shape {x.shape}")
     n = model.n
     delta = x - model.mean
     mean = model.mean + delta / (n + 1)
@@ -167,7 +163,7 @@ class SlidingWindow:
         if batch.size == 0:
             return self
         if batch.shape[1] != self.dim:
-            raise DimensionMismatch(
+            raise NumericalError(
                 f"window dimension is {self.dim}, batch has {batch.shape[1]}")
         self._buffer = np.concatenate([self._buffer, batch])[-self.capacity:]
         self._pending += batch.shape[0]

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyBatch, NonFiniteLoss, ZeroVector
+from .errors import NonFiniteLoss, NumericalError
 from .linalg import GaussianModel, spd_solve
 
 LOG_CLAMP = 1e-12
@@ -43,11 +43,11 @@ def _stack(batch, k: int) -> np.ndarray:
     try:
         x = np.asarray(batch, dtype=float)
     except ValueError as exc:  # rows of different lengths
-        raise DimensionMismatch(f"batch rows differ in shape ({exc})") from exc
+        raise NumericalError(f"batch rows differ in shape ({exc})") from exc
     if x.size == 0:
-        raise EmptyBatch("batch must be nonempty")
+        raise NumericalError("batch must be nonempty")
     if x.ndim != 3 or x.shape[1] != k:
-        raise DimensionMismatch(f"expected a (B, {k}, d) batch, got shape {x.shape}")
+        raise NumericalError(f"expected a (B, {k}, d) batch, got shape {x.shape}")
     return x
 
 
@@ -92,7 +92,7 @@ def mah_mean_loss(targets, negatives, model: GaussianModel) -> LossValue:
     zero gradient.  The gradient rows are (x, y-).
     """
     if len(targets) != len(negatives):
-        raise DimensionMismatch("targets and negatives must be paired")
+        raise NumericalError("targets and negatives must be paired")
     z = _stack(list(zip(targets, negatives)), 2)
     s, w = mah_sims(model, z - model.mean)
     s_c = np.clip(s, LOG_CLAMP, 1.0 - LOG_CLAMP)
@@ -110,7 +110,7 @@ def _cos_sims(u: np.ndarray, v: np.ndarray):
     nu = np.linalg.norm(u, axis=-1, keepdims=True)
     nv = np.linalg.norm(v, axis=-1, keepdims=True)
     if not (np.all(nu > 0) and np.all(nv > 0)):
-        raise ZeroVector("cosine similarity is undefined for zero vectors")
+        raise NumericalError("cosine similarity is undefined for zero vectors")
     c = np.sum(u * v, axis=-1, keepdims=True) / (nu * nv)
     grad_u = 0.5 * (v / (nu * nv) - c * u / nu**2)
     grad_v = 0.5 * (u / (nu * nv) - c * v / nv**2)

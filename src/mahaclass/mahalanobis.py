@@ -15,14 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .betadist import BetaParams, beta_quantile, reg_inc_beta
-from .errors import (
-    DegenerateDevSet,
-    DimensionMismatch,
-    InsufficientSamples,
-    ShapeMismatch,
-)
+from .errors import NumericalError
 from .linalg import GaussianModel, whitened_sq_norms
 from .metrics import NON_TARGET, TARGET
+
+_Q_MAX = np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -44,19 +41,24 @@ class DecisionThreshold:
                    v_beta=float(beta_quantile(params, beta_level)))
 
 
-def null_beta_params(model: GaussianModel) -> BetaParams:
-    """Beta shapes of the normalized statistic for an appended query."""
+def _null_shapes(model: GaussianModel) -> tuple[float, float]:
+    """(a, b) of ``null_beta_params``, without building the BetaParams."""
     n, d = model.n, model.d
     if n <= d + 1:
-        raise InsufficientSamples(f"need n > d+1, got n={n}, d={d}")
-    return BetaParams(d / 2.0, (n - d) / 2.0)
+        raise NumericalError(f"need n > d+1, got n={n}, d={d}")
+    return d / 2.0, (n - d) / 2.0
+
+
+def null_beta_params(model: GaussianModel) -> BetaParams:
+    """Beta shapes of the normalized statistic for an appended query."""
+    return BetaParams(*_null_shapes(model))
 
 
 def _deltas(model: GaussianModel, x) -> np.ndarray:
     """Rows of the (N, d) array x minus the model mean."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.d:
-        raise DimensionMismatch(f"expected rows of length {model.d}, got shape {x.shape}")
+        raise NumericalError(f"expected rows of length {model.d}, got shape {x.shape}")
     return x - model.mean
 
 
@@ -74,9 +76,13 @@ def scores(model: GaussianModel, x) -> np.ndarray:
     Sherman-Morrison gives d2 = (n/(n+1))^2 * q / (1 + q/(n+1)), so
     T = (n+1)/n^2 * d2 = q / (n+1+q): exact, ridge included, and one
     triangular solve against A's cached factor for the whole batch.
+
+    A q that overflows (inf, or NaN from inf - inf inside the solve) scores
+    its limit T = 1: fmin takes it to the largest double, which n+1 cannot
+    move, so the quotient rounds to 1.  Every finite q passes unchanged.
     """
-    null_beta_params(model)  # n > d+1
-    q = whitened_sq_norms(model.appended_chol, _deltas(model, x))
+    _null_shapes(model)  # n > d+1
+    q = np.fmin(whitened_sq_norms(model.appended_chol, _deltas(model, x)), _Q_MAX)
     return q / (model.n + 1 + q)
 
 
@@ -94,9 +100,9 @@ def _isclose(a: float, b: float) -> bool:
 
 def beta_decide(model: GaussianModel, x: np.ndarray, thr: DecisionThreshold) -> int:
     """1 (target) iff the normalized statistic falls strictly below v_beta."""
-    expected = null_beta_params(model)
-    if not (_isclose(thr.params.a, expected.a) and _isclose(thr.params.b, expected.b)):
-        raise ShapeMismatch(
+    a, b = _null_shapes(model)
+    if not (_isclose(thr.params.a, a) and _isclose(thr.params.b, b)):
+        raise NumericalError(
             f"threshold shapes {thr.params} do not match model (n={model.n}, d={model.d})")
     return TARGET if scores(model, np.asarray(x)[None])[0] < thr.v_beta else NON_TARGET
 
@@ -113,7 +119,7 @@ def calibrate(model: GaussianModel, dev_vectors, dev_labels,
         raise ValueError(f"unknown objective {objective!r}")
     truth = np.asarray(dev_labels, dtype=int)
     if len(set(truth.tolist())) < 2:
-        raise DegenerateDevSet("dev split must contain both classes")
+        raise NumericalError("dev split must contain both classes")
     params = null_beta_params(model)
     t_values = scores(model, dev_vectors)
 

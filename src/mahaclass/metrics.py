@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LengthMismatch, SingleClass
+from .errors import NumericalError
 
 TARGET = 1
 NON_TARGET = 0
@@ -44,7 +44,7 @@ def score(predictions, truth) -> MetricsReport:
     preds = np.asarray(predictions, dtype=int)
     y = np.asarray(truth, dtype=int)
     if preds.shape != y.shape:
-        raise LengthMismatch(f"{preds.shape[0]} predictions vs {y.shape[0]} labels")
+        raise NumericalError(f"{preds.shape[0]} predictions vs {y.shape[0]} labels")
     tp = int(np.sum((preds == TARGET) & (y == TARGET)))
     fp = int(np.sum((preds == TARGET) & (y == NON_TARGET)))
     tn = int(np.sum((preds == NON_TARGET) & (y == NON_TARGET)))
@@ -77,11 +77,11 @@ def roc_auc(scores, truth) -> float:
     s = np.asarray(scores, dtype=float)
     y = np.asarray(truth, dtype=int)
     if s.shape != y.shape:
-        raise LengthMismatch(f"{s.shape[0]} scores vs {y.shape[0]} labels")
+        raise NumericalError(f"{s.shape[0]} scores vs {y.shape[0]} labels")
     n_pos = int(np.sum(y == TARGET))
     n_neg = int(np.sum(y == NON_TARGET))
     if n_pos == 0 or n_neg == 0:
-        raise SingleClass("both classes must be present")
+        raise NumericalError("both classes must be present")
     neg = np.sort(s[y == NON_TARGET])
     pos = s[y == TARGET]
     below = np.searchsorted(neg, pos, side="left")

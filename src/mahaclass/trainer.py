@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientClassData, InvalidConfig, NonFiniteLoss, NotPositiveDefinite
+from .errors import ConfigError, NonFiniteLoss, NotPositiveDefinite, NumericalError
 from .linalg import GaussianModel, SlidingWindow, fit_gaussian
 from .loss import cosine_loss, mah_loss, mah_mean_loss
 from .seeds import rng_for
@@ -58,12 +58,12 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.loss_kind not in LOSS_KINDS:
-            raise InvalidConfig(f"loss_kind must be one of {LOSS_KINDS}")
+            raise ConfigError(f"loss_kind must be one of {LOSS_KINDS}")
         if min(self.batch_size, self.window_multiplier, self.proj_dim) < 1:
-            raise InvalidConfig("batch_size, window_multiplier and proj_dim must be positive")
+            raise ConfigError("batch_size, window_multiplier and proj_dim must be positive")
         if not (self.epochs >= 0 and self.learning_rate > 0 and self.ridge >= 0
                 and math.isfinite(self.learning_rate) and math.isfinite(self.ridge)):
-            raise InvalidConfig("invalid epochs, learning_rate or ridge")
+            raise ConfigError("invalid epochs, learning_rate or ridge")
 
     @property
     def window_capacity(self) -> int:
@@ -115,7 +115,7 @@ class TripleSampler:
         self.x = np.asarray(target_vectors, dtype=float)
         self.y = np.asarray(non_target_vectors, dtype=float)
         if self.x.shape[0] < 2 or self.y.shape[0] < 1:
-            raise InsufficientClassData(
+            raise NumericalError(
                 "need at least 2 target and 1 non-target instances")
         self.rng = rng
         self._order: list[int] = []
@@ -152,7 +152,7 @@ def train(data, cfg: TrainConfig):
     """
     x_t = data.target_vectors()
     if data.n_target < 2 or data.m_non_target < 1:
-        raise InsufficientClassData(
+        raise NumericalError(
             f"need >= 2 target and >= 1 non-target, got {data.n_target}/{data.m_non_target}")
     d_in = data.d_in
     d_out = min(cfg.proj_dim, d_in)
@@ -255,9 +255,9 @@ def train_mlp(data, head, epochs: int = 50, seed: int = 0) -> MlpHead:
     """Binary log-loss training of the ablation classifier on embeddings
     frozen under ``head.project``; the hidden layers have d and d // 2 units."""
     if epochs < 0:
-        raise InvalidConfig(f"epochs must be non-negative, got {epochs}")
+        raise ConfigError(f"epochs must be non-negative, got {epochs}")
     if data.n_target < 1 or data.m_non_target < 1:
-        raise InsufficientClassData("both classes required")
+        raise NumericalError("both classes required")
     x = head.project(data.vectors)
     y = data.labels.astype(float)
     d = x.shape[1]

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from mahaclass import cli
-from mahaclass.data import load_model
+from mahaclass.data import load_dataset, load_model, save_dataset
+from mahaclass.metrics import roc_auc
 
 SYNTH_FLAGS = ["--d-in", "8", "--n-target", "160", "--m-non-target", "320",
                "--manifold-dim", "3", "--separation", "2.5"]
@@ -90,6 +91,24 @@ class TestInferEvaluate:
         assert set(fields) >= {"tp", "fp", "tn", "fn", "accuracy", "f1", "fpr", "auc"}
         counts = sum(int(fields[k]) for k in ("tp", "fp", "tn", "fn"))
         assert counts == 480
+
+    def test_overflowing_distances_score_one(self, workspace, tmp_path):
+        # non-target rows ~1e300 away: their squared distance overflows
+        _, _, model = workspace
+        far = tmp_path / "far.tsv"
+        assert cli.main(["synth", "--output", str(far), "--seed", "1"] + SYNTH_FLAGS
+                        + ["--separation", "1e300"]) == 0
+        decisions, report = tmp_path / "decisions.tsv", tmp_path / "metrics.txt"
+        for command, out in (("infer", decisions), ("evaluate", report)):
+            assert cli.main([command, "--model", str(model), "--input", str(far),
+                             "--output", str(out)]) == 0
+        rows = [line.split("\t") for line in decisions.read_text().splitlines()]
+        assert [(pred, t) for rid, pred, t in rows if rid.startswith("n")] == [("0", "1")] * 320
+        t = np.array([float(r[2]) for r in rows])
+        assert np.isfinite(t).all()
+        fields = dict(line.split("\t") for line in report.read_text().splitlines())
+        auc = roc_auc(-t, load_dataset(far).labels)
+        assert auc > 0.99 and fields["auc"] == f"{auc:.6f}"
 
 
 class TestDiagnose:
@@ -191,6 +210,18 @@ class TestConfigFile:
                          "--log", str(log), "--seed", "1", "--proj-dim", "4",
                          "--window-mult", "10", "--batch", "8", "--config", str(cfg)]) == 0
         assert len(log.read_text().splitlines()) == 16
+
+    def test_non_utf8_config_is_usage_error(self, workspace, tmp_path, capsys):
+        _, data, _ = workspace
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xff\xfe")
+        out = tmp_path / "m.txt"
+        capsys.readouterr()
+        rc = cli.main(["train", "--input", str(data), "--output", str(out),
+                       "--config", str(cfg)])
+        assert rc == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {cfg}: not UTF-8 text\n"
+        assert not out.exists()
 
     def test_malformed_line_is_usage_error(self, workspace, tmp_path):
         _, data, _ = workspace
@@ -456,6 +487,21 @@ class TestExitCodes:
                        str(tmp_path / "m.txt"), "--proj-dim", "10",
                        "--window-mult", "2", "--batch-size", "4"])
         assert rc == cli.EXIT_NUMERICAL
+
+    @pytest.mark.parametrize("command", ["infer", "evaluate", "diagnose"])
+    def test_non_finite_projection_is_numerical_error(self, workspace, tmp_path, capsys,
+                                                      command):
+        _, data, model = workspace
+        ds = load_dataset(data)
+        ds.vectors[2] = 1e308 * np.sign(load_model(model).weights[0])
+        huge = tmp_path / "huge.tsv"
+        save_dataset(ds, huge)
+        capsys.readouterr()
+        rc = cli.main([command, "--model", str(model), "--input", str(huge),
+                       "--output", str(tmp_path / "out")])
+        assert rc == cli.EXIT_NUMERICAL
+        assert "row 2 of the input (counting from 0)" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["huge.tsv"]
 
     def test_unknown_subcommand_is_usage(self):
         with pytest.raises(SystemExit) as exc:

@@ -16,15 +16,7 @@ from mahaclass.data import (
     synth_benchmark,
     synth_target_moments,
 )
-from mahaclass.errors import (
-    DataError,
-    DuplicateId,
-    DimensionMismatch,
-    InvalidConfig,
-    ParseError,
-    TooSmallForSplit,
-    VersionMismatch,
-)
+from mahaclass.errors import ConfigError, DataError, NumericalError
 from mahaclass.linalg import GaussianModel, cholesky
 from mahaclass.mahalanobis import DecisionThreshold, beta_decide, scores
 from mahaclass.trainer import TrainConfig, train
@@ -45,28 +37,28 @@ class TestDataset:
         assert ds.m_non_target == 5
 
     def test_duplicate_id(self):
-        with pytest.raises(DuplicateId):
+        with pytest.raises(DataError, match="duplicate id 'a'"):
             EmbeddingDataset(["a", "a"], np.array([1, 0]), np.array([np.zeros(2), np.ones(2)]))
 
     def test_ragged_dimensions(self):
-        # columns whose shapes disagree; a ragged file is the loader's ParseError
-        with pytest.raises(DimensionMismatch):
+        # columns whose shapes disagree; a ragged file is the loader's DataError
+        with pytest.raises(NumericalError, match="do not line up"):
             EmbeddingDataset(["a", "b"], np.array([1, 0]), np.zeros((3, 2)))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(NumericalError, match="do not line up"):
             EmbeddingDataset(["a", "b"], np.array([1, 0, 1]), np.zeros((2, 2)))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(NumericalError, match="do not line up"):
             EmbeddingDataset(["a", "b"], np.array([1, 0]), np.zeros(2))
 
     def test_non_finite(self):
-        with pytest.raises(ParseError, match="'b'"):
+        with pytest.raises(DataError, match="'b'"):
             EmbeddingDataset(["a", "b"], np.array([1, 0]), np.array([[1.0, 2.0], [1.0, np.nan]]))
 
     def test_bad_label(self):
-        with pytest.raises(ParseError, match="'b' has label 2"):
+        with pytest.raises(DataError, match="'b' has label 2"):
             EmbeddingDataset(["a", "b"], np.array([1, 2]), np.zeros((2, 2)))
 
     def test_empty(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError, match="at least one record"):
             EmbeddingDataset([], np.zeros(0, dtype=int), np.zeros((0, 2)))
 
     def test_class_views(self):
@@ -93,37 +85,37 @@ class TestDatasetIo:
     def test_bad_field_count(self, tmp_path):
         p = tmp_path / "bad.tsv"
         p.write_text("a\t1\n")
-        with pytest.raises(ParseError, match="line 1"):
+        with pytest.raises(DataError, match="line 1"):
             load_dataset(p)
 
     def test_bad_label(self, tmp_path):
         p = tmp_path / "bad.tsv"
         p.write_text("a\t2\t1.0 2.0\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(DataError, match="line 1: label must be 0 or 1, got '2'"):
             load_dataset(p)
 
     def test_ragged_rows(self, tmp_path):
         p = tmp_path / "ragged.tsv"
         p.write_text("a\t1\t1.0 2.0 3.0\nb\t0\t1.0 2.0 3.0\nzz\t0\t1.0 2.0\n")
-        with pytest.raises(ParseError, match="line 3"):
+        with pytest.raises(DataError, match="line 3"):
             load_dataset(p)
 
     def test_no_components(self, tmp_path):
         p = tmp_path / "empty_vectors.tsv"
         p.write_text("".join(f"r{i}\t{i % 2}\t\n" for i in range(4)))
-        with pytest.raises(ParseError, match="line 1: no vector components"):
+        with pytest.raises(DataError, match="line 1: no vector components"):
             load_dataset(p)
 
     def test_bad_float(self, tmp_path):
         p = tmp_path / "bad.tsv"
         p.write_text("a\t1\t1.0 oops\n")
-        with pytest.raises(ParseError, match="line 1"):
+        with pytest.raises(DataError, match="line 1"):
             load_dataset(p)
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.tsv"
         p.write_text("")
-        with pytest.raises(ParseError):
+        with pytest.raises(DataError, match="no records"):
             load_dataset(p)
 
 
@@ -158,7 +150,7 @@ class TestSplit:
         assert te.ids == ["r13", "r16"]
 
     def test_too_small(self):
-        with pytest.raises(TooSmallForSplit):
+        with pytest.raises(DataError, match="cannot fill all three splits"):
             split(toy_dataset(4), seed=0)
 
 
@@ -196,14 +188,14 @@ class TestSynthBenchmark:
         assert np.linalg.norm(sample_cov - cov) / np.linalg.norm(cov) < 0.05
 
     def test_invalid_config(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError, match="at least 2 components"):
             SynthConfig(components=1)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError, match=r"manifold_dim must lie in \[1, d_in\]"):
             SynthConfig(manifold_dim=99, d_in=8)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError, match="separation must be finite and positive"):
             SynthConfig(separation=-1.0)
         for value in (float("nan"), float("inf"), 1e308):
-            with pytest.raises(InvalidConfig):
+            with pytest.raises(ConfigError, match=r"must be finite|1e\+308 overflows"):
                 SynthConfig(separation=value)
 
     def test_huge_separation_round_trips(self, tmp_path):
@@ -263,7 +255,7 @@ class TestModelArtifact:
         lines = path.read_text().splitlines()
         lines[0] = "mahaclass-model 99"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(VersionMismatch):
+        with pytest.raises(DataError, match="format version 99, this build reads version 1"):
             load_model(path)
 
     def test_truncated(self, tmp_path):
@@ -272,26 +264,26 @@ class TestModelArtifact:
         save_model(art, path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-3]) + "\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(DataError, match="truncated artifact"):
             load_model(path)
 
     def test_not_an_artifact(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("something else entirely\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(DataError, match="not a model artifact"):
             load_model(path)
 
     def test_non_integer_version_is_parse_error(self, tmp_path):
         path = tmp_path / "m.txt"
         save_model(make_detector(), path)
         path.write_text(path.read_text().replace("mahaclass-model 1", "mahaclass-model x"))
-        with pytest.raises(ParseError, match="not a model artifact"):
+        with pytest.raises(DataError, match="not a model artifact"):
             load_model(path)
 
     def test_not_utf8_is_parse_error(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_bytes(b"mahaclass-model 1\n\xff\xfe\nend\n")
-        with pytest.raises(ParseError, match="not UTF-8"):
+        with pytest.raises(DataError, match="not UTF-8"):
             load_model(path)
 
     def test_extra_cov_row_is_parse_error(self, tmp_path):
@@ -299,7 +291,7 @@ class TestModelArtifact:
         save_model(make_detector(), path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1] + ["cov 1 2 3 4", "end"]) + "\n")
-        with pytest.raises(ParseError, match="4 cov rows, expected 3"):
+        with pytest.raises(DataError, match="4 cov rows, expected 3"):
             load_model(path)
 
 
@@ -338,6 +330,13 @@ class TestDetector:
             det.project(np.zeros((2, 4)))
         with pytest.raises(DataError):
             det.scores(np.zeros(5))
+
+    def test_non_finite_projection_names_the_row(self):
+        det = make_detector()
+        rows = np.zeros((4, det.d_in))
+        rows[2:] = 1e308 * np.sign(det.weights[0])  # projects past the largest double
+        with pytest.raises(NumericalError, match=r"row 2 of the input \(counting from 0\)"):
+            det.project(rows)
 
     def test_scores_of_trained_parts(self):
         data, head, model, thr = trained_parts()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_model
-from mahaclass.errors import DimensionMismatch, EmptyBatch, NonFiniteLoss, ZeroVector
+from mahaclass.errors import NonFiniteLoss, NumericalError
 from mahaclass.linalg import fit_gaussian
 from mahaclass.loss import ContrastTriple, cosine_loss, mah_loss, mah_mean_loss, mah_sims
 
@@ -49,7 +49,7 @@ class TestMahSims:
 
     def test_shape_mismatch(self):
         m = make_model(np.zeros(2), np.eye(2), n=10)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(NumericalError, match="expected rows of length 2"):
             mah_sims(m, np.zeros(3))
 
 
@@ -99,7 +99,7 @@ class TestMahLoss:
 
     def test_empty_batch(self):
         model, *_ = random_case(23)
-        with pytest.raises(EmptyBatch):
+        with pytest.raises(NumericalError, match="batch must be nonempty"):
             mah_loss([], model)
 
     def test_underflowing_similarities(self):
@@ -112,9 +112,9 @@ class TestMahLoss:
 
     def test_ragged_batch(self):
         model, a, p, n = random_case(31)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(NumericalError, match="batch rows differ in shape"):
             mah_loss([ContrastTriple(a, p, n[:2])], model)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(NumericalError, match="expected rows of length 4"):
             mah_loss([ContrastTriple(a[:2], p[:2], n[:2])], model)
 
 
@@ -176,12 +176,12 @@ class TestMahMeanLoss:
 
     def test_unpaired_lengths(self):
         model, x, _, y = random_case(26)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(NumericalError, match="targets and negatives must be paired"):
             mah_mean_loss([x, x], [y], model)
 
     def test_empty_batch(self):
         model, *_ = random_case(27)
-        with pytest.raises(EmptyBatch):
+        with pytest.raises(NumericalError, match="batch must be nonempty"):
             mah_mean_loss([], [], model)
 
 
@@ -223,5 +223,5 @@ class TestCosineLoss:
 
     def test_zero_vector(self):
         t = ContrastTriple(anchor=np.zeros(2), positive=np.ones(2), negative=np.ones(2))
-        with pytest.raises(ZeroVector):
+        with pytest.raises(NumericalError, match="cosine similarity is undefined for zero vectors"):
             cosine_loss([t])

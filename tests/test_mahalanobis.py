@@ -5,13 +5,8 @@ from hypothesis import strategies as st
 
 from conftest import make_model
 from mahaclass.betadist import BetaParams, beta_quantile, reg_inc_beta
-from mahaclass.errors import (
-    DegenerateDevSet,
-    DimensionMismatch,
-    InsufficientSamples,
-    ShapeMismatch,
-)
-from mahaclass.linalg import append_point, fit_gaussian
+from mahaclass.errors import NumericalError
+from mahaclass.linalg import append_point, fit_gaussian, whitened_sq_norms
 from mahaclass.mahalanobis import (
     NON_TARGET,
     TARGET,
@@ -113,7 +108,7 @@ class TestDecisionStatistic:
 
     def test_wrong_dimension(self):
         model = fit_gaussian(np.random.default_rng(0).normal(size=(10, 2)), ridge=0.0)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(NumericalError, match="expected rows of length 2"):
             scores(model, np.zeros((4, 3)))
 
     def test_query_at_mean(self):
@@ -142,8 +137,22 @@ class TestDecisionStatistic:
 
     def test_too_few_samples(self):
         model = fit_gaussian(np.random.default_rng(0).normal(size=(3, 2)), ridge=1e-6)
-        with pytest.raises(InsufficientSamples):
+        with pytest.raises(NumericalError, match=r"need n > d\+1"):
             decision_statistic(model, np.zeros(2))
+
+    def test_overflowing_distance_scores_one(self):
+        # against this factor the solve for a 1e300 row overflows to inf in
+        # the first coordinate, then to inf - inf = NaN in the third
+        n = 50
+        cov = np.array([[1e-20, 1e-10, 1e-10], [1e-10, 2.0, 2.0], [1e-10, 2.0, 3.0]])
+        model = make_model(np.zeros(3), cov * n / (n - 1), n)
+        rows = np.array([[1e300, 0.0, 0.0], [1e200, 1e200, 1e200], [1e-11, 0.5, -0.2]])
+        q = whitened_sq_norms(model.appended_chol, rows)
+        assert np.isnan(q[0]) and np.isinf(q[1]) and np.isfinite(q[2])
+        t = scores(model, rows)
+        assert t[:2].tolist() == [1.0, 1.0]
+        assert t[2] == q[2] / (n + 1 + q[2])  # a finite q is scored bit for bit as before
+        assert decision_statistic(model, rows[0]).T == 1.0
 
 
 class TestBetaDecide:
@@ -182,7 +191,7 @@ class TestBetaDecide:
 
     def test_threshold_model_mismatch(self):
         other = fit_gaussian(np.random.default_rng(1).normal(size=(80, 3)), ridge=0.0)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(NumericalError, match="do not match model"):
             beta_decide(other, np.zeros(3), self.thr)
 
     def test_null_params(self):
@@ -220,7 +229,7 @@ class TestBetaDecide:
                 if np.isclose(a, expected.a) and np.isclose(b, expected.b):
                     assert beta_decide(self.model, x, thr) == TARGET
                 else:
-                    with pytest.raises(ShapeMismatch):
+                    with pytest.raises(NumericalError, match="do not match model"):
                         beta_decide(self.model, x, thr)
 
     def test_equals_batched_scores_row_by_row(self):
@@ -299,7 +308,7 @@ class TestCalibrate:
 
     def test_single_class_dev_raises(self):
         model, vectors, labels = self._dev(17)
-        with pytest.raises(DegenerateDevSet):
+        with pytest.raises(NumericalError, match="dev split must contain both classes"):
             calibrate(model, vectors, np.ones_like(labels))
 
     def test_unknown_objective(self):

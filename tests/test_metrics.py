@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mahaclass.errors import LengthMismatch, SingleClass
+from mahaclass.errors import NumericalError
 from mahaclass.metrics import roc_auc, score
 
 
@@ -37,7 +37,7 @@ class TestScore:
         assert "fpr" in r.degenerate
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(NumericalError, match="2 predictions vs 1 labels"):
             score([1, 0], [1])
 
     def test_to_text_fields(self):
@@ -96,7 +96,7 @@ class TestRocAuc:
         assert roc_auc([0.7, 0.5, 0.5, 0.3], [1, 1, 0, 0]) == pytest.approx(3.5 / 4)
 
     def test_single_class(self):
-        with pytest.raises(SingleClass):
+        with pytest.raises(NumericalError, match="both classes must be present"):
             roc_auc([0.1, 0.2], [1, 1])
 
     def test_label_flip_symmetry(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mahaclass.data import EmbeddingDataset
-from mahaclass.errors import InsufficientClassData, InvalidConfig, NonFiniteLoss
+from mahaclass.errors import ConfigError, NonFiniteLoss, NumericalError
 from mahaclass.linalg import fit_gaussian
 from mahaclass.seeds import rng_for
 from mahaclass.trainer import (
@@ -36,17 +36,17 @@ class TestTrainConfig:
         assert cfg.window_capacity == 40
 
     def test_rejects_bad_values(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError, match="loss_kind must be one of"):
             TrainConfig(loss_kind="hinge")
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError, match="batch_size, window_multiplier and proj_dim must be positive"):
             TrainConfig(batch_size=0)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError, match="invalid epochs, learning_rate or ridge"):
             TrainConfig(learning_rate=0.0)
 
     @pytest.mark.parametrize("field", ["learning_rate", "ridge"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_rejects_non_finite(self, field, value):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError, match="invalid epochs, learning_rate or ridge"):
             TrainConfig(**{field: value})
 
 
@@ -131,9 +131,9 @@ class TestTripleSampler:
         assert stat < chi2.ppf(0.999, 19)
 
     def test_needs_both_classes(self):
-        with pytest.raises(InsufficientClassData):
+        with pytest.raises(NumericalError, match="need at least 2 target and 1 non-target"):
             TripleSampler(np.ones((1, 2)), np.ones((3, 2)), rng_for(0, "triples"))
-        with pytest.raises(InsufficientClassData):
+        with pytest.raises(NumericalError, match="need at least 2 target and 1 non-target"):
             TripleSampler(np.ones((5, 2)), np.ones((0, 2)), rng_for(0, "triples"))
 
 
@@ -253,7 +253,7 @@ class TestMlp:
     def test_negative_epochs_rejected(self):
         data = toy_data(13, n=30, m=30, d=3)
         head = ProjectionHead(weights=np.eye(3), bias=np.zeros(3))
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError, match="epochs must be non-negative, got -1"):
             train_mlp(data, head, epochs=-1)
 
     def test_deterministic(self):
