@@ -3,7 +3,9 @@
 Covariances use the unbiased (n-1) estimator throughout.  A small ridge
 (lambda * I) keeps the Cholesky factor well defined when the scatter is
 rank deficient; the factor is cached on the model, so a Mahalanobis
-distance costs one triangular solve and ``spd_solve`` two.
+distance costs one triangular solve and ``spd_solve`` two.  Both solves
+call LAPACK (``dtrtrs``, ``dpotrs``) through ``_lapack``, which loads them
+from scipy's LAPACK extension file without importing scipy's linalg package.
 """
 
 from __future__ import annotations
@@ -12,9 +14,8 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.linalg.lapack import dtrtrs
 
+from . import _lapack
 from .errors import NotPositiveDefinite, NumericalError
 
 
@@ -85,7 +86,8 @@ def spd_solve(model: GaussianModel, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim == 0 or v.shape[-1] != model.d:
         raise NumericalError(f"expected rows of length {model.d}, got shape {v.shape}")
-    w = cho_solve((model.chol, True), v.reshape(-1, model.d).T, check_finite=False)
+    # dpotrs reports only illegal arguments, which the shape check rules out
+    w, _ = _lapack.dpotrs(model.chol, v.reshape(-1, model.d).T, lower=1)
     return w.T.reshape(v.shape)
 
 
@@ -97,7 +99,7 @@ def whitened_sq_norms(chol: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     from ``np.linalg.cholesky`` is C-ordered, so U is a Fortran-ordered
     array that LAPACK reads without a copy.
     """
-    z, info = dtrtrs(chol.T, deltas.T, lower=0, trans=1)
+    z, info = _lapack.dtrtrs(chol.T, deltas.T, lower=0, trans=1)
     if info != 0:
         raise NotPositiveDefinite(f"triangular solve failed (LAPACK info {info}): "
                                   "zero pivot in the factor")

@@ -192,6 +192,9 @@ def train(data, cfg: TrainConfig):
                 else:
                     lv = mah_mean_loss(z[:, 0], z[:, 1], window.model)
                 if not math.isfinite(lv.value):
+                    if epoch == batch_i == 0:  # no update yet: the input is at fault
+                        raise NumericalError(f"the first loss, before any update, is "
+                                             f"{lv.value}: the input rows overflow")
                     raise NonFiniteLoss(f"loss is {lv.value}")
             except (NotPositiveDefinite, NonFiniteLoss) as exc:
                 raise NonFiniteLoss(

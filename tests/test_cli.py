@@ -27,6 +27,15 @@ def workspace(tmp_path_factory):
     return root, data, model
 
 
+@pytest.fixture(scope="module")
+def far_data(workspace):
+    """The workspace's data with --separation 1e300: non-target rows ~1e300 away."""
+    far = workspace[0] / "far.tsv"
+    assert cli.main(["synth", "--output", str(far), "--seed", "1"] + SYNTH_FLAGS
+                    + ["--separation", "1e300"]) == 0
+    return far
+
+
 class TestSynth:
     def test_writes_dataset(self, tmp_path):
         out = tmp_path / "d.tsv"
@@ -92,12 +101,10 @@ class TestInferEvaluate:
         counts = sum(int(fields[k]) for k in ("tp", "fp", "tn", "fn"))
         assert counts == 480
 
-    def test_overflowing_distances_score_one(self, workspace, tmp_path):
-        # non-target rows ~1e300 away: their squared distance overflows
+    def test_overflowing_distances_score_one(self, workspace, far_data, tmp_path):
+        # the non-target rows' squared distance overflows
         _, _, model = workspace
-        far = tmp_path / "far.tsv"
-        assert cli.main(["synth", "--output", str(far), "--seed", "1"] + SYNTH_FLAGS
-                        + ["--separation", "1e300"]) == 0
+        far = far_data
         decisions, report = tmp_path / "decisions.tsv", tmp_path / "metrics.txt"
         for command, out in (("infer", decisions), ("evaluate", report)):
             assert cli.main([command, "--model", str(model), "--input", str(far),
@@ -329,6 +336,32 @@ class TestExitCodes:
         assert "separation 1e+308 overflows" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_rows_fail_the_first_loss(self, far_data, tmp_path, capsys):
+        # the first loss is NaN before any update: the input, not the step, is at fault
+        out = tmp_path / "m.txt"
+        capsys.readouterr()
+        rc = cli.main(["train", "--input", str(far_data), "--output", str(out),
+                       "--seed", "1"] + TRAIN_FLAGS)
+        assert rc == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "the first loss, before any update, is nan: the input rows overflow" in err
+        assert "diverged" not in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("with_model", [False, True], ids=["raw", "model"])
+    def test_overflowing_rows_fail_henze_zirkler_by_class(self, workspace, far_data, tmp_path,
+                                                         capsys, recwarn, with_model):
+        # the non-target class's covariance overflows in the Henze-Zirkler step
+        _, _, model = workspace
+        capsys.readouterr()
+        rc = cli.main(["diagnose", "--input", str(far_data), "--output", str(tmp_path / "rep")]
+                      + (["--model", str(model)] if with_model else []))
+        assert rc == cli.EXIT_NUMERICAL
+        assert ("error: class 0: Henze-Zirkler test failed: matrix has non-finite entries"
+                in capsys.readouterr().err)
+        assert [str(w.message) for w in recwarn if w.category is RuntimeWarning] == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_warm_start_failure_names_the_window(self, tmp_path, capsys):
         # 16 target training rows cannot span the 32-dim window without a ridge
         data = tmp_path / "data.tsv"
@@ -509,13 +542,15 @@ class TestExitCodes:
         assert exc.value.code == 2
 
 
-def test_cli_import_leaves_scipy_stats_and_special_unloaded():
-    # a fresh interpreter, since this suite itself imports scipy.stats
+def test_cli_import_leaves_scipy_packages_and_f2py_unloaded():
+    # a fresh interpreter, since this suite itself imports these modules; the
+    # CLI loads only scipy's LAPACK extension file (see mahaclass._lapack)
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, mahaclass.cli; "
-            "print(*(m for m in ('scipy.stats', 'scipy.special') if m in sys.modules))")
+    code = ("import sys, mahaclass.cli; print(*(m for m in "
+            "('scipy.stats', 'scipy.special', 'scipy.linalg', 'numpy.f2py') "
+            "if m in sys.modules))")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout.split() == []

@@ -1,9 +1,14 @@
+import importlib.util
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, lapack, solve_triangular
 
+from mahaclass import _lapack
+from mahaclass.diagnostics import henze_zirkler
 from mahaclass.errors import NotPositiveDefinite, NumericalError
 from mahaclass.linalg import (
     SlidingWindow,
@@ -199,3 +204,56 @@ class TestSlidingWindow:
         assert w.model is None  # only 2 pushed, refresh at 4
         w.push([[3.0], [4.0]])
         assert w.model is not None
+
+
+class TestLapackLoading:
+    """Both ways ``_lapack`` can load dtrtrs and dpotrs give the answers of
+    scipy's public solvers, bit for bit."""
+
+    @pytest.fixture(params=["extension", "no-scipy-spec", "no-extension-file"])
+    def loaded(self, request, monkeypatch, tmp_path):
+        """Swap in the functions ``_lapack._load`` returns, with scipy's
+        spec made unfindable, or pointing at a directory without the file,
+        to force the fallback import."""
+        lookups = []
+
+        def find_spec(name, *args):
+            lookups.append(name)
+            if request.param == "no-scipy-spec":
+                raise ModuleNotFoundError(name)
+            return SimpleNamespace(submodule_search_locations=[str(tmp_path)])
+
+        with monkeypatch.context() as m:
+            if request.param != "extension":
+                m.setattr(importlib.util, "find_spec", find_spec)
+            dtrtrs, dpotrs = _lapack._load()
+        if request.param != "extension":
+            assert lookups == ["scipy"]
+            assert (dtrtrs, dpotrs) == (lapack.dtrtrs, lapack.dpotrs)
+        monkeypatch.setattr(_lapack, "dtrtrs", dtrtrs)
+        monkeypatch.setattr(_lapack, "dpotrs", dpotrs)
+
+    def test_whitened_sq_norms(self, loaded):
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(40, 6))
+        chol = cholesky(a.T @ a / 39)
+        deltas = rng.normal(size=(25, 6))
+        np.testing.assert_array_equal(whitened_sq_norms(chol, deltas),
+                                      TestWhitenedSqNorms.reference(chol, deltas))
+
+    @pytest.mark.parametrize("shape", [(5,), (9, 5), (2, 3, 5), (0, 5), (2, 0, 5)])
+    def test_spd_solve(self, loaded, shape):
+        rng = np.random.default_rng(8)
+        m = fit_gaussian(rng.normal(size=(30, 5)), ridge=1e-6)
+        v = rng.normal(size=shape)
+        want = cho_solve((m.chol, True), v.reshape(-1, 5).T, check_finite=False).T
+        got = spd_solve(m, v)
+        assert got.shape == shape
+        np.testing.assert_array_equal(got, want.reshape(shape))
+
+    def test_henze_zirkler(self, loaded, monkeypatch):
+        x = np.random.default_rng(9).normal(size=(700, 3))
+        got = henze_zirkler(x)
+        monkeypatch.setattr(_lapack, "dpotrs", lambda c, b, lower: (
+            cho_solve((c, bool(lower)), b, check_finite=False), 0))
+        assert got == henze_zirkler(x)
