@@ -220,6 +220,9 @@ def cmd_diagnose(args) -> int:
     dataset = data_mod.load_dataset(args.input)
     det = data_mod.load_model(args.model) if args.model else None
     vectors = dataset.vectors if det is None else det.project(dataset.vectors)
+    if args.k > vectors.shape[1]:
+        raise ConfigError(f"--k {args.k} exceeds the {'input' if det is None else 'projected'} "
+                          f"dimension {vectors.shape[1]}")
     reports = diagnostics.normality_report(vectors, dataset.labels, k=args.k)
     with open(args.output + ".normality.tsv", "w", encoding="utf-8") as fh:
         fh.write("label\tn\tk\thz\t" +
@@ -231,11 +234,9 @@ def cmd_diagnose(args) -> int:
     # Q-Q data for the first reduced dimension of each class
     with open(args.output + ".qq.tsv", "w", encoding="utf-8") as fh:
         fh.write("label\ttheoretical\tsample\n")
-        for label in sorted(set(dataset.labels.tolist())):
-            cls = vectors[dataset.labels == label]
-            first = diagnostics.pca_reduce(cls, 1).points[:, 0]
-            for theo, samp in diagnostics.emit_qq(first):
-                fh.write(f"{label}\t{theo:.17g}\t{samp:.17g}\n")
+        for r in reports:
+            for theo, samp in diagnostics.emit_qq(r.points[:, 0]):
+                fh.write(f"{r.class_label}\t{theo:.17g}\t{samp:.17g}\n")
 
     model = fit_gaussian(dataset.target_vectors(), ridge=1e-6) if det is None else det.gaussian
     with open(args.output + ".dist.tsv", "w", encoding="utf-8") as fh:

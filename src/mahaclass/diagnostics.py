@@ -20,7 +20,7 @@ from . import _lapack
 from .errors import NumericalError
 from .linalg import GaussianModel, cholesky, whitened_sq_norms
 
-_HZ_BLOCK_ROWS = 512  # rows of the pairwise kernel held at once by henze_zirkler
+_HZ_TILE = 256  # side of the square kernel tiles summed by henze_zirkler
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,7 @@ class NormalityReport:
     ad_per_dim: list[float]
     n: int
     k: int
+    points: np.ndarray  # the class's PCA-reduced rows, (n, k)
 
 
 def pca_reduce(points, k: int) -> PcaResult:
@@ -74,21 +75,24 @@ def henze_zirkler(points) -> float:
     beta = ((n * (2 * d + 1) / 4.0) ** (1.0 / (d + 4))) / np.sqrt(2.0)
     b2 = beta**2
     # G[i, j] = xc_i^T cov^{-1} xc_j; pairwise distances from its diagonal.
-    # The n x n kernel sum runs over row blocks, so memory is O(block * n);
-    # one buffer per block, updated in place, avoids fresh page faults for
-    # each temporary (the out-of-place form ran 2.3x slower at n=8000, k=3).
+    # The symmetric n x n kernel is summed over square tiles of its upper
+    # triangle, off-diagonal tiles twice, so memory is O(tile^2); one buffer
+    # per tile stays in cache and is updated in place, avoiding fresh page
+    # faults per temporary (out of place ran 2.3x slower at n=8000, k=3).
     b, _ = _lapack.dpotrs(chol, xc.T, lower=1)
     diag = np.einsum("ij,ji->i", xc, b)
     kernel_sum = 0.0
-    for start in range(0, n, _HZ_BLOCK_ROWS):
-        rows = slice(start, start + _HZ_BLOCK_ROWS)
-        d_pair = xc[rows] @ b
-        d_pair *= -2.0
-        d_pair += diag[rows, None]
-        d_pair += diag[None, :]
-        np.clip(d_pair, 0.0, None, out=d_pair)
-        d_pair *= -0.5 * b2
-        kernel_sum += np.exp(d_pair, out=d_pair).sum()
+    for i in range(0, n, _HZ_TILE):
+        rows = slice(i, i + _HZ_TILE)
+        for j in range(i, n, _HZ_TILE):
+            cols = slice(j, j + _HZ_TILE)
+            d_pair = xc[rows] @ b[:, cols]
+            d_pair *= -2.0
+            d_pair += diag[rows, None]
+            d_pair += diag[None, cols]
+            np.clip(d_pair, 0.0, None, out=d_pair)
+            d_pair *= -0.5 * b2
+            kernel_sum += (1.0 if j == i else 2.0) * np.exp(d_pair, out=d_pair).sum()
     term1 = kernel_sum / (n * n)
     term2 = 2.0 * (1.0 + b2) ** (-d / 2.0) * np.mean(np.exp(-b2 * diag / (2.0 * (1.0 + b2))))
     term3 = (1.0 + 2.0 * b2) ** (-d / 2.0)
@@ -143,7 +147,7 @@ def normality_report(vectors, labels, k: int = 3) -> list[NormalityReport]:
                 raise NumericalError(f"class {label}: Henze-Zirkler test failed: {exc}") from exc
         ad = [anderson_darling(red.points[:, j]) for j in range(k)]
         reports.append(NormalityReport(class_label=label, hz=hz, ad_per_dim=ad,
-                                       n=cls.shape[0], k=k))
+                                       n=cls.shape[0], k=k, points=red.points))
     return reports
 
 

@@ -286,6 +286,20 @@ class TestExitCodes:
         assert rc == cli.EXIT_DATA
         assert not list(tmp_path.glob("out*"))
 
+    @pytest.mark.parametrize("k, use_model, dimension", [(9, False, "input dimension 8"),
+                                                          (5, True, "projected dimension 4")],
+                             ids=["raw", "model"])
+    def test_k_above_the_dimension_is_usage_error(self, workspace, tmp_path, capsys,
+                                                  k, use_model, dimension):
+        _, data, model = workspace
+        argv = ["diagnose", "--input", str(data), "--output", str(tmp_path / "rep"),
+                "--k", str(k)] + (["--model", str(model)] if use_model else [])
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"--k {k}" in err and dimension in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_invalid_train_config_is_usage_error(self, workspace, tmp_path):
         _, data, _ = workspace
         out = tmp_path / "m.txt"

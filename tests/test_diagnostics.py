@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from mahaclass import diagnostics
 from mahaclass.data import EmbeddingDataset
 from mahaclass.diagnostics import (
     ad_statistic_from_probs,
@@ -69,11 +72,46 @@ def naive_hz(x):
     return n * (t1 - 2 * (1 + beta2) ** (-d / 2) * t2 + (1 + 2 * beta2) ** (-d / 2))
 
 
+def dense_hz(x):
+    """Vectorized reference: the whole n x n kernel, summed at once."""
+    n, d = x.shape
+    xc = x - x.mean(axis=0)
+    s_inv = np.linalg.inv(xc.T @ xc / n)
+    beta2 = (((n * (2 * d + 1) / 4.0) ** (1.0 / (d + 4))) / np.sqrt(2.0)) ** 2
+    diff = xc[:, None, :] - xc[None, :, :]
+    t1 = np.exp(-0.5 * beta2 * np.einsum("ijk,kl,ijl->ij", diff, s_inv, diff)).mean()
+    t2 = np.mean(np.exp(-beta2 * np.einsum("ik,kl,il->i", xc, s_inv, xc) / (2 * (1 + beta2))))
+    return n * (t1 - 2 * (1 + beta2) ** (-d / 2) * t2 + (1 + 2 * beta2) ** (-d / 2))
+
+
 class TestHenzeZirkler:
     def test_matches_naive_reference(self):
         rng = np.random.default_rng(53)
         x = rng.normal(size=(40, 3))
         assert henze_zirkler(x) == pytest.approx(naive_hz(x), rel=1e-10)
+
+    # one partial tile, one exact tile, a ragged last tile, several
+    # off-diagonal tiles (the kernel is summed over 256 x 256 tiles)
+    @pytest.mark.parametrize("n", [255, 256, 257, 513, 700])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_tiles_match_dense_reference(self, n, d):
+        assert diagnostics._HZ_TILE == 256  # the sizes above straddle its edges
+        rng = np.random.default_rng(1000 * d + n)
+        x = np.vstack([rng.normal(size=(n // 2, d)),
+                       rng.standard_exponential(size=(n - n // 2, d)) + 1.0])
+        assert henze_zirkler(x) == pytest.approx(dense_hz(x), rel=1e-12)
+
+    def test_memory_stays_bounded(self):
+        # the kernel is never held whole, nor one n-wide block of it:
+        # an 8000 x 8000 kernel is 512 MB, and 512 of its rows are 33 MB
+        x = np.random.default_rng(65).normal(size=(8000, 3))
+        tracemalloc.start()
+        try:
+            henze_zirkler(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(54)
