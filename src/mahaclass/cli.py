@@ -75,21 +75,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate the synthetic benchmark")
     common(p)
     p.add_argument("--output", required=True)
-    p.add_argument("--d-in", type=int, default=32)
-    p.add_argument("--n-target", type=int, default=2000)
-    p.add_argument("--m-non-target", type=int, default=8000)
-    p.add_argument("--manifold-dim", type=int, default=8)
+    p.add_argument("--d-in", type=_COUNT, default=32)
+    p.add_argument("--n-target", type=_COUNT, default=2000)
+    p.add_argument("--m-non-target", type=_COUNT, default=8000)
+    p.add_argument("--manifold-dim", type=_COUNT, default=8)
     p.add_argument("--components", type=int, default=3)
     p.add_argument("--separation", type=_POSITIVE, default=3.0)
 
     def train_flags(p):
         p.add_argument("--loss", choices=sorted(_LOSS_FLAGS), default="mah-mean")
-        p.add_argument("--batch-size", type=int, default=16)
-        p.add_argument("--window-mult", type=int, default=100)
-        p.add_argument("--epochs", type=int, default=1)
+        p.add_argument("--batch-size", type=_COUNT, default=16)
+        p.add_argument("--window-mult", type=_COUNT, default=100)
+        p.add_argument("--epochs", type=_EPOCHS, default=1)
         p.add_argument("--lr", type=_POSITIVE, default=1e-3)
         p.add_argument("--ridge", type=_NON_NEGATIVE, default=1e-6)
-        p.add_argument("--proj-dim", type=int, default=64)
+        p.add_argument("--proj-dim", type=_COUNT, default=64)
         p.add_argument("--calibrate", choices=["f1", "f1-fpr-cap"], default="f1")
         p.add_argument("--fpr-cap", type=_RATE, default=0.05)
         p.add_argument("--beta-level", type=_LEVEL, default=None,
@@ -100,9 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True, help="model artifact path")
     p.add_argument("--log", help="optional training-log path")
-    p.add_argument("--refit-full", action="store_true",
-                   help="refit covariance on all target training points "
-                        "instead of the final sliding-window model")
     train_flags(p)
 
     p = sub.add_parser("infer", help="per-instance decisions and statistics")
@@ -165,8 +162,6 @@ def _train_and_calibrate(train_ds, dev_ds, args):
                       epochs=args.epochs, ridge=args.ridge, proj_dim=args.proj_dim,
                       seed=args.seed)  # train() caps proj_dim at the input width
     head, model, log = trainer.train(train_ds, cfg)
-    if getattr(args, "refit_full", False):
-        model = trainer.refit_model(train_ds, head, cfg.ridge)
     if args.beta_level is not None:
         thr = DecisionThreshold.for_model(model, args.beta_level)
     else:
@@ -223,6 +218,10 @@ def cmd_diagnose(args) -> int:
     if args.k > vectors.shape[1]:
         raise ConfigError(f"--k {args.k} exceeds the {'input' if det is None else 'projected'} "
                           f"dimension {vectors.shape[1]}")
+    try:  # fit the raw target class before any report is written
+        model = fit_gaussian(dataset.target_vectors(), ridge=1e-6) if det is None else det.gaussian
+    except NumericalError as exc:
+        raise NumericalError(f"class 1 (target): {exc}") from exc
     reports = diagnostics.normality_report(vectors, dataset.labels, k=args.k)
     with open(args.output + ".normality.tsv", "w", encoding="utf-8") as fh:
         fh.write("label\tn\tk\thz\t" +
@@ -238,7 +237,6 @@ def cmd_diagnose(args) -> int:
             for theo, samp in diagnostics.emit_qq(r.points[:, 0]):
                 fh.write(f"{r.class_label}\t{theo:.17g}\t{samp:.17g}\n")
 
-    model = fit_gaussian(dataset.target_vectors(), ridge=1e-6) if det is None else det.gaussian
     with open(args.output + ".dist.tsv", "w", encoding="utf-8") as fh:
         fh.write("id\tlabel\td2\n")
         for rid, label, d2 in diagnostics.emit_distance_report(dataset.ids, dataset.labels,

@@ -115,8 +115,8 @@ class TripleSampler:
         self.x = np.asarray(target_vectors, dtype=float)
         self.y = np.asarray(non_target_vectors, dtype=float)
         if self.x.shape[0] < 2 or self.y.shape[0] < 1:
-            raise NumericalError(
-                "need at least 2 target and 1 non-target instances")
+            raise NumericalError("need at least 2 target and 1 non-target instances, "
+                                 f"got {self.x.shape[0]}/{self.y.shape[0]}")
         self.rng = rng
         self._order: list[int] = []
 
@@ -148,12 +148,9 @@ def train(data, cfg: TrainConfig):
     negative), projects it once, and takes the head gradient as one
     product of the (B, k, d_out) loss gradient with the raw rows.
 
-    Returns (head, final window model, per-batch loss log).
+    Returns (head, ``refit_model`` under the final head, per-batch loss log).
     """
     x_t = data.target_vectors()
-    if data.n_target < 2 or data.m_non_target < 1:
-        raise NumericalError(
-            f"need >= 2 target and >= 1 non-target, got {data.n_target}/{data.m_non_target}")
     d_in = data.d_in
     d_out = min(cfg.proj_dim, d_in)
     init = ProjectionHead.init(d_in, d_out, rng_for(cfg.seed, "head-init"))
@@ -207,13 +204,17 @@ def train(data, cfg: TrainConfig):
                 raise NonFiniteLoss(f"training diverged at epoch {epoch}, batch {batch_i}: "
                                     "head parameters are not finite")
             log.append(LogEntry(epoch=epoch, batch=batch_i, loss=lv.value))
-    window.refresh()
-    return head, window.model, log
+    try:
+        model = refit_model(data, head, cfg.ridge)
+    except NotPositiveDefinite as exc:
+        raise NotPositiveDefinite(f"refit under the final head ({x_t.shape[0]} rows, dimension "
+                                  f"{d_out}, ridge {cfg.ridge}) does not factor: {exc}") from exc
+    return head, model, log
 
 
 def refit_model(data, head: ProjectionHead, ridge: float) -> GaussianModel:
-    """Gaussian statistics over all projected target training points
-    (alternative to the final sliding-window model)."""
+    """Gaussian statistics over all target training points projected by
+    ``head``."""
     return fit_gaussian(head.project(data.target_vectors()), ridge=ridge)
 
 

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -7,8 +8,16 @@ import numpy as np
 import pytest
 
 from mahaclass import cli
-from mahaclass.data import load_dataset, load_model, save_dataset
+from mahaclass.data import (
+    SynthConfig,
+    load_dataset,
+    load_model,
+    save_dataset,
+    split,
+    synth_target_moments,
+)
 from mahaclass.metrics import roc_auc
+from mahaclass.seeds import rng_for
 
 SYNTH_FLAGS = ["--d-in", "8", "--n-target", "160", "--m-non-target", "320",
                "--manifold-dim", "3", "--separation", "2.5"]
@@ -74,6 +83,23 @@ class TestTrain:
                          "--log", str(log), "--seed", "1"] + TRAIN_FLAGS) == 0
         assert len(log.read_text().splitlines()) > 0
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_saved_model_keeps_the_beta_law(self, tmp_path, seed):
+        # Fresh rows from the target class's own Gaussian must be rejected at
+        # no more than the promised rate 1 - beta_level, within three binomial
+        # standard errors.  One-sided: the ridge makes the model conservative.
+        data, model = tmp_path / "data.tsv", tmp_path / "model.txt"
+        assert cli.main(["synth", "--output", str(data), "--seed", str(seed)]) == 0
+        assert cli.main(["train", "--input", str(data), "--output", str(model),
+                         "--seed", str(seed), "--epochs", "3"]) == 0
+        mu, cov = synth_target_moments(SynthConfig(seed=seed))
+        fresh = rng_for(seed, "fresh-targets").multivariate_normal(mu, cov, size=20_000)
+        det = load_model(model)
+        rejected = np.mean(det.scores(fresh) >= det.v_beta)
+        p = 1 - det.beta_level
+        assert rejected <= p + 3 * math.sqrt(p * (1 - p) / len(fresh)), (
+            f"rejected {rejected:.4f} of fresh targets, promised {p:.4f}")
+
 
 class TestInferEvaluate:
     def test_infer_output(self, workspace, tmp_path):
@@ -138,6 +164,23 @@ class TestDiagnose:
         assert cli.main(["diagnose", "--input", str(data), "--output", prefix]) == 0
         assert (tmp_path / "raw.normality.tsv").exists()
 
+    @pytest.mark.parametrize("n_target", [0, 1])
+    def test_too_few_target_rows_write_no_report(self, tmp_path, capsys, n_target):
+        # the raw target Gaussian is fitted before any report is written
+        rng = np.random.default_rng(3)
+        data = tmp_path / "data.tsv"
+        data.write_text("".join(f"r{i}\t{int(i < n_target)}\t"
+                                + " ".join(f"{v:.6f}" for v in rng.normal(size=4)) + "\n"
+                                for i in range(40)))
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+        rc = cli.main(["diagnose", "--input", str(data), "--output", str(out / "rep")])
+        assert rc == cli.EXIT_NUMERICAL
+        assert (f"error: class 1 (target): need at least 2 points, got {n_target}"
+                in capsys.readouterr().err)
+        assert list(out.iterdir()) == []
+
 
 class TestAblate:
     def test_grid_rows(self, workspace, tmp_path):
@@ -196,14 +239,20 @@ class TestConfigFile:
         assert "invalid int value: 'abc'" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_boolean_value_is_not_switched_on(self, workspace, tmp_path):
-        # a store-true flag takes no value, so a file cannot set it to "false"
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_removed_refit_full_is_usage_error(self, workspace, tmp_path, where):
+        # train always saves the refit under the final head, so the flag that
+        # once chose it is an unknown flag, on the command line and in a file
         _, data, _ = workspace
         cfg = tmp_path / "run.cfg"
         cfg.write_text("refit-full = false\n")
         out = tmp_path / "m.txt"
-        rc = cli.main(["train", "--input", str(data), "--output", str(out),
-                       "--config", str(cfg)] + TRAIN_FLAGS)
+        argv = ["train", "--input", str(data), "--output", str(out)] + TRAIN_FLAGS
+        try:
+            rc = cli.main(argv + (["--refit-full"] if where == "flag" else
+                                  ["--config", str(cfg)]))
+        except SystemExit as exc:  # argparse rejects a command-line flag itself
+            rc = exc.code
         assert rc == cli.EXIT_USAGE
         assert not out.exists()
 
@@ -300,14 +349,6 @@ class TestExitCodes:
         assert f"--k {k}" in err and dimension in err
         assert list(tmp_path.iterdir()) == []
 
-    def test_invalid_train_config_is_usage_error(self, workspace, tmp_path):
-        _, data, _ = workspace
-        out = tmp_path / "m.txt"
-        rc = cli.main(["train", "--input", str(data), "--output", str(out),
-                       "--proj-dim", "0"])
-        assert rc == cli.EXIT_USAGE
-        assert not out.exists()
-
     @pytest.mark.parametrize("loss", ["mah", "mah-mean"])
     def test_diverging_run_is_numerical_error(self, tmp_path, capsys, loss):
         # lr 1e6 blows the head up at the first step: mah similarities
@@ -375,6 +416,26 @@ class TestExitCodes:
                 in capsys.readouterr().err)
         assert [str(w.message) for w in recwarn if w.category is RuntimeWarning] == []
         assert list(tmp_path.iterdir()) == []
+
+    def test_refit_failure_names_the_refit(self, workspace, tmp_path, capsys):
+        # the first target row overflows the refit's covariance; with no epochs
+        # and a 16-row warm-start window it reaches nothing before the refit
+        _, data, _ = workspace
+        ds = load_dataset(data)
+        ds.vectors[0] = 1e300
+        huge = tmp_path / "huge.tsv"
+        save_dataset(ds, huge)
+        train_ds = split(ds, seed=1)[0]
+        assert ds.labels[0] == 1 and train_ds.ids[0] == ds.ids[0]
+        out = tmp_path / "m.txt"
+        capsys.readouterr()
+        rc = cli.main(["train", "--input", str(huge), "--output", str(out), "--seed", "1",
+                       "--epochs", "0", "--window-mult", "1"])
+        assert rc == cli.EXIT_NUMERICAL
+        assert (f"error: refit under the final head ({train_ds.n_target} rows, dimension 8, "
+                "ridge 1e-06) does not factor: matrix has non-finite entries"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_warm_start_failure_names_the_window(self, tmp_path, capsys):
         # 16 target training rows cannot span the 32-dim window without a ridge
@@ -450,12 +511,27 @@ class TestExitCodes:
         ["ablate", "--fpr-cap", "-0.1"],
         ["diagnose", "--k", "0"],
         ["ablate", "--mlp-epochs", "-1"],
+        ["train", "--proj-dim", "0"],
+        ["train", "--batch-size", "0"],
+        ["train", "--window-mult", "0"],
+        ["train", "--epochs", "-1"],
+        ["ablate", "--proj-dim", "-2"],
+        ["ablate", "--batch-size", "0"],
+        ["ablate", "--window-mult", "-1"],
+        ["ablate", "--epochs", "-1"],
+        ["synth", "--d-in", "0"],
+        ["synth", "--n-target", "0"],
+        ["synth", "--m-non-target", "-5"],
+        ["synth", "--manifold-dim", "0"],
     ])
     def test_out_of_range_flag_is_usage_error(self, workspace, tmp_path, capsys, argv):
         _, data, _ = workspace
+        argv = argv + ["--output", str(tmp_path / "out")]
+        if argv[0] != "synth":
+            argv += ["--input", str(data)]
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
-            cli.main(argv + ["--input", str(data), "--output", str(tmp_path / "out")])
+            cli.main(argv)
         assert exc.value.code == cli.EXIT_USAGE
         out, err = capsys.readouterr()
         assert out == "" and "must " in err

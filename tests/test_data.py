@@ -296,7 +296,7 @@ class TestModelArtifact:
 
 
 def trained_parts(seed=0):
-    """(data, head, window model, threshold) of a small trained run."""
+    """(data, head, target-class model, threshold) of a small trained run."""
     data = synth_benchmark(SynthConfig(d_in=6, n_target=80, m_non_target=80,
                                        manifold_dim=2, seed=seed))
     head, model, _ = train(data, TrainConfig(proj_dim=3, window_multiplier=4,

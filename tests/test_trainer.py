@@ -162,7 +162,7 @@ class TestTrain:
         np.testing.assert_array_equal(head.weights, ref.weights)
         np.testing.assert_array_equal(head.bias, ref.bias)
         assert log == []
-        # the window holds exactly the warm-start projections
+        # the model is fitted to every target row projected by the initial head
         expected = fit_gaussian(ref.project(data.target_vectors()), ridge=cfg.ridge)
         np.testing.assert_allclose(model.mean, expected.mean, rtol=1e-12)
         np.testing.assert_allclose(model.cov, expected.cov, rtol=1e-12)
