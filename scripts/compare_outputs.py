@@ -1,0 +1,85 @@
+#!/usr/bin/env python3
+"""Check that another source tree gives byte-identical CLI outputs.
+
+    python3 scripts/compare_outputs.py OTHER_SRC
+
+OTHER_SRC is a directory holding a ``mahaclass`` package, such as the
+``src/`` of a checkout of another commit.  The same commands run as
+``python -m mahaclass.cli`` on the default synthetic benchmark (seed 0),
+once with this checkout's ``src/`` and once with OTHER_SRC, each in its own
+temporary directory.  Every output file is compared byte for byte, and each
+command's exit code and stdout with the temporary directory's path replaced.
+Prints ``same`` or ``DIFF`` per output and exits 1 on any DIFF.  Standard
+library only; one BLAS thread.
+"""
+
+import argparse
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+# (label, argv); paths are relative to the run's temporary directory, its cwd
+TRAIN = ["train", "--input", "data.tsv"]
+COMMANDS = [
+    ("synth", ["synth", "--output", "data.tsv"]),
+    ("train", TRAIN + ["--output", "model.txt", "--log", "train_log.tsv"]),
+    ("train-mah", TRAIN + ["--output", "model_mah.txt", "--loss", "mah"]),
+    ("train-epochs0", TRAIN + ["--output", "model_epochs0.txt", "--epochs", "0"]),
+    ("train-fpr-cap", TRAIN + ["--output", "model_fpr_cap.txt", "--calibrate", "f1-fpr-cap",
+                               "--fpr-cap", "0.001"]),
+    ("train-cosine", TRAIN + ["--output", "model_cosine.txt", "--beta-level", "0.9",
+                              "--loss", "cosine"]),
+    ("infer", ["infer", "--model", "model.txt", "--input", "data.tsv",
+               "--output", "decisions.tsv"]),
+    ("evaluate", ["evaluate", "--model", "model.txt", "--input", "data.tsv",
+                  "--output", "metrics.txt"]),
+    ("diagnose-raw", ["diagnose", "--input", "data.tsv", "--output", "diag_raw"]),
+    ("diagnose-model", ["diagnose", "--input", "data.tsv", "--model", "model.txt",
+                        "--output", "diag_model"]),
+    ("ablate", ["ablate", "--input", "data.tsv", "--output", "ablation.tsv",
+                "--mlp-epochs", "3"]),
+]
+
+
+def run_all(src: pathlib.Path, work: pathlib.Path) -> dict[str, bytes]:
+    """Every output of the command list under src: stdout (with its exit
+    code) per command, then each file the commands wrote."""
+    env = dict(os.environ, PYTHONPATH=str(src), OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    outputs = {}
+    for label, argv in COMMANDS:
+        proc = subprocess.run([sys.executable, "-m", "mahaclass.cli", *argv, "--seed", "0"],
+                              env=env, cwd=work, capture_output=True)
+        stdout = proc.stdout.replace(str(work).encode(), b"<tmp>")
+        outputs[f"stdout of {label}"] = b"exit %d\n" % proc.returncode + stdout
+        print(f"  ran {label} under {src} (exit {proc.returncode})", file=sys.stderr)
+    for path in sorted(work.iterdir()):
+        outputs[path.name] = path.read_bytes()
+    return outputs
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("other_src", type=pathlib.Path,
+                    help="directory holding the mahaclass package to compare against")
+    args = ap.parse_args()
+    other = args.other_src.resolve()
+    if not (other / "mahaclass" / "cli.py").is_file():
+        ap.error(f"{other} holds no mahaclass package")
+    with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
+        ours = run_all(SRC, pathlib.Path(a))
+        theirs = run_all(other, pathlib.Path(b))
+    diff = 0
+    for name in sorted(ours.keys() | theirs.keys()):
+        same = ours.get(name) == theirs.get(name)
+        diff += not same
+        print(f"{'same' if same else 'DIFF'}  {name}")
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

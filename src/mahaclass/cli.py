@@ -165,13 +165,16 @@ def _train_and_calibrate(train_ds, dev_ds, args):
     if args.beta_level is not None:
         thr = DecisionThreshold.for_model(model, args.beta_level)
     else:
-        thr = calibrate(model, head.project(dev_ds.vectors), dev_ds.labels,
-                        objective=args.calibrate, fpr_cap=args.fpr_cap)
+        thr = calibrate(model, data_mod.finite_projection(head, dev_ds.vectors, dev_ds.ids),
+                        dev_ds.labels,
+                        args.fpr_cap if args.calibrate == "f1-fpr-cap" else math.inf)
     return data_mod.Detector.of(head, model, thr, args.seed, _config_hash(args)), log
 
 
-def _evaluate(det: data_mod.Detector, dataset) -> metrics.MetricsReport:
-    t_values = det.scores(dataset.vectors)
+def _evaluate(det: data_mod.Detector, dataset, ids=None) -> metrics.MetricsReport:
+    """Metrics of det's decisions on dataset; pass a split's ids so that an
+    overflowing row is named by its record id."""
+    t_values = det.scores(dataset.vectors, ids)
     report = metrics.score((t_values < det.v_beta).astype(int), dataset.labels)
     report.auc = metrics.roc_auc(-t_values, dataset.labels)
     return report
@@ -180,10 +183,13 @@ def _evaluate(det: data_mod.Detector, dataset) -> metrics.MetricsReport:
 def cmd_train(args) -> int:
     train_ds, dev_ds, _ = _split(args)
     det, log = _train_and_calibrate(train_ds, dev_ds, args)
+    try:  # a failing run writes nothing, so the dev split is scored first
+        report = _evaluate(det, dev_ds, dev_ds.ids)
+    except NumericalError as exc:
+        raise NumericalError(f"dev split: {exc}") from exc
     data_mod.save_model(det, args.output)
     if args.log:
         trainer.write_training_log(log, args.log)
-    report = _evaluate(det, dev_ds)
     print(f"model written to {args.output} (beta={det.beta_level:.6g}, "
           f"v_beta={det.v_beta:.6g})")
     print("dev metrics:")
@@ -252,7 +258,7 @@ def cmd_ablate(args) -> int:
     for loss_flag in ("mah", "mah-mean", "cosine"):
         args.loss = loss_flag
         det, _ = _train_and_calibrate(train_ds, dev_ds, args)
-        rows.append((loss_flag, "beta", _evaluate(det, test_ds)))
+        rows.append((loss_flag, "beta", _evaluate(det, test_ds, test_ds.ids)))
         mlp = trainer.train_mlp(train_ds, det, epochs=args.mlp_epochs, seed=args.seed)
         preds = mlp.predict(det.project(test_ds.vectors))
         rows.append((loss_flag, "mlp", metrics.score(preds, test_ds.labels)))

@@ -309,24 +309,32 @@ class Detector:
     def beta_b(self) -> float:
         return (self.n - self.d_out) / 2.0
 
-    @np.errstate(over="ignore", invalid="ignore")  # reported below as a NumericalError
-    def project(self, raw) -> np.ndarray:
+    def project(self, raw, ids=None) -> np.ndarray:
         """Raw (N, d_in) rows in the projected space; DataError at another
-        width, NumericalError naming the first row that projects past the
-        largest double."""
+        width, NumericalError as in ``finite_projection``."""
         if np.ndim(raw) != 2 or np.shape(raw)[1] != self.d_in:
             raise DataError(f"the model takes {self.d_in}-dim input, "
                             f"got rows of shape {np.shape(raw)}")
-        z = ProjectionHead(self.weights, self.bias).project(raw)
-        bad = ~np.isfinite(z).all(axis=1)
-        if bad.any():
-            raise NumericalError(f"row {np.argmax(bad)} of the input (counting from 0) "
-                                 "does not project to finite values")
-        return z
+        return finite_projection(ProjectionHead(self.weights, self.bias), raw, ids)
 
-    def scores(self, raw) -> np.ndarray:
+    def scores(self, raw, ids=None) -> np.ndarray:
         """Normalized statistic T of each raw row (see ``mahalanobis.scores``)."""
-        return mahalanobis.scores(self.gaussian, self.project(raw))
+        return mahalanobis.scores(self.gaussian, self.project(raw, ids))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # reported below as a NumericalError
+def finite_projection(head: ProjectionHead, raw, ids=None) -> np.ndarray:
+    """``head.project(raw)``, or a NumericalError naming the first row that
+    projects past the largest double: by its record id when the rows' ``ids``
+    are given (rows of a split), else by its row of the input."""
+    z = head.project(raw)
+    bad = ~np.isfinite(z).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        row = (f"record {ids[i]!r}" if ids is not None
+               else f"row {i} of the input (counting from 0)")
+        raise NumericalError(f"{row} does not project to finite values")
+    return z
 
 
 def save_model(det: Detector, path) -> None:
@@ -367,6 +375,8 @@ def load_model(path) -> Detector:
             key, _, rest = line.partition(" ")
             if key in rows:
                 rows[key].append([float(t) for t in rest.split()])
+            elif key in scalars:
+                raise ValueError(f"repeated key {key!r}")
             else:
                 scalars[key] = rest
         d = int(scalars["d_out"])

@@ -24,13 +24,6 @@ _HZ_TILE = 256  # side of the square kernel tiles summed by henze_zirkler
 
 
 @dataclass(frozen=True)
-class PcaResult:
-    points: np.ndarray
-    explained_variance_ratio: np.ndarray
-    rank_deficient: bool
-
-
-@dataclass(frozen=True)
 class NormalityReport:
     class_label: int
     hz: float
@@ -40,27 +33,19 @@ class NormalityReport:
     points: np.ndarray  # the class's PCA-reduced rows, (n, k)
 
 
-def pca_reduce(points, k: int) -> PcaResult:
-    """Project centered data onto the top-k principal directions.
-
-    When k exceeds the data rank the missing coordinates are zero and
-    the result is flagged rank_deficient.
-    """
+def pca_reduce(points, k: int) -> np.ndarray:
+    """The (n, k) coordinates of the centered data on its top-k principal
+    directions; the coordinates past the data rank are zero."""
     x = np.asarray(points, dtype=float)
     n, d = x.shape
     if k < 1 or k > min(d, n - 1):
         raise NumericalError(f"need 1 <= k <= min(d, n-1), got k={k}, n={n}, d={d}")
     xc = x - x.mean(axis=0)
     _, s, vt = np.linalg.svd(xc, full_matrices=False)
-    var = s**2 / (n - 1)
-    total = var.sum()
     rank = int(np.sum(s > s[0] * 1e-12)) if s.size and s[0] > 0 else 0
     reduced = xc @ vt[:k].T
-    if rank < k:
-        reduced[:, rank:] = 0.0
-    ratios = (var[:k] / total) if total > 0 else np.zeros(k)
-    return PcaResult(points=reduced, explained_variance_ratio=ratios,
-                     rank_deficient=rank < k)
+    reduced[:, rank:] = 0.0
+    return reduced
 
 
 def henze_zirkler(points) -> float:
@@ -142,12 +127,12 @@ def normality_report(vectors, labels, k: int = 3) -> list[NormalityReport]:
         with np.errstate(over="ignore", invalid="ignore"):
             red = pca_reduce(cls, k)
             try:
-                hz = henze_zirkler(red.points)
+                hz = henze_zirkler(red)
             except NumericalError as exc:
                 raise NumericalError(f"class {label}: Henze-Zirkler test failed: {exc}") from exc
-        ad = [anderson_darling(red.points[:, j]) for j in range(k)]
+        ad = [anderson_darling(red[:, j]) for j in range(k)]
         reports.append(NormalityReport(class_label=label, hz=hz, ad_per_dim=ad,
-                                       n=cls.shape[0], k=k, points=red.points))
+                                       n=cls.shape[0], k=k, points=red))
     return reports
 
 

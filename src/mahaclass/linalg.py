@@ -47,7 +47,7 @@ class GaussianModel:
     cov: np.ndarray
     chol: np.ndarray
     n: int
-    ridge: float = 0.0
+    ridge: float
 
     @property
     def d(self) -> int:

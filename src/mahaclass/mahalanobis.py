@@ -108,15 +108,15 @@ def beta_decide(model: GaussianModel, x: np.ndarray, thr: DecisionThreshold) -> 
 
 
 def calibrate(model: GaussianModel, dev_vectors, dev_labels,
-              objective: str = "f1", fpr_cap: float = 0.05) -> DecisionThreshold:
-    """Pick the quantile level maximizing the objective on the dev split.
+              fpr_cap: float = np.inf) -> DecisionThreshold:
+    """Pick the quantile level with the best F1 on the dev split among
+    those whose false positive rate is at most fpr_cap (every level by
+    default); the lowest-FPR level when none is.
 
     Candidates are the dev statistics' own quantile levels plus a grid of
     99 evenly spaced levels; ties break toward the smaller level (lower
-    false positive rate).  objective is "f1" or "f1-fpr-cap".
+    false positive rate).
     """
-    if objective not in ("f1", "f1-fpr-cap"):
-        raise ValueError(f"unknown objective {objective!r}")
     truth = np.asarray(dev_labels, dtype=int)
     if len(set(truth.tolist())) < 2:
         raise NumericalError("dev split must contain both classes")
@@ -139,7 +139,7 @@ def calibrate(model: GaussianModel, dev_vectors, dev_labels,
     fp = np.searchsorted(neg, crit, side="left")
     f1 = 2 * tp / (tp + fp + pos.size)  # 2tp + fp + fn, never zero
     fpr = fp / neg.size
-    allowed = fpr <= (fpr_cap if objective == "f1-fpr-cap" else np.inf)
+    allowed = fpr <= fpr_cap
     if allowed.any():
         # argmax returns the first maximum: the smallest level among ties
         best = np.flatnonzero(allowed)[np.argmax(f1[allowed])]

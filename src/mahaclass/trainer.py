@@ -164,7 +164,8 @@ def train(data, cfg: TrainConfig):
     # warm start: statistics must exist before the first loss evaluation
     try:
         window.push(head.project(x_t[-cfg.window_capacity:]))
-        window.refresh()
+        if window.model is None:  # push refits only from update_frequency rows on
+            window.refresh()
     except NotPositiveDefinite as exc:
         raise NotPositiveDefinite(
             f"warm-start window ({len(window)} rows, dimension {d_out}, ridge {cfg.ridge}) "

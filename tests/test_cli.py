@@ -323,6 +323,22 @@ class TestExitCodes:
         assert rc == cli.EXIT_DATA
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["d_in", "d_out", "seed", "config_hash", "gauss_n",
+                                     "ridge", "beta_level", "beta_a", "beta_b", "v_beta"])
+    def test_repeated_model_key_is_data_error(self, workspace, tmp_path, capsys, key):
+        _, data, model = workspace
+        lines = model.read_text().splitlines(keepends=True)
+        repeat = next(line for line in lines if line.split(" ")[0] == key)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("".join(lines[:-1] + [repeat, lines[-1]]))
+        out = tmp_path / "out.tsv"
+        capsys.readouterr()
+        rc = cli.main(["evaluate", "--model", str(bad), "--input", str(data),
+                       "--output", str(out)])
+        assert rc == cli.EXIT_DATA
+        assert f"malformed artifact (repeated key {key!r})" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["infer", "evaluate", "diagnose"])
     def test_dimension_mismatch_is_data_error(self, workspace, tmp_path, command):
         _, _, model = workspace
@@ -448,6 +464,44 @@ class TestExitCodes:
         assert rc == cli.EXIT_NUMERICAL
         assert "warm-start window (16 rows, dimension 32, ridge 0.0)" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,part,flags", [
+        ("train", 1, []),                         # the dev row fails calibration
+        ("train", 1, ["--beta-level", "0.9"]),    # ... or the dev metrics
+        ("ablate", 2, ["--mlp-epochs", "0"]),     # a test row fails the test metrics
+    ])
+    def test_overflowing_split_row_names_its_record(self, workspace, tmp_path, capsys,
+                                                    recwarn, command, part, flags):
+        # a split's row index is not the file's: the error names the record,
+        # and a run that fails writes no model, log or table
+        _, data, _ = workspace
+        ds = load_dataset(data)
+        rid = split(ds, seed=1)[part].ids[-1]
+        ds.vectors[ds.ids.index(rid)] = 1.7e308
+        huge = tmp_path / "huge.tsv"
+        save_dataset(ds, huge)
+        log = ["--log", str(tmp_path / "log.tsv")] if command == "train" else []
+        capsys.readouterr()
+        rc = cli.main([command, "--input", str(huge), "--output", str(tmp_path / "out"),
+                       "--seed", "1", "--epochs", "0"] + TRAIN_FLAGS + flags + log)
+        assert rc == cli.EXIT_NUMERICAL
+        assert f"record {rid!r} does not project to finite values" in capsys.readouterr().err
+        assert [str(w.message) for w in recwarn if w.category is RuntimeWarning] == []
+        assert [p.name for p in tmp_path.iterdir()] == ["huge.tsv"]
+
+    def test_dev_split_without_a_class_writes_nothing(self, tmp_path, capsys, recwarn):
+        # 2 non-target rows both fall in the train split; --beta-level skips calibration
+        data = tmp_path / "data.tsv"
+        assert cli.main(["synth", "--output", str(data), "--n-target", "200",
+                         "--m-non-target", "2", "--d-in", "4", "--manifold-dim", "2",
+                         "--seed", "1"]) == 0
+        capsys.readouterr()
+        rc = cli.main(["train", "--input", str(data), "--output", str(tmp_path / "m.txt"),
+                       "--log", str(tmp_path / "log.tsv"), "--beta-level", "0.9"])
+        assert rc == cli.EXIT_NUMERICAL
+        assert "error: dev split: both classes must be present" in capsys.readouterr().err
+        assert [str(w.message) for w in recwarn if w.category is RuntimeWarning] == []
+        assert [p.name for p in tmp_path.iterdir()] == ["data.tsv"]
 
     @pytest.mark.parametrize("command", ["train", "infer"])
     def test_ragged_dataset_is_data_error(self, workspace, tmp_path, capsys, command):

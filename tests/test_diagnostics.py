@@ -25,20 +25,17 @@ class TestPcaReduce:
         rng = np.random.default_rng(50)
         x = rng.normal(size=(500, 3)) * np.array([10.0, 1.0, 0.1])
         res = pca_reduce(x, 2)
-        assert res.points.shape == (500, 2)
-        assert not res.rank_deficient
-        assert res.explained_variance_ratio[0] > 0.95
+        assert res.shape == (500, 2)
         # top component aligns with the widest axis
-        corr = np.corrcoef(res.points[:, 0], x[:, 0])[0, 1]
+        corr = np.corrcoef(res[:, 0], x[:, 0])[0, 1]
         assert abs(corr) > 0.99
 
     def test_variance_preserved_at_full_rank(self):
         rng = np.random.default_rng(51)
         x = rng.normal(size=(40, 4))
         res = pca_reduce(x, 4)
-        assert np.sum(res.explained_variance_ratio) == pytest.approx(1.0, abs=1e-12)
         total_in = np.var(x - x.mean(0), axis=0, ddof=1).sum()
-        total_out = np.var(res.points, axis=0, ddof=1).sum()
+        total_out = np.var(res, axis=0, ddof=1).sum()
         assert total_out == pytest.approx(total_in, rel=1e-10)
 
     def test_rank_deficient_flag(self):
@@ -46,8 +43,7 @@ class TestPcaReduce:
         t = np.linspace(0, 1, 20)[:, None]
         x = t @ np.array([[1.0, 2.0, 3.0]])
         res = pca_reduce(x, 2)
-        assert res.rank_deficient
-        np.testing.assert_array_equal(res.points[:, 1], np.zeros(20))
+        np.testing.assert_array_equal(res[:, 1], np.zeros(20))
 
     def test_k_out_of_range(self):
         x = np.random.default_rng(52).normal(size=(5, 3))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mahaclass import linalg, trainer
 from mahaclass.data import EmbeddingDataset
 from mahaclass.errors import ConfigError, NonFiniteLoss, NumericalError
 from mahaclass.linalg import fit_gaussian
@@ -166,6 +167,19 @@ class TestTrain:
         expected = fit_gaussian(ref.project(data.target_vectors()), ridge=cfg.ridge)
         np.testing.assert_allclose(model.mean, expected.mean, rtol=1e-12)
         np.testing.assert_allclose(model.cov, expected.cov, rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [48, 10])  # at least / fewer than batch_size rows
+    def test_zero_epochs_fit_the_warm_start_window_once(self, monkeypatch, n):
+        # one fit of the warm-start window, whether push refits it or not, and the refit
+        calls = []
+
+        def counting_fit(points, ridge=1e-6):
+            calls.append(len(points))
+            return fit_gaussian(points, ridge)
+        monkeypatch.setattr(linalg, "fit_gaussian", counting_fit)
+        monkeypatch.setattr(trainer, "fit_gaussian", counting_fit)
+        train(toy_data(5, n=n), TrainConfig(proj_dim=3, epochs=0))
+        assert calls == [n, n]
 
     def test_overflowing_window_diverges(self):
         # the head stays finite, but the covariance of its projections overflows
