@@ -29,8 +29,8 @@ COMMANDS = [
     ("train", TRAIN + ["--output", "model.txt", "--log", "train_log.tsv"]),
     ("train-mah", TRAIN + ["--output", "model_mah.txt", "--loss", "mah"]),
     ("train-epochs0", TRAIN + ["--output", "model_epochs0.txt", "--epochs", "0"]),
-    ("train-fpr-cap", TRAIN + ["--output", "model_fpr_cap.txt", "--calibrate", "f1-fpr-cap",
-                               "--fpr-cap", "0.001"]),
+    ("train-fpr-cap", TRAIN + ["--output", "model_fpr_cap.txt", "--fpr-cap", "0.001"]),
+    ("train-batch24", TRAIN + ["--output", "model_batch24.txt", "--batch-size", "24"]),
     ("train-cosine", TRAIN + ["--output", "model_cosine.txt", "--beta-level", "0.9",
                               "--loss", "cosine"]),
     ("infer", ["infer", "--model", "model.txt", "--input", "data.tsv",
@@ -42,6 +42,8 @@ COMMANDS = [
                         "--output", "diag_model"]),
     ("ablate", ["ablate", "--input", "data.tsv", "--output", "ablation.tsv",
                 "--mlp-epochs", "3"]),
+    ("ablate-fpr-cap", ["ablate", "--input", "data.tsv", "--output", "ablation_fpr_cap.tsv",
+                        "--mlp-epochs", "1", "--fpr-cap", "0.01"]),
 ]
 
 

@@ -16,7 +16,7 @@ from . import data as data_mod
 from . import diagnostics, metrics, trainer
 from .errors import ConfigError, DataError, NumericalError
 from .linalg import fit_gaussian
-from .mahalanobis import DecisionThreshold, calibrate
+from .mahalanobis import DecisionThreshold, calibrate, scores
 from .trainer import TrainConfig
 
 EXIT_OK = 0
@@ -83,15 +83,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--separation", type=_POSITIVE, default=3.0)
 
     def train_flags(p):
-        p.add_argument("--loss", choices=sorted(_LOSS_FLAGS), default="mah-mean")
         p.add_argument("--batch-size", type=_COUNT, default=16)
         p.add_argument("--window-mult", type=_COUNT, default=100)
         p.add_argument("--epochs", type=_EPOCHS, default=1)
         p.add_argument("--lr", type=_POSITIVE, default=1e-3)
         p.add_argument("--ridge", type=_NON_NEGATIVE, default=1e-6)
         p.add_argument("--proj-dim", type=_COUNT, default=64)
-        p.add_argument("--calibrate", choices=["f1", "f1-fpr-cap"], default="f1")
-        p.add_argument("--fpr-cap", type=_RATE, default=0.05)
+        p.add_argument("--fpr-cap", type=_RATE, default=1.0,
+                       help="highest dev false positive rate calibration may pick; "
+                            "1 caps nothing")
         p.add_argument("--beta-level", type=_LEVEL, default=None,
                        help="fixed quantile level; skips dev-set calibration")
 
@@ -100,6 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True, help="model artifact path")
     p.add_argument("--log", help="optional training-log path")
+    p.add_argument("--loss", choices=sorted(_LOSS_FLAGS), default="mah-mean")
     train_flags(p)
 
     p = sub.add_parser("infer", help="per-instance decisions and statistics")
@@ -156,8 +157,8 @@ def _split(args):
     return data_mod.split(data_mod.load_dataset(args.input), seed=args.seed)
 
 
-def _train_and_calibrate(train_ds, dev_ds, args):
-    cfg = TrainConfig(loss_kind=_LOSS_FLAGS[args.loss], batch_size=args.batch_size,
+def _train_and_calibrate(train_ds, dev_ds, loss, args):
+    cfg = TrainConfig(loss_kind=_LOSS_FLAGS[loss], batch_size=args.batch_size,
                       window_multiplier=args.window_mult, learning_rate=args.lr,
                       epochs=args.epochs, ridge=args.ridge, proj_dim=args.proj_dim,
                       seed=args.seed)  # train() caps proj_dim at the input width
@@ -166,25 +167,23 @@ def _train_and_calibrate(train_ds, dev_ds, args):
         thr = DecisionThreshold.for_model(model, args.beta_level)
     else:
         thr = calibrate(model, data_mod.finite_projection(head, dev_ds.vectors, dev_ds.ids),
-                        dev_ds.labels,
-                        args.fpr_cap if args.calibrate == "f1-fpr-cap" else math.inf)
+                        dev_ds.labels, args.fpr_cap)
     return data_mod.Detector.of(head, model, thr, args.seed, _config_hash(args)), log
 
 
-def _evaluate(det: data_mod.Detector, dataset, ids=None) -> metrics.MetricsReport:
-    """Metrics of det's decisions on dataset; pass a split's ids so that an
-    overflowing row is named by its record id."""
-    t_values = det.scores(dataset.vectors, ids)
-    report = metrics.score((t_values < det.v_beta).astype(int), dataset.labels)
-    report.auc = metrics.roc_auc(-t_values, dataset.labels)
+def _evaluate(det: data_mod.Detector, z, labels) -> metrics.MetricsReport:
+    """Metrics of det's decisions on the rows z, already projected by det."""
+    t_values = scores(det.gaussian, z)
+    report = metrics.score((t_values < det.v_beta).astype(int), labels)
+    report.auc = metrics.roc_auc(-t_values, labels)
     return report
 
 
 def cmd_train(args) -> int:
     train_ds, dev_ds, _ = _split(args)
-    det, log = _train_and_calibrate(train_ds, dev_ds, args)
+    det, log = _train_and_calibrate(train_ds, dev_ds, args.loss, args)
     try:  # a failing run writes nothing, so the dev split is scored first
-        report = _evaluate(det, dev_ds, dev_ds.ids)
+        report = _evaluate(det, det.project(dev_ds.vectors, dev_ds.ids), dev_ds.labels)
     except NumericalError as exc:
         raise NumericalError(f"dev split: {exc}") from exc
     data_mod.save_model(det, args.output)
@@ -210,7 +209,8 @@ def cmd_infer(args) -> int:
 
 def cmd_evaluate(args) -> int:
     dataset = data_mod.load_dataset(args.input)
-    report = _evaluate(data_mod.load_model(args.model), dataset)
+    det = data_mod.load_model(args.model)
+    report = _evaluate(det, det.project(dataset.vectors), dataset.labels)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(report.to_text())
     print(report.to_text(), end="")
@@ -256,12 +256,12 @@ def cmd_ablate(args) -> int:
     train_ds, dev_ds, test_ds = _split(args)
     rows = []
     for loss_flag in ("mah", "mah-mean", "cosine"):
-        args.loss = loss_flag
-        det, _ = _train_and_calibrate(train_ds, dev_ds, args)
-        rows.append((loss_flag, "beta", _evaluate(det, test_ds, test_ds.ids)))
-        mlp = trainer.train_mlp(train_ds, det, epochs=args.mlp_epochs, seed=args.seed)
-        preds = mlp.predict(det.project(test_ds.vectors))
-        rows.append((loss_flag, "mlp", metrics.score(preds, test_ds.labels)))
+        det, _ = _train_and_calibrate(train_ds, dev_ds, loss_flag, args)
+        z_test = det.project(test_ds.vectors, test_ds.ids)
+        rows.append((loss_flag, "beta", _evaluate(det, z_test, test_ds.labels)))
+        mlp = trainer.train_mlp(det.project(train_ds.vectors, train_ds.ids), train_ds.labels,
+                                epochs=args.mlp_epochs, seed=args.seed)
+        rows.append((loss_flag, "mlp", metrics.score(mlp.predict(z_test), test_ds.labels)))
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write("loss\tdecision\tacc\tpr\tfpr\tf1\n")
         for loss_flag, decision, r in rows:

@@ -269,6 +269,8 @@ class Detector:
 
     def __post_init__(self):
         d = self.d_out
+        if d < 1:
+            raise ValueError(f"d_out {d} must be at least 1")
         if (self.bias.shape, self.mean.shape, self.cov.shape) != ((d,), (d,), (d, d)):
             raise ValueError("inconsistent dimensions")
         if not all(np.isfinite(v).all() for v in (self.weights, self.bias, self.mean,
@@ -317,9 +319,9 @@ class Detector:
                             f"got rows of shape {np.shape(raw)}")
         return finite_projection(ProjectionHead(self.weights, self.bias), raw, ids)
 
-    def scores(self, raw, ids=None) -> np.ndarray:
+    def scores(self, raw) -> np.ndarray:
         """Normalized statistic T of each raw row (see ``mahalanobis.scores``)."""
-        return mahalanobis.scores(self.gaussian, self.project(raw, ids))
+        return mahalanobis.scores(self.gaussian, self.project(raw))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # reported below as a NumericalError

@@ -108,7 +108,7 @@ def beta_decide(model: GaussianModel, x: np.ndarray, thr: DecisionThreshold) -> 
 
 
 def calibrate(model: GaussianModel, dev_vectors, dev_labels,
-              fpr_cap: float = np.inf) -> DecisionThreshold:
+              fpr_cap: float = 1.0) -> DecisionThreshold:
     """Pick the quantile level with the best F1 on the dev split among
     those whose false positive rate is at most fpr_cap (every level by
     default); the lowest-FPR level when none is.

@@ -61,6 +61,10 @@ class TrainConfig:
             raise ConfigError(f"loss_kind must be one of {LOSS_KINDS}")
         if min(self.batch_size, self.window_multiplier, self.proj_dim) < 1:
             raise ConfigError("batch_size, window_multiplier and proj_dim must be positive")
+        if self.window_capacity < 2:  # the loss needs a window fit to 2 rows or more
+            raise ConfigError(f"--batch-size {self.batch_size} x --window-mult "
+                              f"{self.window_multiplier} gives a {self.window_capacity}-row "
+                              "window; it needs at least 2 rows")
         if not (self.epochs >= 0 and self.learning_rate > 0 and self.ridge >= 0
                 and math.isfinite(self.learning_rate) and math.isfinite(self.ridge)):
             raise ConfigError("invalid epochs, learning_rate or ridge")
@@ -256,15 +260,14 @@ class MlpHead:
         return cls(layers=layers)
 
 
-def train_mlp(data, head, epochs: int = 50, seed: int = 0) -> MlpHead:
-    """Binary log-loss training of the ablation classifier on embeddings
-    frozen under ``head.project``; the hidden layers have d and d // 2 units."""
+def train_mlp(x, labels, epochs: int = 50, seed: int = 0) -> MlpHead:
+    """Binary log-loss training of the ablation classifier on the (N, d)
+    projected rows x with 0/1 labels; the hidden layers have d and d // 2 units."""
     if epochs < 0:
         raise ConfigError(f"epochs must be non-negative, got {epochs}")
-    if data.n_target < 1 or data.m_non_target < 1:
+    y = np.asarray(labels, dtype=float)
+    if not 0 < np.count_nonzero(y) < y.size:
         raise NumericalError("both classes required")
-    x = head.project(data.vectors)
-    y = data.labels.astype(float)
     d = x.shape[1]
     init = MlpHead.init(d, (d, max(d // 2, 1)), rng_for(seed, "mlp-init"))
     opt = Adam([a for w_b in init.layers for a in w_b], lr=MLP_LEARNING_RATE)

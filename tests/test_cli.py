@@ -83,6 +83,22 @@ class TestTrain:
                          "--log", str(log), "--seed", "1"] + TRAIN_FLAGS) == 0
         assert len(log.read_text().splitlines()) > 0
 
+    def test_fpr_cap_alone_caps_the_dev_rate(self, workspace, tmp_path):
+        # the workspace model, calibrated with no cap, passes 10 of the 32
+        # dev non-targets; --fpr-cap with no other flag must hold them to 10%
+        _, data, model = workspace
+        dev = split(load_dataset(data), seed=1)[1]
+
+        def dev_fpr(path):
+            det = load_model(path)
+            return np.mean(det.scores(dev.non_target_vectors()) < det.v_beta)
+
+        assert dev_fpr(model) > 0.1
+        out = tmp_path / "m.txt"
+        assert cli.main(["train", "--input", str(data), "--output", str(out),
+                         "--seed", "1", "--fpr-cap", "0.1"] + TRAIN_FLAGS) == 0
+        assert dev_fpr(out) <= 0.1
+
     @pytest.mark.parametrize("seed", range(4))
     def test_saved_model_keeps_the_beta_law(self, tmp_path, seed):
         # Fresh rows from the target class's own Gaussian must be rejected at
@@ -198,6 +214,25 @@ class TestAblate:
         for c in cells:
             assert all(0.0 <= float(v) <= 1.0 for v in c[2:])
 
+    def test_beta_row_is_train_then_evaluate_on_the_test_split(self, tmp_path):
+        # ablate's mah-mean beta row is what a default train model scores
+        # under evaluate on the test split, to the table's 3 decimals
+        data, model, test = tmp_path / "data.tsv", tmp_path / "m.txt", tmp_path / "test.tsv"
+        table, report = tmp_path / "ablation.tsv", tmp_path / "metrics.txt"
+        flags = ["--seed", "2"] + TRAIN_FLAGS
+        assert cli.main(["synth", "--output", str(data), "--seed", "2"] + SYNTH_FLAGS) == 0
+        assert cli.main(["ablate", "--input", str(data), "--output", str(table),
+                         "--mlp-epochs", "0"] + flags) == 0
+        assert cli.main(["train", "--input", str(data), "--output", str(model)] + flags) == 0
+        save_dataset(split(load_dataset(data), seed=2)[2], test)
+        assert cli.main(["evaluate", "--model", str(model), "--input", str(test),
+                         "--output", str(report)]) == 0
+        fields = dict(line.split("\t") for line in report.read_text().splitlines())
+        row = next(line.split("\t") for line in table.read_text().splitlines()
+                   if line.startswith("mah-mean\tbeta\t"))
+        assert row[2:] == [f"{float(fields[k]):.3f}"
+                           for k in ("accuracy", "precision", "fpr", "f1")]
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, workspace, tmp_path):
@@ -250,6 +285,31 @@ class TestConfigFile:
         argv = ["train", "--input", str(data), "--output", str(out)] + TRAIN_FLAGS
         try:
             rc = cli.main(argv + (["--refit-full"] if where == "flag" else
+                                  ["--config", str(cfg)]))
+        except SystemExit as exc:  # argparse rejects a command-line flag itself
+            rc = exc.code
+        assert rc == cli.EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.parametrize("command, key, value", [
+        ("train", "calibrate", "f1-fpr-cap"),
+        ("ablate", "calibrate", "f1"),
+        ("ablate", "loss", "cosine"),
+    ])
+    def test_removed_calibrate_and_ablate_loss_are_usage_errors(self, workspace, tmp_path,
+                                                                command, key, value, where):
+        # --fpr-cap alone sets the calibration policy and ablate trains every
+        # loss, so these flags are unknown, on the command line and in a file
+        _, data, _ = workspace
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        out = tmp_path / "out"
+        argv = [command, "--input", str(data), "--output", str(out), "--epochs", "0"] + TRAIN_FLAGS
+        if command == "ablate":
+            argv += ["--mlp-epochs", "0"]
+        try:
+            rc = cli.main(argv + ([f"--{key}", value] if where == "flag" else
                                   ["--config", str(cfg)]))
         except SystemExit as exc:  # argparse rejects a command-line flag itself
             rc = exc.code
@@ -469,6 +529,7 @@ class TestExitCodes:
         ("train", 1, []),                         # the dev row fails calibration
         ("train", 1, ["--beta-level", "0.9"]),    # ... or the dev metrics
         ("ablate", 2, ["--mlp-epochs", "0"]),     # a test row fails the test metrics
+        ("ablate", 0, ["--mlp-epochs", "0"]),     # a train row fails the MLP's input
     ])
     def test_overflowing_split_row_names_its_record(self, workspace, tmp_path, capsys,
                                                     recwarn, command, part, flags):
@@ -488,6 +549,41 @@ class TestExitCodes:
         assert f"record {rid!r} does not project to finite values" in capsys.readouterr().err
         assert [str(w.message) for w in recwarn if w.category is RuntimeWarning] == []
         assert [p.name for p in tmp_path.iterdir()] == ["huge.tsv"]
+
+    def test_one_row_window_is_usage_error(self, workspace, tmp_path, capsys):
+        # the loss needs a window fitted to at least 2 rows
+        _, data, _ = workspace
+        out = tmp_path / "m.txt"
+        capsys.readouterr()
+        rc = cli.main(["train", "--input", str(data), "--output", str(out),
+                       "--batch-size", "1", "--window-mult", "1"])
+        assert rc == cli.EXIT_USAGE
+        assert "--batch-size 1 x --window-mult 1 gives a 1-row window" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["infer", "evaluate"])
+    def test_model_without_projected_dimensions_is_data_error(self, workspace, tmp_path,
+                                                               capsys, command):
+        # d_out 0 with no w or cov rows, empty bias and mean, and the Beta
+        # shapes such a file implies: consistent, but nothing to score with
+        _, data, model = workspace
+        lines = model.read_text().splitlines()
+        n = int(next(line.split(" ")[1] for line in lines if line.startswith("gauss_n ")))
+        edits = {"d_out": "0", "bias": "", "mean": "", "beta_a": "0", "beta_b": f"{n / 2:g}"}
+        kept = []
+        for line in lines:
+            key = line.split(" ")[0]
+            if key not in ("w", "cov"):
+                kept.append(f"{key} {edits[key]}" if key in edits else line)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(kept) + "\n")
+        out = tmp_path / "out.tsv"
+        capsys.readouterr()
+        rc = cli.main([command, "--model", str(bad), "--input", str(data),
+                       "--output", str(out)])
+        assert rc == cli.EXIT_DATA
+        assert "malformed artifact (d_out 0 must be at least 1)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dev_split_without_a_class_writes_nothing(self, tmp_path, capsys, recwarn):
         # 2 non-target rows both fall in the train split; --beta-level skips calibration
@@ -561,7 +657,7 @@ class TestExitCodes:
         ["train", "--beta-level", "1.5"],
         ["train", "--beta-level", "0"],
         ["train", "--beta-level", "nan"],
-        ["train", "--calibrate", "f1-fpr-cap", "--fpr-cap", "7"],
+        ["train", "--fpr-cap", "7"],
         ["ablate", "--fpr-cap", "-0.1"],
         ["diagnose", "--k", "0"],
         ["ablate", "--mlp-epochs", "-1"],

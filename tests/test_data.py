@@ -319,6 +319,8 @@ class TestDetector:
         {"n": 4},  # n <= d+1
         {"v_beta": 1.0},
         {"beta_level": 0.0},
+        {"weights": np.zeros((0, 5)), "bias": np.zeros(0), "mean": np.zeros(0),
+         "cov": np.zeros((0, 0))},  # no projected dimension
     ])
     def test_invariants_checked_at_construction(self, change):
         with pytest.raises(ValueError):

@@ -309,6 +309,16 @@ class TestCalibrate:
         want = brute_force_calibrate(t_values, labels, thr.params, objective, fpr_cap)
         assert (thr.beta_level, thr.v_beta) == want
 
+    @pytest.mark.parametrize("seed", [20, 21, 22, 23, 24])
+    def test_cap_of_one_caps_nothing(self, seed):
+        # a dev false positive rate never exceeds 1, so the default cap of 1
+        # picks what no cap picks
+        model, vectors, labels = self._dev(seed, n_t=150, n_n=150, shift=1.0)
+        uncapped = calibrate(model, vectors, labels, fpr_cap=np.inf)
+        for thr in (calibrate(model, vectors, labels, fpr_cap=1.0),
+                    calibrate(model, vectors, labels)):
+            assert (thr.beta_level, thr.v_beta) == (uncapped.beta_level, uncapped.v_beta)
+
     def test_single_class_dev_raises(self):
         model, vectors, labels = self._dev(17)
         with pytest.raises(NumericalError, match="dev split must contain both classes"):

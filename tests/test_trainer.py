@@ -44,6 +44,13 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="invalid epochs, learning_rate or ridge"):
             TrainConfig(learning_rate=0.0)
 
+    def test_rejects_a_one_row_window(self):
+        # the loss reads the statistics of the window, which a single row
+        # cannot fit; both flags that size the window are named
+        with pytest.raises(ConfigError, match="--batch-size 1 x --window-mult 1 gives a 1-row"):
+            TrainConfig(batch_size=1, window_multiplier=1)
+        assert TrainConfig(batch_size=1, window_multiplier=2).window_capacity == 2
+
     @pytest.mark.parametrize("field", ["learning_rate", "ridge"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_rejects_non_finite(self, field, value):
@@ -259,22 +266,19 @@ class TestMlp:
 
     def test_learns_separable_classes(self):
         data = toy_data(12, n=80, m=80, d=4, shift=5.0)
-        head = ProjectionHead(weights=np.eye(4), bias=np.zeros(4))
-        mlp = train_mlp(data, head, epochs=150, seed=3)
+        mlp = train_mlp(data.vectors, data.labels, epochs=150, seed=3)
         preds = mlp.predict(data.vectors)
         assert np.mean(preds == data.labels) > 0.95
 
     def test_negative_epochs_rejected(self):
         data = toy_data(13, n=30, m=30, d=3)
-        head = ProjectionHead(weights=np.eye(3), bias=np.zeros(3))
         with pytest.raises(ConfigError, match="epochs must be non-negative, got -1"):
-            train_mlp(data, head, epochs=-1)
+            train_mlp(data.vectors, data.labels, epochs=-1)
 
     def test_deterministic(self):
         data = toy_data(13, n=30, m=30, d=3)
-        head = ProjectionHead(weights=np.eye(3), bias=np.zeros(3))
-        m1 = train_mlp(data, head, epochs=5, seed=4)
-        m2 = train_mlp(data, head, epochs=5, seed=4)
+        m1 = train_mlp(data.vectors, data.labels, epochs=5, seed=4)
+        m2 = train_mlp(data.vectors, data.labels, epochs=5, seed=4)
         for (w1, b1), (w2, b2) in zip(m1.layers, m2.layers):
             np.testing.assert_array_equal(w1, w2)
             np.testing.assert_array_equal(b1, b2)
