@@ -22,17 +22,22 @@ import tempfile
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
-# (label, argv); paths are relative to the run's temporary directory, its cwd
+# (label, argv); paths are relative to the run's temporary directory, its cwd.
+# The default train's head is square (identity, no SGD); REDUCED trains an
+# 8-dim head of the 32-dim rows, so the other runs cover SGD.
 TRAIN = ["train", "--input", "data.tsv"]
+REDUCED = ["--proj-dim", "8"]
 COMMANDS = [
     ("synth", ["synth", "--output", "data.tsv"]),
     ("train", TRAIN + ["--output", "model.txt", "--log", "train_log.tsv"]),
-    ("train-mah", TRAIN + ["--output", "model_mah.txt", "--loss", "mah"]),
-    ("train-epochs0", TRAIN + ["--output", "model_epochs0.txt", "--epochs", "0"]),
-    ("train-fpr-cap", TRAIN + ["--output", "model_fpr_cap.txt", "--fpr-cap", "0.001"]),
-    ("train-batch24", TRAIN + ["--output", "model_batch24.txt", "--batch-size", "24"]),
-    ("train-cosine", TRAIN + ["--output", "model_cosine.txt", "--beta-level", "0.9",
-                              "--loss", "cosine"]),
+    ("train-mah", TRAIN + REDUCED + ["--output", "model_mah.txt", "--loss", "mah"]),
+    ("train-epochs0", TRAIN + REDUCED + ["--output", "model_epochs0.txt", "--epochs", "0"]),
+    ("train-fpr-cap", TRAIN + REDUCED + ["--output", "model_fpr_cap.txt",
+                                         "--fpr-cap", "0.001"]),
+    ("train-batch24", TRAIN + REDUCED + ["--output", "model_batch24.txt",
+                                         "--batch-size", "24"]),
+    ("train-cosine", TRAIN + REDUCED + ["--output", "model_cosine.txt", "--beta-level", "0.9",
+                                        "--loss", "cosine"]),
     ("infer", ["infer", "--model", "model.txt", "--input", "data.tsv",
                "--output", "decisions.tsv"]),
     ("evaluate", ["evaluate", "--model", "model.txt", "--input", "data.tsv",
@@ -41,9 +46,9 @@ COMMANDS = [
     ("diagnose-model", ["diagnose", "--input", "data.tsv", "--model", "model.txt",
                         "--output", "diag_model"]),
     ("ablate", ["ablate", "--input", "data.tsv", "--output", "ablation.tsv",
-                "--mlp-epochs", "3"]),
+                "--mlp-epochs", "3"] + REDUCED),
     ("ablate-fpr-cap", ["ablate", "--input", "data.tsv", "--output", "ablation_fpr_cap.tsv",
-                        "--mlp-epochs", "1", "--fpr-cap", "0.01"]),
+                        "--mlp-epochs", "1", "--fpr-cap", "0.01"] + REDUCED),
 ]
 
 

@@ -42,7 +42,7 @@ def main() -> int:
     if not args.skip_ablation:
         steps.append(["ablate", "--input", data,
                       "--output", str(work / "ablation.tsv"),
-                      "--epochs", "2", "--mlp-epochs", "20"] + seed)
+                      "--proj-dim", "8", "--epochs", "2", "--mlp-epochs", "20"] + seed)
 
     for argv in steps:
         print(f"$ mahaclass {' '.join(argv)}")

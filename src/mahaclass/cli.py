@@ -254,6 +254,9 @@ def cmd_diagnose(args) -> int:
 
 def cmd_ablate(args) -> int:
     train_ds, dev_ds, test_ds = _split(args)
+    if args.proj_dim >= train_ds.d_in:  # train() would give every loss the identity head
+        raise ConfigError(f"--proj-dim {args.proj_dim} is not below d_in {train_ds.d_in}: "
+                          "the head is the identity, so the losses have nothing to compare")
     rows = []
     for loss_flag in ("mah", "mah-mean", "cosine"):
         det, _ = _train_and_calibrate(train_ds, dev_ds, loss_flag, args)

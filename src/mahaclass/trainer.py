@@ -145,18 +145,41 @@ class TripleSampler:
 # there is not reported a second time as a RuntimeWarning.
 @np.errstate(over="ignore", invalid="ignore")
 def train(data, cfg: TrainConfig):
-    """One or more epochs of contrastive training over the train split.
+    """The projection head for the train split: the identity when square
+    (``proj_dim`` >= d_in), since a Mahalanobis distance does not change
+    under an invertible affine map, so no SGD runs and the log is empty.
+
+    Returns (head, ``refit_model`` under the final head, per-batch loss log).
+    """
+    n_t, d_in = data.n_target, data.d_in
+    d_out = min(cfg.proj_dim, d_in)
+    if n_t <= d_out + 1:  # the decision statistic needs n > d + 1
+        raise ConfigError(f"--proj-dim {cfg.proj_dim} gives d_out {d_out}, which needs more "
+                          f"than {d_out + 1} target training rows; the train split has {n_t}")
+    if d_out == d_in:
+        head, log = ProjectionHead(np.eye(d_in), np.zeros(d_in)), []
+    else:
+        head, log = _descend(data, cfg, d_out)
+    try:
+        model = refit_model(data, head, cfg.ridge)
+    except NotPositiveDefinite as exc:
+        raise NotPositiveDefinite(f"refit under the final head ({n_t} rows, dimension "
+                                  f"{d_out}, ridge {cfg.ridge}) does not factor: {exc}") from exc
+    return head, model, log
+
+
+def _descend(data, cfg: TrainConfig, d_out: int):
+    """One or more epochs of contrastive training of a (d_out, d_in) head.
 
     Each step stacks the batch's raw rows into a (B, k, d_in) array, with
     k = 3 (anchor, positive, negative) or k = 2 for mah_mean (anchor,
     negative), projects it once, and takes the head gradient as one
     product of the (B, k, d_out) loss gradient with the raw rows.
 
-    Returns (head, ``refit_model`` under the final head, per-batch loss log).
+    Returns (final head, per-batch loss log).
     """
     x_t = data.target_vectors()
     d_in = data.d_in
-    d_out = min(cfg.proj_dim, d_in)
     init = ProjectionHead.init(d_in, d_out, rng_for(cfg.seed, "head-init"))
     opt = Adam([init.weights, init.bias], lr=cfg.learning_rate)
     head = ProjectionHead(*opt.params)
@@ -209,12 +232,7 @@ def train(data, cfg: TrainConfig):
                 raise NonFiniteLoss(f"training diverged at epoch {epoch}, batch {batch_i}: "
                                     "head parameters are not finite")
             log.append(LogEntry(epoch=epoch, batch=batch_i, loss=lv.value))
-    try:
-        model = refit_model(data, head, cfg.ridge)
-    except NotPositiveDefinite as exc:
-        raise NotPositiveDefinite(f"refit under the final head ({x_t.shape[0]} rows, dimension "
-                                  f"{d_out}, ridge {cfg.ridge}) does not factor: {exc}") from exc
-    return head, model, log
+    return head, log
 
 
 def refit_model(data, head: ProjectionHead, ridge: float) -> GaussianModel:

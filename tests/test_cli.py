@@ -99,11 +99,22 @@ class TestTrain:
                          "--seed", "1", "--fpr-cap", "0.1"] + TRAIN_FLAGS) == 0
         assert dev_fpr(out) <= 0.1
 
+    def test_square_head_saves_the_identity(self, workspace, tmp_path):
+        # the default --proj-dim 64 is not below d_in 8: no SGD, an empty log
+        _, data, _ = workspace
+        out, log = tmp_path / "m.txt", tmp_path / "log.tsv"
+        assert cli.main(["train", "--input", str(data), "--output", str(out),
+                         "--log", str(log), "--seed", "1"]) == 0
+        det = load_model(out)
+        np.testing.assert_array_equal(det.weights, np.eye(8))
+        np.testing.assert_array_equal(det.bias, np.zeros(8))
+        assert log.read_text() == ""
+
     @pytest.mark.parametrize("seed", range(4))
     def test_saved_model_keeps_the_beta_law(self, tmp_path, seed):
         # Fresh rows from the target class's own Gaussian must be rejected at
-        # no more than the promised rate 1 - beta_level, within three binomial
-        # standard errors.  One-sided: the ridge makes the model conservative.
+        # the promised rate 1 - beta_level, within three binomial standard
+        # errors either way.  The default head is square, hence the identity.
         data, model = tmp_path / "data.tsv", tmp_path / "model.txt"
         assert cli.main(["synth", "--output", str(data), "--seed", str(seed)]) == 0
         assert cli.main(["train", "--input", str(data), "--output", str(model),
@@ -113,7 +124,7 @@ class TestTrain:
         det = load_model(model)
         rejected = np.mean(det.scores(fresh) >= det.v_beta)
         p = 1 - det.beta_level
-        assert rejected <= p + 3 * math.sqrt(p * (1 - p) / len(fresh)), (
+        assert abs(rejected - p) <= 3 * math.sqrt(p * (1 - p) / len(fresh)), (
             f"rejected {rejected:.4f} of fresh targets, promised {p:.4f}")
 
 
@@ -232,6 +243,18 @@ class TestAblate:
                    if line.startswith("mah-mean\tbeta\t"))
         assert row[2:] == [f"{float(fields[k]):.3f}"
                            for k in ("accuracy", "precision", "fpr", "f1")]
+
+
+    @pytest.mark.parametrize("proj_dim", ["8", "64"])
+    def test_square_head_is_usage_error(self, workspace, tmp_path, capsys, proj_dim):
+        # every loss would get the identity head, so all six rows would agree
+        _, data, _ = workspace
+        capsys.readouterr()
+        rc = cli.main(["ablate", "--input", str(data), "--output", str(tmp_path / "a.tsv"),
+                       "--proj-dim", proj_dim])
+        assert rc == cli.EXIT_USAGE
+        assert f"--proj-dim {proj_dim} is not below d_in 8" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigFile:
@@ -428,14 +451,15 @@ class TestExitCodes:
     @pytest.mark.parametrize("loss", ["mah", "mah-mean"])
     def test_diverging_run_is_numerical_error(self, tmp_path, capsys, loss):
         # lr 1e6 blows the head up at the first step: mah similarities
-        # underflow to zero, mah-mean's window covariance stops factoring
+        # underflow to zero, mah-mean's window covariance stops factoring;
+        # a 31-dim head of the 32-dim rows, since a square head runs no SGD
         data = tmp_path / "data.tsv"
         assert cli.main(["synth", "--output", str(data), "--seed", "1", "--d-in", "32",
                          "--n-target", "600", "--m-non-target", "300"]) == 0
         out = tmp_path / "m.txt"
         capsys.readouterr()
         rc = cli.main(["train", "--input", str(data), "--output", str(out),
-                       "--seed", "1", "--loss", loss, "--lr", "1e6"])
+                       "--seed", "1", "--loss", loss, "--lr", "1e6", "--proj-dim", "31"])
         assert rc == cli.EXIT_NUMERICAL
         assert "diverged at epoch 0, batch 1" in capsys.readouterr().err
         assert not out.exists()
@@ -514,13 +538,15 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_warm_start_failure_names_the_window(self, tmp_path, capsys):
-        # 16 target training rows cannot span the 32-dim window without a ridge
+        # a 16-row window cannot span a 32-dim head of the 40-dim rows without
+        # a ridge; the 40 target training rows are enough for the final refit
         data = tmp_path / "data.tsv"
-        assert cli.main(["synth", "--output", str(data), "--d-in", "32",
-                         "--n-target", "20", "--m-non-target", "100"]) == 0
+        assert cli.main(["synth", "--output", str(data), "--d-in", "40",
+                         "--n-target", "50", "--m-non-target", "100"]) == 0
         out = tmp_path / "m.txt"
         capsys.readouterr()
-        rc = cli.main(["train", "--input", str(data), "--output", str(out), "--ridge", "0"])
+        rc = cli.main(["train", "--input", str(data), "--output", str(out), "--ridge", "0",
+                       "--proj-dim", "32", "--batch-size", "4", "--window-mult", "4"])
         assert rc == cli.EXIT_NUMERICAL
         assert "warm-start window (16 rows, dimension 32, ridge 0.0)" in capsys.readouterr().err
         assert not out.exists()
@@ -747,8 +773,9 @@ class TestExitCodes:
                        "--input", str(bad), "--output", str(tmp_path / "o.tsv")])
         assert rc == cli.EXIT_DATA
 
-    def test_numerical_error_exit(self, tmp_path):
-        # too few targets for the decision statistic (n <= d+1 after split)
+    def test_too_few_target_rows_is_usage_error(self, tmp_path, capsys):
+        # too few targets for the decision statistic (n <= d+1 after split),
+        # caught before any training
         rng = np.random.default_rng(0)
         lines = []
         for i in range(20):
@@ -759,7 +786,10 @@ class TestExitCodes:
         rc = cli.main(["train", "--input", str(data), "--output",
                        str(tmp_path / "m.txt"), "--proj-dim", "10",
                        "--window-mult", "2", "--batch-size", "4"])
-        assert rc == cli.EXIT_NUMERICAL
+        assert rc == cli.EXIT_USAGE
+        assert ("--proj-dim 10 gives d_out 10, which needs more than 11 target training rows; "
+                "the train split has 8") in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [data]
 
     @pytest.mark.parametrize("command", ["infer", "evaluate", "diagnose"])
     def test_non_finite_projection_is_numerical_error(self, workspace, tmp_path, capsys,

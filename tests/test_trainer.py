@@ -202,6 +202,34 @@ class TestTrain:
         assert head.d_out == 4
         assert model.d == 4
 
+    @pytest.mark.parametrize("proj_dim", [6, 64])
+    def test_square_head_is_the_identity(self, monkeypatch, proj_dim):
+        # no sampler, optimizer or window: the model is the raw target fit
+        def fail(*args, **kwargs):
+            raise AssertionError("built for a square head")
+        for name in ("TripleSampler", "Adam", "SlidingWindow"):
+            monkeypatch.setattr(trainer, name, fail)
+        data = toy_data(12)
+        cfg = TrainConfig(proj_dim=proj_dim, epochs=3)
+        head, model, log = train(data, cfg)
+        np.testing.assert_array_equal(head.weights, np.eye(6))
+        np.testing.assert_array_equal(head.bias, np.zeros(6))
+        assert log == []
+        expected = fit_gaussian(data.target_vectors(), ridge=cfg.ridge)
+        np.testing.assert_array_equal(model.mean, expected.mean)
+        np.testing.assert_array_equal(model.cov, expected.cov)
+        assert model.n == expected.n
+
+    @pytest.mark.parametrize("proj_dim, n", [(3, 4), (64, 7)])  # reduced and square heads
+    def test_too_few_target_rows_fail_before_training(self, monkeypatch, proj_dim, n):
+        # n <= d_out + 1 target rows cannot fit the decision statistic
+        monkeypatch.setattr(trainer, "TripleSampler", None)
+        d_out = min(proj_dim, 6)
+        with pytest.raises(ConfigError, match=f"--proj-dim {proj_dim} gives d_out {d_out}, "
+                           f"which needs more than {d_out + 1} target training rows; "
+                           f"the train split has {n}"):
+            train(toy_data(13, n=n), TrainConfig(proj_dim=proj_dim))
+
     def test_loss_log_shape(self):
         data = toy_data(7, n=20)
         cfg = TrainConfig(batch_size=8, proj_dim=3, window_multiplier=4, epochs=2)
