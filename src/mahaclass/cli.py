@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import os
 import sys
 
 from . import data as data_mod
@@ -188,7 +189,11 @@ def cmd_train(args) -> int:
         raise NumericalError(f"dev split: {exc}") from exc
     data_mod.save_model(det, args.output)
     if args.log:
-        trainer.write_training_log(log, args.log)
+        try:
+            trainer.write_training_log(log, args.log)
+        except OSError:
+            os.remove(args.output)  # a run that fails writes nothing
+            raise
     print(f"model written to {args.output} (beta={det.beta_level:.6g}, "
           f"v_beta={det.v_beta:.6g})")
     print("dev metrics:")

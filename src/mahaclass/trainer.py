@@ -110,34 +110,18 @@ class Adam:
         self.p -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
-class TripleSampler:
-    """Draws contrastive triples: anchors pass over the target set without
-    replacement per epoch; positives uniform over the other targets;
-    negatives uniform over the non-target set."""
-
-    def __init__(self, target_vectors, non_target_vectors, rng: np.random.Generator):
-        self.x = np.asarray(target_vectors, dtype=float)
-        self.y = np.asarray(non_target_vectors, dtype=float)
-        if self.x.shape[0] < 2 or self.y.shape[0] < 1:
-            raise NumericalError("need at least 2 target and 1 non-target instances, "
-                                 f"got {self.x.shape[0]}/{self.y.shape[0]}")
-        self.rng = rng
-        self._order: list[int] = []
-
-    def next_batch(self, batch_size: int) -> np.ndarray:
-        """(3, batch_size) indices: anchor and positive rows of the target
-        set and negative rows of the non-target set; unpacks as i, j, k."""
-        n, m = self.x.shape[0], self.y.shape[0]
-        idx = np.empty((3, batch_size), dtype=np.intp)
-        for b in range(batch_size):
-            if not self._order:
-                self._order = list(self.rng.permutation(n))
-            i = int(self._order.pop())
-            j = int(self.rng.integers(n - 1))
-            if j >= i:
-                j += 1  # uniform over X minus the anchor
-            idx[:, b] = i, j, int(self.rng.integers(m))
-        return idx
+def epoch_triples(n: int, m: int, batch_size: int, rng: np.random.Generator):
+    """One epoch of contrastive triples, as (3, B) index arrays that unpack
+    as i, j, k.  Anchors i are consecutive slices of one permutation of the
+    n target rows, so the last batch may be shorter; positives j are
+    uniform over the other targets; negatives k uniform over the m
+    non-target rows."""
+    order = rng.permutation(n)
+    for start in range(0, n, batch_size):
+        i = order[start:start + batch_size]
+        j = rng.integers(n - 1, size=i.size)
+        j += j >= i  # uniform over the targets minus the anchor
+        yield np.stack([i, j, rng.integers(m, size=i.size)])
 
 
 # A diverging run is caught by the explicit checks on the loss, the head
@@ -178,34 +162,31 @@ def _descend(data, cfg: TrainConfig, d_out: int):
 
     Returns (final head, per-batch loss log).
     """
-    x_t = data.target_vectors()
+    x_t, x_n = data.target_vectors(), data.non_target_vectors()
+    if len(x_n) == 0:
+        raise NumericalError("training needs a non-target row; the train split has "
+                             f"{len(x_t)} target and 0 non-target rows")
     d_in = data.d_in
     init = ProjectionHead.init(d_in, d_out, rng_for(cfg.seed, "head-init"))
     opt = Adam([init.weights, init.bias], lr=cfg.learning_rate)
     head = ProjectionHead(*opt.params)
     dw, db = opt.grads
-    sampler = TripleSampler(x_t, data.non_target_vectors(), rng_for(cfg.seed, "triples"))
-    window = SlidingWindow(capacity=cfg.window_capacity, dim=d_out,
-                           update_frequency=cfg.batch_size, ridge=cfg.ridge)
+    window = SlidingWindow(capacity=cfg.window_capacity, dim=d_out, ridge=cfg.ridge)
 
     # warm start: statistics must exist before the first loss evaluation
     try:
         window.push(head.project(x_t[-cfg.window_capacity:]))
-        if window.model is None:  # push refits only from update_frequency rows on
-            window.refresh()
     except NotPositiveDefinite as exc:
         raise NotPositiveDefinite(
             f"warm-start window ({len(window)} rows, dimension {d_out}, ridge {cfg.ridge}) "
             f"does not factor: {exc}") from exc
 
     log: list[LogEntry] = []
-    n_batches = math.ceil(x_t.shape[0] / cfg.batch_size)
+    rng = rng_for(cfg.seed, "triples")
     for epoch in range(cfg.epochs):
-        for batch_i in range(n_batches):
-            size = min(cfg.batch_size, x_t.shape[0] - batch_i * cfg.batch_size)
-            i, j, k = sampler.next_batch(size)
-            rows = ([sampler.x[i], sampler.y[k]] if cfg.loss_kind == "mah_mean"
-                    else [sampler.x[i], sampler.x[j], sampler.y[k]])
+        for batch_i, (i, j, k) in enumerate(epoch_triples(len(x_t), len(x_n),
+                                                           cfg.batch_size, rng)):
+            rows = [x_t[i], x_n[k]] if cfg.loss_kind == "mah_mean" else [x_t[i], x_t[j], x_n[k]]
             raw = np.stack(rows, axis=1)
             z = head.project(raw)
             try:

@@ -679,6 +679,19 @@ class TestExitCodes:
         assert [p.name for p in tmp_path.iterdir()] == ["bad"]
         assert not bad.is_dir() or not any(bad.iterdir())
 
+    @pytest.mark.parametrize("flag", ["--output", "--log"])
+    def test_unwritable_train_output_writes_nothing(self, workspace, tmp_path, capsys, flag):
+        # whichever of the model and the log cannot be written, neither is left behind
+        _, data, _ = workspace
+        paths = {"--output": tmp_path / "model.txt", "--log": tmp_path / "log.tsv"}
+        bad = paths[flag] = tmp_path / "missing" / "file"
+        capsys.readouterr()
+        rc = cli.main(["train", "--input", str(data), "--seed", "1"] + TRAIN_FLAGS
+                      + [str(v) for kv in paths.items() for v in kv])
+        assert rc == cli.EXIT_DATA
+        assert str(bad) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv", [
         ["train", "--beta-level", "1.5"],
         ["train", "--beta-level", "0"],

@@ -5,13 +5,14 @@ from mahaclass import linalg, trainer
 from mahaclass.data import EmbeddingDataset
 from mahaclass.errors import ConfigError, NonFiniteLoss, NumericalError
 from mahaclass.linalg import fit_gaussian
+from mahaclass.loss import mah_mean_loss
 from mahaclass.seeds import rng_for
 from mahaclass.trainer import (
     Adam,
     MlpHead,
     ProjectionHead,
     TrainConfig,
-    TripleSampler,
+    epoch_triples,
     refit_model,
     train,
     train_mlp,
@@ -109,40 +110,32 @@ class TestAdam:
                 np.testing.assert_array_equal(got, want)
 
 
-class TestTripleSampler:
+class TestEpochTriples:
     def test_anchor_pass_without_replacement(self):
-        data = toy_data(1, n=20, m=10)
-        s = TripleSampler(data.target_vectors(), data.non_target_vectors(),
-                          rng_for(0, "triples"))
-        i, _, _ = s.next_batch(20)
-        assert sorted(i) == list(range(20))
+        # each epoch's anchors are one permutation, in batches of batch_size
+        # with a shorter last batch
+        rng = rng_for(0, "triples")
+        for _ in range(3):
+            batches = list(epoch_triples(20, 10, 8, rng))
+            assert [b.shape for b in batches] == [(3, 8), (3, 8), (3, 4)]
+            assert sorted(np.concatenate([b[0] for b in batches])) == list(range(20))
 
     def test_positive_never_the_anchor(self):
-        data = toy_data(2, n=10, m=10)
-        s = TripleSampler(data.target_vectors(), data.non_target_vectors(),
-                          rng_for(1, "triples"))
-        i, j, k = s.next_batch(200)
+        rng = rng_for(1, "triples")
+        i, j, k = np.hstack([b for _ in range(20) for b in epoch_triples(10, 7, 4, rng)])
         assert np.all(j != i)
         assert np.all((0 <= j) & (j < 10))
-        assert np.all((0 <= k) & (k < 10))
+        assert np.all((0 <= k) & (k < 7))
+        assert set(k) == set(range(7))
 
     def test_positive_marginal_is_uniform(self):
         from scipy.stats import chi2
-        data = toy_data(3, n=20, m=5)
-        s = TripleSampler(data.target_vectors(), data.non_target_vectors(),
-                          rng_for(2, "triples"))
-        draws = 20000
-        _, j, _ = s.next_batch(draws)
+        rng = rng_for(2, "triples")
+        j = np.concatenate([b[1] for _ in range(1000) for b in epoch_triples(20, 5, 8, rng)])
         counts = np.bincount(j, minlength=20)
-        expected = draws / 20
+        expected = j.size / 20
         stat = np.sum((counts - expected) ** 2 / expected)
         assert stat < chi2.ppf(0.999, 19)
-
-    def test_needs_both_classes(self):
-        with pytest.raises(NumericalError, match="need at least 2 target and 1 non-target"):
-            TripleSampler(np.ones((1, 2)), np.ones((3, 2)), rng_for(0, "triples"))
-        with pytest.raises(NumericalError, match="need at least 2 target and 1 non-target"):
-            TripleSampler(np.ones((5, 2)), np.ones((0, 2)), rng_for(0, "triples"))
 
 
 class TestTrain:
@@ -177,7 +170,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("n", [48, 10])  # at least / fewer than batch_size rows
     def test_zero_epochs_fit_the_warm_start_window_once(self, monkeypatch, n):
-        # one fit of the warm-start window, whether push refits it or not, and the refit
+        # one fit of the warm-start window, which push refits, and the refit
         calls = []
 
         def counting_fit(points, ridge=1e-6):
@@ -187,6 +180,26 @@ class TestTrain:
         monkeypatch.setattr(trainer, "fit_gaussian", counting_fit)
         train(toy_data(5, n=n), TrainConfig(proj_dim=3, epochs=0))
         assert calls == [n, n]
+
+    def test_needs_a_non_target_row(self):
+        data = make_dataset(np.random.default_rng(14).normal(size=(10, 6)), np.empty((0, 6)))
+        with pytest.raises(NumericalError, match="training needs a non-target row; the train "
+                           "split has 10 target and 0 non-target rows"):
+            train(data, TrainConfig(proj_dim=3))
+
+    def test_window_refits_every_step(self, monkeypatch):
+        # each loss call, the partial last batch of an epoch included, reads
+        # a fit of the window made after that step's anchors were pushed
+        seen = []
+
+        def recording_loss(anchors, negatives, model):
+            seen.append(model)
+            return mah_mean_loss(anchors, negatives, model)
+        monkeypatch.setattr(trainer, "mah_mean_loss", recording_loss)
+        cfg = TrainConfig(batch_size=8, proj_dim=3, window_multiplier=4, epochs=2)
+        train(toy_data(7, n=20), cfg)
+        assert len(seen) == 2 * 3
+        assert len({id(m) for m in seen}) == len(seen)
 
     def test_overflowing_window_diverges(self):
         # the head stays finite, but the covariance of its projections overflows
@@ -207,7 +220,7 @@ class TestTrain:
         # no sampler, optimizer or window: the model is the raw target fit
         def fail(*args, **kwargs):
             raise AssertionError("built for a square head")
-        for name in ("TripleSampler", "Adam", "SlidingWindow"):
+        for name in ("epoch_triples", "Adam", "SlidingWindow"):
             monkeypatch.setattr(trainer, name, fail)
         data = toy_data(12)
         cfg = TrainConfig(proj_dim=proj_dim, epochs=3)
@@ -223,7 +236,7 @@ class TestTrain:
     @pytest.mark.parametrize("proj_dim, n", [(3, 4), (64, 7)])  # reduced and square heads
     def test_too_few_target_rows_fail_before_training(self, monkeypatch, proj_dim, n):
         # n <= d_out + 1 target rows cannot fit the decision statistic
-        monkeypatch.setattr(trainer, "TripleSampler", None)
+        monkeypatch.setattr(trainer, "epoch_triples", None)
         d_out = min(proj_dim, 6)
         with pytest.raises(ConfigError, match=f"--proj-dim {proj_dim} gives d_out {d_out}, "
                            f"which needs more than {d_out + 1} target training rows; "
@@ -246,7 +259,6 @@ class TestTrain:
             assert model is not None and log
 
     def test_training_reduces_mah_mean_loss(self):
-        from mahaclass.loss import mah_mean_loss
         data = toy_data(9, n=60, m=60, shift=3.0)
         cfg0 = TrainConfig(proj_dim=3, window_multiplier=20, epochs=0, seed=1)
         cfg = TrainConfig(proj_dim=3, window_multiplier=20, epochs=12,
