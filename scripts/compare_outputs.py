@@ -42,6 +42,12 @@ COMMANDS = [
                "--output", "decisions.tsv"]),
     ("evaluate", ["evaluate", "--model", "model.txt", "--input", "data.tsv",
                   "--output", "metrics.txt"]),
+    # infer and evaluate read --input in chunks; the 8-dim SGD head makes each
+    # chunk's projection a real product, so these cover chunked scoring
+    ("infer-mah", ["infer", "--model", "model_mah.txt", "--input", "data.tsv",
+                   "--output", "decisions_mah.tsv"]),
+    ("evaluate-mah", ["evaluate", "--model", "model_mah.txt", "--input", "data.tsv",
+                      "--output", "metrics_mah.txt"]),
     ("diagnose-raw", ["diagnose", "--input", "data.tsv", "--output", "diag_raw"]),
     ("diagnose-model", ["diagnose", "--input", "data.tsv", "--model", "model.txt",
                         "--output", "diag_model"]),

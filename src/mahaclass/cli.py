@@ -8,10 +8,16 @@ with the same flags reproduces its output byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import hashlib
 import math
 import os
+import stat
 import sys
+import tempfile
+
+import numpy as np
 
 from . import data as data_mod
 from . import diagnostics, metrics, trainer
@@ -132,6 +138,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """A temporary file beside path, for the block to write, that replaces
+    path when the block completes and is removed when it raises: a failing
+    run leaves path as it was.  The file gets the mode ``open(path, "w")``
+    would give it."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".")
+    except OSError as exc:  # name the file the user gave, not the temporary one
+        raise type(exc)(exc.errno, exc.strerror, path) from exc
+    try:
+        os.fchmod(fd, mode)
+        os.close(fd)
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def _config_hash(args) -> str:
     keys = sorted(k for k in vars(args)
                   if k not in ("command", "config", "input", "output", "log"))
@@ -172,9 +207,8 @@ def _train_and_calibrate(train_ds, dev_ds, loss, args):
     return data_mod.Detector.of(head, model, thr, args.seed, _config_hash(args)), log
 
 
-def _evaluate(det: data_mod.Detector, z, labels) -> metrics.MetricsReport:
-    """Metrics of det's decisions on the rows z, already projected by det."""
-    t_values = scores(det.gaussian, z)
+def _evaluate(det: data_mod.Detector, t_values, labels) -> metrics.MetricsReport:
+    """Metrics of det's decisions on rows with statistics t_values."""
     report = metrics.score((t_values < det.v_beta).astype(int), labels)
     report.auc = metrics.roc_auc(-t_values, labels)
     return report
@@ -184,16 +218,15 @@ def cmd_train(args) -> int:
     train_ds, dev_ds, _ = _split(args)
     det, log = _train_and_calibrate(train_ds, dev_ds, args.loss, args)
     try:  # a failing run writes nothing, so the dev split is scored first
-        report = _evaluate(det, det.project(dev_ds.vectors, dev_ds.ids), dev_ds.labels)
+        report = _evaluate(det, scores(det.gaussian, det.project(dev_ds.vectors, dev_ds.ids)),
+                           dev_ds.labels)
     except NumericalError as exc:
         raise NumericalError(f"dev split: {exc}") from exc
-    data_mod.save_model(det, args.output)
-    if args.log:
-        try:
-            trainer.write_training_log(log, args.log)
-        except OSError:
-            os.remove(args.output)  # a run that fails writes nothing
-            raise
+    with _replacing(args.output) as model_tmp:
+        data_mod.save_model(det, model_tmp)
+        if args.log:
+            with _replacing(args.log) as log_tmp:
+                trainer.write_training_log(log, log_tmp)
     print(f"model written to {args.output} (beta={det.beta_level:.6g}, "
           f"v_beta={det.v_beta:.6g})")
     print("dev metrics:")
@@ -201,21 +234,41 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _scored_chunks(det: data_mod.Detector, path):
+    """Each chunk of the dataset at path with the T of its rows.  A short
+    last chunk is scored zero-padded to CHUNK_ROWS rows, so every chunk is
+    one product shape: BLAS may round a smaller product differently
+    (OpenBLAS switches to a small-matrix kernel), and a row's T would then
+    depend on where the file ends."""
+    first_row = 0
+    for chunk in data_mod.read_chunks(path):
+        rows = chunk.vectors
+        if len(chunk) < data_mod.CHUNK_ROWS:
+            rows = np.zeros((data_mod.CHUNK_ROWS, chunk.d_in))
+            rows[:len(chunk)] = chunk.vectors
+        yield chunk, det.scores(rows, first_row)[:len(chunk)]
+        first_row += len(chunk)
+
+
 def cmd_infer(args) -> int:
-    dataset = data_mod.load_dataset(args.input)
     det = data_mod.load_model(args.model)
-    t_values = det.scores(dataset.vectors).tolist()
-    with open(args.output, "w", encoding="utf-8") as fh:
-        for rid, t in zip(dataset.ids, t_values):
-            fh.write(f"{rid}\t{int(t < det.v_beta)}\t{t:.17g}\n")
-    print(f"wrote {len(dataset)} decisions to {args.output}")
+    n = 0
+    with _replacing(args.output) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+        for chunk, t_values in _scored_chunks(det, args.input):
+            fh.write("".join(f"{rid}\t{int(t < det.v_beta)}\t{t:.17g}\n"
+                             for rid, t in zip(chunk.ids, t_values.tolist())))
+            n += len(chunk)
+    print(f"wrote {n} decisions to {args.output}")
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
-    dataset = data_mod.load_dataset(args.input)
     det = data_mod.load_model(args.model)
-    report = _evaluate(det, det.project(dataset.vectors), dataset.labels)
+    t_values, labels = [], []
+    for chunk, t in _scored_chunks(det, args.input):
+        t_values.append(t)
+        labels.append(chunk.labels)
+    report = _evaluate(det, np.concatenate(t_values), np.concatenate(labels))
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(report.to_text())
     print(report.to_text(), end="")
@@ -266,7 +319,8 @@ def cmd_ablate(args) -> int:
     for loss_flag in ("mah", "mah-mean", "cosine"):
         det, _ = _train_and_calibrate(train_ds, dev_ds, loss_flag, args)
         z_test = det.project(test_ds.vectors, test_ds.ids)
-        rows.append((loss_flag, "beta", _evaluate(det, z_test, test_ds.labels)))
+        rows.append((loss_flag, "beta", _evaluate(det, scores(det.gaussian, z_test),
+                                                  test_ds.labels)))
         mlp = trainer.train_mlp(det.project(train_ds.vectors, train_ds.ids), train_ds.labels,
                                 epochs=args.mlp_epochs, seed=args.seed)
         rows.append((loss_flag, "mlp", metrics.score(mlp.predict(z_test), test_ds.labels)))

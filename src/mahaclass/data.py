@@ -28,6 +28,7 @@ from .trainer import ProjectionHead
 ARTIFACT_MAGIC = "mahaclass-model"
 ARTIFACT_VERSION = 1
 SPLIT_RATIOS = (0.8, 0.1, 0.1)  # train, dev, test
+CHUNK_ROWS = 256  # records per chunk of read_chunks, so streaming memory stays flat
 
 
 def _fmt(x: float) -> str:
@@ -83,43 +84,66 @@ class EmbeddingDataset:
         return self.vectors[self.labels == 0]
 
 
-def load_dataset(path) -> EmbeddingDataset:
-    """Parse a dataset file, streaming every component into one buffer."""
-    ids, labels, width = [], [], None
+def read_chunks(path, rows: int | None = None):
+    """Yield a dataset file as EmbeddingDatasets of at most ``rows`` records
+    each (CHUNK_ROWS by default), in file order.  Each line is parsed into
+    the chunk's preallocated (rows, d) buffer; numpy converts each component
+    by ``float()``'s rules.  Messages name the file line; an id repeated
+    anywhere in the file is a DataError, as is a file that is not UTF-8 or
+    has no records."""
+    rows = rows or CHUNK_ROWS
+    seen: set[str] = set()
+    ids, labels, buf = [], [], None
 
-    def components(fh):
-        nonlocal width
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"line {lineno}: expected 3 tab-separated fields")
-            rid, label_s, vec_s = parts
-            if label_s not in ("0", "1"):
-                raise DataError(f"line {lineno}: label must be 0 or 1, got {label_s!r}")
-            try:
-                vec = [float(t) for t in vec_s.split()]
-            except ValueError as exc:
-                raise DataError(f"line {lineno}: {exc}") from exc
-            if not vec:
-                raise DataError(f"line {lineno}: no vector components")
-            width = len(vec) if width is None else width
-            if len(vec) != width:
-                raise DataError(f"line {lineno}: {len(vec)} components, expected {width}")
-            ids.append(rid)
-            labels.append(int(label_s))
-            yield from vec
+    def chunk():
+        return EmbeddingDataset(ids, np.array(labels), buf[:len(ids)])
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            flat = np.fromiter(components(fh), dtype=float)
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 3:
+                    raise DataError(f"line {lineno}: expected 3 tab-separated fields")
+                rid, label_s, vec_s = parts
+                if label_s not in ("0", "1"):
+                    raise DataError(f"line {lineno}: label must be 0 or 1, got {label_s!r}")
+                tokens = vec_s.split()
+                if not tokens:
+                    raise DataError(f"line {lineno}: no vector components")
+                if buf is None:  # the first record sets the width
+                    buf = np.empty((rows, len(tokens)))
+                if len(tokens) != buf.shape[1]:
+                    raise DataError(f"line {lineno}: {len(tokens)} components, "
+                                    f"expected {buf.shape[1]}")
+                if rid in seen:
+                    raise DataError(f"line {lineno}: duplicate id {rid!r}")
+                try:
+                    buf[len(ids)] = tokens
+                except ValueError as exc:
+                    raise DataError(f"line {lineno}: {exc}") from exc
+                seen.add(rid)
+                ids.append(rid)
+                labels.append(int(label_s))
+                if len(ids) == rows:
+                    yield chunk()
+                    ids, labels, buf = [], [], np.empty_like(buf)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
-    if not ids:
+    if not seen:
         raise DataError(f"{path}: no records")
-    return EmbeddingDataset(ids, np.array(labels), flat.reshape(len(ids), width))
+    if ids:
+        yield chunk()
+
+
+def load_dataset(path) -> EmbeddingDataset:
+    """A whole dataset file: its ``read_chunks`` joined."""
+    chunks = list(read_chunks(path))
+    return EmbeddingDataset([rid for c in chunks for rid in c.ids],
+                            np.concatenate([c.labels for c in chunks]),
+                            np.concatenate([c.vectors for c in chunks]))
 
 
 def save_dataset(data: EmbeddingDataset, path) -> None:
@@ -311,30 +335,31 @@ class Detector:
     def beta_b(self) -> float:
         return (self.n - self.d_out) / 2.0
 
-    def project(self, raw, ids=None) -> np.ndarray:
+    def project(self, raw, ids=None, first_row: int = 0) -> np.ndarray:
         """Raw (N, d_in) rows in the projected space; DataError at another
         width, NumericalError as in ``finite_projection``."""
         if np.ndim(raw) != 2 or np.shape(raw)[1] != self.d_in:
             raise DataError(f"the model takes {self.d_in}-dim input, "
-                            f"got rows of shape {np.shape(raw)}")
-        return finite_projection(ProjectionHead(self.weights, self.bias), raw, ids)
+                            f"got {np.shape(raw)[-1]}-dim rows")
+        return finite_projection(ProjectionHead(self.weights, self.bias), raw, ids, first_row)
 
-    def scores(self, raw) -> np.ndarray:
+    def scores(self, raw, first_row: int = 0) -> np.ndarray:
         """Normalized statistic T of each raw row (see ``mahalanobis.scores``)."""
-        return mahalanobis.scores(self.gaussian, self.project(raw))
+        return mahalanobis.scores(self.gaussian, self.project(raw, first_row=first_row))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # reported below as a NumericalError
-def finite_projection(head: ProjectionHead, raw, ids=None) -> np.ndarray:
+def finite_projection(head: ProjectionHead, raw, ids=None, first_row: int = 0) -> np.ndarray:
     """``head.project(raw)``, or a NumericalError naming the first row that
     projects past the largest double: by its record id when the rows' ``ids``
-    are given (rows of a split), else by its row of the input."""
+    are given (rows of a split), else by its row of the input, where raw's
+    first row is the input's row ``first_row`` (a chunk's offset)."""
     z = head.project(raw)
     bad = ~np.isfinite(z).all(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
         row = (f"record {ids[i]!r}" if ids is not None
-               else f"row {i} of the input (counting from 0)")
+               else f"row {first_row + i} of the input (counting from 0)")
         raise NumericalError(f"{row} does not project to finite values")
     return z
 

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from mahaclass import cli
+from mahaclass import data as data_mod
 from mahaclass.data import (
     SynthConfig,
     load_dataset,
     load_model,
     save_dataset,
     split,
+    synth_benchmark,
     synth_target_moments,
 )
 from mahaclass.metrics import roc_auc
@@ -169,6 +171,128 @@ class TestInferEvaluate:
         fields = dict(line.split("\t") for line in report.read_text().splitlines())
         auc = roc_auc(-t, load_dataset(far).labels)
         assert auc > 0.99 and fields["auc"] == f"{auc:.6f}"
+
+
+# fault -> (exit code, message); at 4 rows a chunk, row r is on line r + 1,
+# in chunk r // 4 + 1
+CHUNK_FAULTS = {
+    "overflow-in-chunk-2": (cli.EXIT_NUMERICAL, "row 5 of the input (counting from 0)"),
+    "ragged-in-chunk-3": (cli.EXIT_DATA, "line 10: 2 components, expected 8"),
+    "duplicate-across-chunks": (cli.EXIT_DATA, "line 7: duplicate id"),
+    "not-utf8-after-chunk-1": (cli.EXIT_DATA, "not UTF-8 text"),
+}
+
+
+def _with_fault(lines, weights, fault) -> bytes:
+    """The dataset lines with one CHUNK_FAULTS fault."""
+    lines = list(lines)
+    if fault == "overflow-in-chunk-2":
+        rid, label, _ = lines[5].split("\t")
+        lines[5] = f"{rid}\t{label}\t" + " ".join(f"{v:.17g}" for v in 1e308 * np.sign(weights))
+    elif fault == "ragged-in-chunk-3":
+        rid, label, vec = lines[9].split("\t")
+        lines[9] = f"{rid}\t{label}\t" + " ".join(vec.split()[:2])
+    elif fault == "duplicate-across-chunks":  # line 7 repeats line 1's id
+        lines[6] = lines[0].split("\t")[0] + "\t" + lines[6].split("\t", 1)[1]
+    text = "\n".join(lines).encode() + b"\n"
+    if fault == "not-utf8-after-chunk-1":
+        # past the first 8 KB the decoder reads, so the early chunks are scored first
+        text += b"zz\t0\t\xff\n"
+    return text
+
+
+class TestChunkedScoring:
+    """infer and evaluate read --input CHUNK_ROWS rows at a time (4 here)."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(data_mod, "CHUNK_ROWS", 4)
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-output", "existing-output"])
+    @pytest.mark.parametrize("command", ["infer", "evaluate"])
+    @pytest.mark.parametrize("fault", list(CHUNK_FAULTS))
+    def test_bad_row_fails_the_run_and_writes_nothing(self, workspace, tmp_path, capsys,
+                                                      fault, command, existing):
+        _, data, model = workspace
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(_with_fault(data.read_text().splitlines()[:60],
+                                    load_model(model).weights[0], fault))
+        out = tmp_path / "out.tsv"
+        if existing:
+            out.write_bytes(b"an earlier output\n")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        capsys.readouterr()
+        rc = cli.main([command, "--model", str(model), "--input", str(bad),
+                       "--output", str(out)])
+        code, message = CHUNK_FAULTS[fault]
+        assert rc == code
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert not existing or out.read_bytes() == b"an earlier output\n"
+
+    def test_chunked_output_matches_one_chunk(self, workspace, tmp_path, monkeypatch):
+        _, data, model = workspace
+        outputs = {}
+        for rows in (4, 480):  # 120 chunks, then the whole file as one
+            monkeypatch.setattr(data_mod, "CHUNK_ROWS", rows)
+            for command in ("infer", "evaluate"):
+                out = tmp_path / f"{command}.{rows}"
+                assert cli.main([command, "--model", str(model), "--input", str(data),
+                                 "--output", str(out)]) == 0
+                outputs[command, rows] = out.read_bytes()
+        assert outputs["infer", 4] == outputs["infer", 480]
+        assert outputs["evaluate", 4] == outputs["evaluate", 480]
+
+    def test_infer_onto_its_own_input(self, workspace, tmp_path):
+        _, data, model = workspace
+        same = tmp_path / "same.tsv"
+        same.write_bytes(data.read_bytes())
+        separate = tmp_path / "separate.tsv"
+        for out in (separate, same):
+            assert cli.main(["infer", "--model", str(model), "--input", str(same),
+                             "--output", str(out)]) == 0
+        assert same.read_bytes() == separate.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["same.tsv", "separate.tsv"]
+
+    def test_output_gets_the_mode_open_gives(self, workspace, tmp_path):
+        _, data, model = workspace
+        fresh, kept = tmp_path / "fresh.tsv", tmp_path / "kept.tsv"
+        kept.write_text("old\n")
+        kept.chmod(0o640)
+        umask = os.umask(0o022)
+        try:
+            for out in (fresh, kept):
+                assert cli.main(["infer", "--model", str(model), "--input", str(data),
+                                 "--output", str(out)]) == 0
+        finally:
+            os.umask(umask)
+        assert (fresh.stat().st_mode & 0o777, kept.stat().st_mode & 0o777) == (0o644, 0o640)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_infer_peak_memory_is_flat_in_the_number_of_rows(tmp_path):
+    # peak RSS of infer on 2k and on 20k rows (d_in 32); a run that holds
+    # every row grows about 1 KB per row.  The child reads its own VmHWM:
+    # ru_maxrss would carry over this test process's peak across the exec.
+    model = tmp_path / "model.txt"
+    for rows in (2000, 20000):
+        save_dataset(synth_benchmark(SynthConfig(n_target=rows // 5, m_non_target=rows * 4 // 5)),
+                     tmp_path / f"{rows}.tsv")
+    assert cli.main(["train", "--input", str(tmp_path / "2000.tsv"),
+                     "--output", str(model)]) == 0
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys; from mahaclass import cli; rc = cli.main(sys.argv[1:]); "
+            "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0]); sys.exit(rc)")
+    peak_mb = {}
+    for rows in (2000, 20000):
+        result = subprocess.run([sys.executable, "-c", code, "infer", "--model", str(model),
+                                 "--input", str(tmp_path / f"{rows}.tsv"),
+                                 "--output", str(tmp_path / "out.tsv")],
+                                env=env, capture_output=True, text=True, check=True)
+        peak_mb[rows] = int(result.stdout.split()[-1]) / 1024  # VmHWM is in kB
+    assert peak_mb[20000] - peak_mb[2000] < 8, peak_mb
 
 
 class TestDiagnose:
@@ -691,6 +815,18 @@ class TestExitCodes:
         assert rc == cli.EXIT_DATA
         assert str(bad) in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_failed_log_keeps_an_existing_model(self, workspace, tmp_path, capsys):
+        _, data, _ = workspace
+        model = tmp_path / "model.txt"
+        model.write_bytes(b"an earlier model\n")
+        capsys.readouterr()
+        rc = cli.main(["train", "--input", str(data), "--seed", "1", "--output", str(model),
+                       "--log", str(tmp_path / "missing" / "log.tsv")] + TRAIN_FLAGS)
+        assert rc == cli.EXIT_DATA
+        assert str(tmp_path / "missing" / "log.tsv") in capsys.readouterr().err
+        assert model.read_bytes() == b"an earlier model\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["model.txt"]
 
     @pytest.mark.parametrize("argv", [
         ["train", "--beta-level", "1.5"],

@@ -10,6 +10,7 @@ from mahaclass.data import (
     SynthConfig,
     load_dataset,
     load_model,
+    read_chunks,
     save_dataset,
     save_model,
     split,
@@ -68,6 +69,11 @@ class TestDataset:
         np.testing.assert_array_equal(ds.labels, [0, 1, 0, 1, 0, 1])
 
 
+# both readers of a dataset file; read_chunks in chunks of 2 rows, so a bad
+# line past the first chunk is found while reading a later one
+READERS = (load_dataset, lambda path: list(read_chunks(path, 2)))
+
+
 class TestDatasetIo:
     def test_round_trip_bit_exact(self, tmp_path):
         ds = toy_dataset(12, seed=1)
@@ -82,41 +88,70 @@ class TestDatasetIo:
         save_dataset(back, path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    @pytest.mark.parametrize("rows", [1, 3, 11, 12, 17])  # 1, 3, N-1, N and N+5 for N = 12
+    def test_chunks_join_to_the_whole_file(self, tmp_path, rows):
+        ds = toy_dataset(12, seed=2)
+        path = tmp_path / "ds.tsv"
+        save_dataset(ds, path)
+        whole = load_dataset(path)
+        chunks = list(read_chunks(path, rows))
+        assert [len(c) for c in chunks[:-1]] == [rows] * (len(chunks) - 1)
+        assert 1 <= len(chunks[-1]) <= rows
+        assert [rid for c in chunks for rid in c.ids] == whole.ids == ds.ids
+        labels = np.concatenate([c.labels for c in chunks])
+        assert labels.tobytes() == whole.labels.tobytes() == ds.labels.tobytes()
+        vectors = np.concatenate([c.vectors for c in chunks])
+        assert vectors.tobytes() == whole.vectors.tobytes() == ds.vectors.tobytes()
+
+    def test_duplicate_id_across_chunks(self, tmp_path):
+        p = tmp_path / "dup.tsv"
+        p.write_text("a\t1\t1.0\nb\t0\t2.0\nc\t0\t3.0\na\t0\t4.0\n")
+        chunks = read_chunks(p, 2)
+        assert next(chunks).ids == ["a", "b"]
+        with pytest.raises(DataError, match="line 4: duplicate id 'a'"):
+            next(chunks)
+
     def test_bad_field_count(self, tmp_path):
         p = tmp_path / "bad.tsv"
         p.write_text("a\t1\n")
-        with pytest.raises(DataError, match="line 1"):
-            load_dataset(p)
+        for read in READERS:
+            with pytest.raises(DataError, match="line 1"):
+                read(p)
 
     def test_bad_label(self, tmp_path):
         p = tmp_path / "bad.tsv"
         p.write_text("a\t2\t1.0 2.0\n")
-        with pytest.raises(DataError, match="line 1: label must be 0 or 1, got '2'"):
-            load_dataset(p)
+        for read in READERS:
+            with pytest.raises(DataError, match="line 1: label must be 0 or 1, got '2'"):
+                read(p)
 
     def test_ragged_rows(self, tmp_path):
         p = tmp_path / "ragged.tsv"
         p.write_text("a\t1\t1.0 2.0 3.0\nb\t0\t1.0 2.0 3.0\nzz\t0\t1.0 2.0\n")
-        with pytest.raises(DataError, match="line 3"):
-            load_dataset(p)
+        for read in READERS:
+            with pytest.raises(DataError, match="line 3"):
+                read(p)
 
     def test_no_components(self, tmp_path):
         p = tmp_path / "empty_vectors.tsv"
         p.write_text("".join(f"r{i}\t{i % 2}\t\n" for i in range(4)))
-        with pytest.raises(DataError, match="line 1: no vector components"):
-            load_dataset(p)
+        for read in READERS:
+            with pytest.raises(DataError, match="line 1: no vector components"):
+                read(p)
 
     def test_bad_float(self, tmp_path):
         p = tmp_path / "bad.tsv"
         p.write_text("a\t1\t1.0 oops\n")
-        with pytest.raises(DataError, match="line 1"):
-            load_dataset(p)
+        for read in READERS:
+            with pytest.raises(DataError, match="line 1"):
+                read(p)
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.tsv"
         p.write_text("")
-        with pytest.raises(DataError, match="no records"):
-            load_dataset(p)
+        for read in READERS:
+            with pytest.raises(DataError, match="no records"):
+                read(p)
 
 
 class TestSplit:
@@ -328,7 +363,7 @@ class TestDetector:
 
     def test_project_rejects_other_widths(self):
         det = make_detector(d_in=5)
-        with pytest.raises(DataError, match="5-dim input"):
+        with pytest.raises(DataError, match="takes 5-dim input, got 4-dim rows"):
             det.project(np.zeros((2, 4)))
         with pytest.raises(DataError):
             det.scores(np.zeros(5))
@@ -339,6 +374,9 @@ class TestDetector:
         rows[2:] = 1e308 * np.sign(det.weights[0])  # projects past the largest double
         with pytest.raises(NumericalError, match=r"row 2 of the input \(counting from 0\)"):
             det.project(rows)
+        # rows of a chunk that starts at row 256 of the input
+        with pytest.raises(NumericalError, match=r"row 258 of the input \(counting from 0\)"):
+            det.scores(rows, first_row=256)
 
     def test_scores_of_trained_parts(self):
         data, head, model, thr = trained_parts()
