@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import errno
 import hashlib
 import math
 import os
@@ -140,27 +139,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 @contextlib.contextmanager
 def _replacing(path):
-    """A temporary file beside path, for the block to write, that replaces
-    path when the block completes and is removed when it raises: a failing
-    run leaves path as it was.  The file gets the mode ``open(path, "w")``
-    would give it."""
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    """The name the block should write path's contents to.  When path is a
+    regular file (a symlink's target counts) or not there yet, that is a
+    temporary file beside it, which replaces it when the block completes
+    and is removed when the block raises, so a failing run leaves path as
+    it was; it gets the mode ``open(path, "w")`` would give it.  Anything
+    else (/dev/null, a FIFO, a directory) is path itself, written as
+    ``open`` would write it."""
+    target = os.path.realpath(path)
     try:
-        mode = stat.S_IMODE(os.stat(path).st_mode)
+        st = os.stat(target)
     except FileNotFoundError:
         umask = os.umask(0)
         os.umask(umask)
         mode = 0o666 & ~umask
+    else:
+        if not stat.S_ISREG(st.st_mode):
+            yield path
+            return
+        mode = stat.S_IMODE(st.st_mode)
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".")
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target))
     except OSError as exc:  # name the file the user gave, not the temporary one
         raise type(exc)(exc.errno, exc.strerror, path) from exc
     try:
         os.fchmod(fd, mode)
         os.close(fd)
         yield tmp
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)

@@ -13,6 +13,7 @@ File formats (normative, bit-exact round trip):
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -84,14 +85,14 @@ class EmbeddingDataset:
         return self.vectors[self.labels == 0]
 
 
-def read_chunks(path, rows: int | None = None):
-    """Yield a dataset file as EmbeddingDatasets of at most ``rows`` records
-    each (CHUNK_ROWS by default), in file order.  Each line is parsed into
-    the chunk's preallocated (rows, d) buffer; numpy converts each component
-    by ``float()``'s rules.  Messages name the file line; an id repeated
+def read_chunks(path):
+    """Yield a dataset file as EmbeddingDatasets of at most CHUNK_ROWS
+    records each, in file order.  Each line is parsed into the chunk's
+    preallocated (CHUNK_ROWS, d) buffer; numpy converts each component by
+    ``float()``'s rules.  Messages name the file line; an id repeated
     anywhere in the file is a DataError, as is a file that is not UTF-8 or
     has no records."""
-    rows = rows or CHUNK_ROWS
+    rows = CHUNK_ROWS
     seen: set[str] = set()
     ids, labels, buf = [], [], None
 
@@ -139,11 +140,21 @@ def read_chunks(path, rows: int | None = None):
 
 
 def load_dataset(path) -> EmbeddingDataset:
-    """A whole dataset file: its ``read_chunks`` joined."""
-    chunks = list(read_chunks(path))
-    return EmbeddingDataset([rid for c in chunks for rid in c.ids],
-                            np.concatenate([c.labels for c in chunks]),
-                            np.concatenate([c.vectors for c in chunks]))
+    """A whole dataset file: its ``read_chunks`` joined.  Each chunk's rows
+    are copied into one growing array as the chunk is read, so the vectors
+    are held once, not as chunks and their join."""
+    chunks = read_chunks(path)
+    first = next(chunks)
+    ids, labels = [], []
+
+    def rows():
+        for c in itertools.chain([first], chunks):
+            ids.extend(c.ids)
+            labels.append(c.labels)
+            yield from c.vectors
+
+    vectors = np.fromiter(rows(), dtype=(float, (first.d_in,)))
+    return EmbeddingDataset(ids, np.concatenate(labels), vectors)
 
 
 def save_dataset(data: EmbeddingDataset, path) -> None:
@@ -338,9 +349,12 @@ class Detector:
     def project(self, raw, ids=None, first_row: int = 0) -> np.ndarray:
         """Raw (N, d_in) rows in the projected space; DataError at another
         width, NumericalError as in ``finite_projection``."""
-        if np.ndim(raw) != 2 or np.shape(raw)[1] != self.d_in:
+        if np.ndim(raw) != 2:
+            raise DataError(f"the model takes {self.d_in}-dim rows, "
+                            f"got an array of shape {np.shape(raw)}")
+        if np.shape(raw)[1] != self.d_in:
             raise DataError(f"the model takes {self.d_in}-dim input, "
-                            f"got {np.shape(raw)[-1]}-dim rows")
+                            f"got {np.shape(raw)[1]}-dim rows")
         return finite_projection(ProjectionHead(self.weights, self.bias), raw, ids, first_row)
 
     def scores(self, raw, first_row: int = 0) -> np.ndarray:

@@ -1,7 +1,9 @@
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -267,6 +269,55 @@ class TestChunkedScoring:
         finally:
             os.umask(umask)
         assert (fresh.stat().st_mode & 0o777, kept.stat().st_mode & 0o777) == (0o644, 0o640)
+
+
+class TestOutputKinds:
+    """infer writes a regular --output by temp-and-replace and anything
+    else as a plain open() would."""
+
+    def _infer(self, model, data, out):
+        return cli.main(["infer", "--model", str(model), "--input", str(data),
+                         "--output", str(out)])
+
+    def test_symlink_is_written_through(self, workspace, tmp_path):
+        _, data, model = workspace
+        expected, target = tmp_path / "expected.tsv", tmp_path / "target.tsv"
+        link = tmp_path / "link"
+        assert self._infer(model, data, expected) == 0
+        target.write_text("old\n")
+        link.symlink_to(target.name)
+        assert self._infer(model, data, link) == 0
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert target.read_bytes() == expected.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["expected.tsv", "link",
+                                                              "target.tsv"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_fifo_is_written_directly(self, workspace, tmp_path):
+        _, data, model = workspace
+        expected, fifo = tmp_path / "expected.tsv", tmp_path / "fifo"
+        assert self._infer(model, data, expected) == 0
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert self._infer(model, data, fifo) == 0
+        reader.join(timeout=30)
+        assert received == [expected.read_bytes()]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["expected.tsv", "fifo"]
+
+    @pytest.mark.parametrize("command", ["infer", "train"])
+    def test_directory_is_data_error(self, workspace, tmp_path, capsys, command):
+        _, data, model = workspace
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["--model", str(model)] if command == "infer" else TRAIN_FLAGS
+        capsys.readouterr()
+        rc = cli.main([command, "--input", str(data), "--output", str(out)] + argv)
+        assert rc == cli.EXIT_DATA
+        assert f"Is a directory: '{out}'" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["out"] and not any(out.iterdir())
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mahaclass import data as data_mod
 from mahaclass.betadist import BetaParams
 from mahaclass.data import (
     Detector,
@@ -69,12 +70,16 @@ class TestDataset:
         np.testing.assert_array_equal(ds.labels, [0, 1, 0, 1, 0, 1])
 
 
-# both readers of a dataset file; read_chunks in chunks of 2 rows, so a bad
-# line past the first chunk is found while reading a later one
-READERS = (load_dataset, lambda path: list(read_chunks(path, 2)))
+# both readers of a dataset file; TestDatasetIo reads in chunks of 2 rows,
+# so a bad line past the first chunk is found while reading a later one
+READERS = (load_dataset, lambda path: list(read_chunks(path)))
 
 
 class TestDatasetIo:
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(data_mod, "CHUNK_ROWS", 2)
+
     def test_round_trip_bit_exact(self, tmp_path):
         ds = toy_dataset(12, seed=1)
         path = tmp_path / "ds.tsv"
@@ -89,12 +94,14 @@ class TestDatasetIo:
         assert path.read_bytes() == path2.read_bytes()
 
     @pytest.mark.parametrize("rows", [1, 3, 11, 12, 17])  # 1, 3, N-1, N and N+5 for N = 12
-    def test_chunks_join_to_the_whole_file(self, tmp_path, rows):
+    def test_chunks_join_to_the_whole_file(self, tmp_path, monkeypatch, rows):
         ds = toy_dataset(12, seed=2)
         path = tmp_path / "ds.tsv"
         save_dataset(ds, path)
-        whole = load_dataset(path)
-        chunks = list(read_chunks(path, rows))
+        monkeypatch.setattr(data_mod, "CHUNK_ROWS", 256)
+        whole = load_dataset(path)  # one chunk
+        monkeypatch.setattr(data_mod, "CHUNK_ROWS", rows)
+        chunks = list(read_chunks(path))
         assert [len(c) for c in chunks[:-1]] == [rows] * (len(chunks) - 1)
         assert 1 <= len(chunks[-1]) <= rows
         assert [rid for c in chunks for rid in c.ids] == whole.ids == ds.ids
@@ -106,7 +113,7 @@ class TestDatasetIo:
     def test_duplicate_id_across_chunks(self, tmp_path):
         p = tmp_path / "dup.tsv"
         p.write_text("a\t1\t1.0\nb\t0\t2.0\nc\t0\t3.0\na\t0\t4.0\n")
-        chunks = read_chunks(p, 2)
+        chunks = read_chunks(p)
         assert next(chunks).ids == ["a", "b"]
         with pytest.raises(DataError, match="line 4: duplicate id 'a'"):
             next(chunks)
@@ -365,8 +372,10 @@ class TestDetector:
         det = make_detector(d_in=5)
         with pytest.raises(DataError, match="takes 5-dim input, got 4-dim rows"):
             det.project(np.zeros((2, 4)))
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=r"takes 5-dim rows, got an array of shape \(5,\)"):
             det.scores(np.zeros(5))
+        with pytest.raises(DataError, match=r"got an array of shape \(\)"):
+            det.project(np.float64(1.0))
 
     def test_non_finite_projection_names_the_row(self):
         det = make_detector()
