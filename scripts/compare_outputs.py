@@ -51,6 +51,8 @@ COMMANDS = [
     ("diagnose-raw", ["diagnose", "--input", "data.tsv", "--output", "diag_raw"]),
     ("diagnose-model", ["diagnose", "--input", "data.tsv", "--model", "model.txt",
                         "--output", "diag_model"]),
+    ("diagnose-mah", ["diagnose", "--input", "data.tsv", "--model", "model_mah.txt",
+                      "--output", "diag_mah"]),
     ("ablate", ["ablate", "--input", "data.tsv", "--output", "ablation.tsv",
                 "--mlp-epochs", "3"] + REDUCED),
     ("ablate-fpr-cap", ["ablate", "--input", "data.tsv", "--output", "ablation_fpr_cap.tsv",

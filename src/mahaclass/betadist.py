@@ -1,10 +1,12 @@
 """Regularized incomplete Beta function and its inverse.
 
-Thin wrappers over ``scipy.special.betainc`` and ``betaincinv`` that add
-the package's domain errors.  Both work elementwise on arrays.  Each
-imports ``scipy.special`` when called, not at module load, so that
-importing the CLI does not pay for it: ``infer`` and ``evaluate`` never
-call either function.
+Thin wrappers over scipy's ``betainc`` and ``betaincinv`` ufuncs that add
+the package's domain errors.  Both work elementwise on arrays.  The
+ufuncs come from ``_scipy.special()``, which on the first call loads
+scipy's ``special/_ufuncs`` extension without the ``scipy.special``
+package ``__init__`` (and falls back to the public ``scipy.special``), so
+importing the CLI loads neither: ``infer`` and ``evaluate`` never call
+either function.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _scipy
 from .errors import NumericalError
 
 
@@ -31,8 +34,7 @@ def reg_inc_beta(p: BetaParams, x):
     x = np.asarray(x, dtype=float)
     if not np.all((x >= 0.0) & (x <= 1.0)):
         raise NumericalError(f"x must lie in [0, 1], got {x}")
-    from scipy.special import betainc
-    return betainc(p.a, p.b, x)
+    return _scipy.special().betainc(p.a, p.b, x)
 
 
 def beta_quantile(p: BetaParams, prob):
@@ -40,5 +42,4 @@ def beta_quantile(p: BetaParams, prob):
     prob = np.asarray(prob, dtype=float)
     if not np.all((prob > 0.0) & (prob < 1.0)):
         raise NumericalError(f"prob must lie in (0, 1), got {prob}")
-    from scipy.special import betaincinv
-    return betaincinv(p.a, p.b, prob)
+    return _scipy.special().betaincinv(p.a, p.b, prob)

@@ -275,7 +275,7 @@ def cmd_evaluate(args) -> int:
         t_values.append(t)
         labels.append(chunk.labels)
     report = _evaluate(det, np.concatenate(t_values), np.concatenate(labels))
-    with open(args.output, "w", encoding="utf-8") as fh:
+    with _replacing(args.output) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         fh.write(report.to_text())
     print(report.to_text(), end="")
     return EXIT_OK
@@ -293,25 +293,29 @@ def cmd_diagnose(args) -> int:
     except NumericalError as exc:
         raise NumericalError(f"class 1 (target): {exc}") from exc
     reports = diagnostics.normality_report(vectors, dataset.labels, k=args.k)
-    with open(args.output + ".normality.tsv", "w", encoding="utf-8") as fh:
-        fh.write("label\tn\tk\thz\t" +
-                 "\t".join(f"ad_{j + 1}" for j in range(args.k)) + "\n")
-        for r in reports:
-            fh.write(f"{r.class_label}\t{r.n}\t{r.k}\t{r.hz:.17g}\t"
-                     + "\t".join(f"{a:.17g}" for a in r.ad_per_dim) + "\n")
+    # nested, so no report replaces its path unless all three are written
+    with (_replacing(args.output + ".normality.tsv") as normality_tmp,
+          _replacing(args.output + ".qq.tsv") as qq_tmp,
+          _replacing(args.output + ".dist.tsv") as dist_tmp):
+        with open(normality_tmp, "w", encoding="utf-8") as fh:
+            fh.write("label\tn\tk\thz\t" +
+                     "\t".join(f"ad_{j + 1}" for j in range(args.k)) + "\n")
+            for r in reports:
+                fh.write(f"{r.class_label}\t{r.n}\t{r.k}\t{r.hz:.17g}\t"
+                         + "\t".join(f"{a:.17g}" for a in r.ad_per_dim) + "\n")
 
-    # Q-Q data for the first reduced dimension of each class
-    with open(args.output + ".qq.tsv", "w", encoding="utf-8") as fh:
-        fh.write("label\ttheoretical\tsample\n")
-        for r in reports:
-            for theo, samp in diagnostics.emit_qq(r.points[:, 0]):
-                fh.write(f"{r.class_label}\t{theo:.17g}\t{samp:.17g}\n")
+        # Q-Q data for the first reduced dimension of each class
+        with open(qq_tmp, "w", encoding="utf-8") as fh:
+            fh.write("label\ttheoretical\tsample\n")
+            for r in reports:
+                for theo, samp in diagnostics.emit_qq(r.points[:, 0]):
+                    fh.write(f"{r.class_label}\t{theo:.17g}\t{samp:.17g}\n")
 
-    with open(args.output + ".dist.tsv", "w", encoding="utf-8") as fh:
-        fh.write("id\tlabel\td2\n")
-        for rid, label, d2 in diagnostics.emit_distance_report(dataset.ids, dataset.labels,
-                                                               vectors, model):
-            fh.write(f"{rid}\t{label}\t{d2:.17g}\n")
+        with open(dist_tmp, "w", encoding="utf-8") as fh:
+            fh.write("id\tlabel\td2\n")
+            for rid, label, d2 in diagnostics.emit_distance_report(
+                    dataset.ids, dataset.labels, vectors, model):
+                fh.write(f"{rid}\t{label}\t{d2:.17g}\n")
     print(f"wrote {args.output}.normality.tsv, .qq.tsv, .dist.tsv")
     return EXIT_OK
 

@@ -6,8 +6,11 @@ Every function takes points in the space under test, raw or already
 projected by a model; the caller projects once and passes the same rows
 to each report.  Statistics are reported raw (no p-values); for both
 tests, larger values mean greater deviation from normality.  Failures
-are ``NumericalError``.  ``scipy.special`` is imported by the two
-functions that use it, when called, so importing the CLI does not load it.
+are ``NumericalError``.  ``anderson_darling`` and ``emit_qq`` call the
+``ndtr`` and ``ndtri`` ufuncs of ``_scipy.special()``, which loads scipy's
+``special/_ufuncs`` extension on the first call, without the
+``scipy.special`` package ``__init__`` (the public ``scipy.special`` is
+the fallback), so importing the CLI loads neither.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _lapack
+from . import _scipy
 from .errors import NumericalError
 from .linalg import GaussianModel, cholesky, whitened_sq_norms
 
@@ -64,7 +67,7 @@ def henze_zirkler(points) -> float:
     # triangle, off-diagonal tiles twice, so memory is O(tile^2); one buffer
     # per tile stays in cache and is updated in place, avoiding fresh page
     # faults per temporary (out of place ran 2.3x slower at n=8000, k=3).
-    b, _ = _lapack.dpotrs(chol, xc.T, lower=1)
+    b, _ = _scipy.dpotrs(chol, xc.T, lower=1)
     diag = np.einsum("ij,ji->i", xc, b)
     kernel_sum = 0.0
     for i in range(0, n, _HZ_TILE):
@@ -108,8 +111,7 @@ def _standardized_order_statistics(samples) -> np.ndarray:
 def anderson_darling(samples) -> float:
     """A^2 against the normal with estimated mean and standard deviation."""
     z = _standardized_order_statistics(samples)
-    from scipy.special import ndtr
-    return ad_statistic_from_probs(ndtr(z))
+    return ad_statistic_from_probs(_scipy.special().ndtr(z))
 
 
 def normality_report(vectors, labels, k: int = 3) -> list[NormalityReport]:
@@ -140,8 +142,7 @@ def emit_qq(samples) -> list[tuple[float, float]]:
     """Normal Q-Q pairs: (theoretical quantile at (i-0.5)/n, standardized
     order statistic)."""
     z = _standardized_order_statistics(samples)
-    from scipy.special import ndtri
-    theo = ndtri((np.arange(1, len(z) + 1) - 0.5) / len(z))
+    theo = _scipy.special().ndtri((np.arange(1, len(z) + 1) - 0.5) / len(z))
     return list(zip(theo.tolist(), z.tolist()))
 
 

@@ -4,7 +4,7 @@ Covariances use the unbiased (n-1) estimator throughout.  A small ridge
 (lambda * I) keeps the Cholesky factor well defined when the scatter is
 rank deficient; the factor is cached on the model, so a Mahalanobis
 distance costs one triangular solve and ``spd_solve`` two.  Both solves
-call LAPACK (``dtrtrs``, ``dpotrs``) through ``_lapack``, which loads them
+call LAPACK (``dtrtrs``, ``dpotrs``) through ``_scipy``, which loads them
 from scipy's LAPACK extension file without importing scipy's linalg package.
 """
 
@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _lapack
+from . import _scipy
 from .errors import NotPositiveDefinite, NumericalError
 
 
@@ -87,7 +87,7 @@ def spd_solve(model: GaussianModel, v: np.ndarray) -> np.ndarray:
     if v.ndim == 0 or v.shape[-1] != model.d:
         raise NumericalError(f"expected rows of length {model.d}, got shape {v.shape}")
     # dpotrs reports only illegal arguments, which the shape check rules out
-    w, _ = _lapack.dpotrs(model.chol, v.reshape(-1, model.d).T, lower=1)
+    w, _ = _scipy.dpotrs(model.chol, v.reshape(-1, model.d).T, lower=1)
     return w.T.reshape(v.shape)
 
 
@@ -99,7 +99,7 @@ def whitened_sq_norms(chol: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     from ``np.linalg.cholesky`` is C-ordered, so U is a Fortran-ordered
     array that LAPACK reads without a copy.
     """
-    z, info = _lapack.dtrtrs(chol.T, deltas.T, lower=0, trans=1)
+    z, info = _scipy.dtrtrs(chol.T, deltas.T, lower=0, trans=1)
     if info != 0:
         raise NotPositiveDefinite(f"triangular solve failed (LAPACK info {info}): "
                                   "zero pivot in the factor")

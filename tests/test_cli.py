@@ -307,12 +307,12 @@ class TestOutputKinds:
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["expected.tsv", "fifo"]
 
-    @pytest.mark.parametrize("command", ["infer", "train"])
+    @pytest.mark.parametrize("command", ["infer", "train", "evaluate"])
     def test_directory_is_data_error(self, workspace, tmp_path, capsys, command):
         _, data, model = workspace
         out = tmp_path / "out"
         out.mkdir()
-        argv = ["--model", str(model)] if command == "infer" else TRAIN_FLAGS
+        argv = TRAIN_FLAGS if command == "train" else ["--model", str(model)]
         capsys.readouterr()
         rc = cli.main([command, "--input", str(data), "--output", str(out)] + argv)
         assert rc == cli.EXIT_DATA
@@ -365,6 +365,23 @@ class TestDiagnose:
         prefix = str(tmp_path / "raw")
         assert cli.main(["diagnose", "--input", str(data), "--output", prefix]) == 0
         assert (tmp_path / "raw.normality.tsv").exists()
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-reports", "existing-reports"])
+    def test_unwritable_report_writes_no_report(self, workspace, tmp_path, capsys, existing):
+        # the three reports are replaced together, or not at all
+        _, data, model = workspace
+        (tmp_path / "diag.dist.tsv").mkdir()
+        if existing:
+            for suffix in (".normality.tsv", ".qq.tsv"):
+                (tmp_path / ("diag" + suffix)).write_text("an earlier report\n")
+        before = {p.name: p.is_dir() or p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        rc = cli.main(["diagnose", "--input", str(data), "--model", str(model),
+                       "--output", str(tmp_path / "diag")])
+        assert rc == cli.EXIT_DATA
+        assert f"Is a directory: '{tmp_path / 'diag.dist.tsv'}'" in capsys.readouterr().err
+        assert {p.name: p.is_dir() or p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert not any((tmp_path / "diag.dist.tsv").iterdir())
 
     @pytest.mark.parametrize("n_target", [0, 1])
     def test_too_few_target_rows_write_no_report(self, tmp_path, capsys, n_target):
@@ -1014,7 +1031,7 @@ class TestExitCodes:
 
 def test_cli_import_leaves_scipy_packages_and_f2py_unloaded():
     # a fresh interpreter, since this suite itself imports these modules; the
-    # CLI loads only scipy's LAPACK extension file (see mahaclass._lapack)
+    # CLI loads only scipy's LAPACK extension file (see mahaclass._scipy)
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -1024,3 +1041,39 @@ def test_cli_import_leaves_scipy_packages_and_f2py_unloaded():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout.split() == []
+
+
+def test_commands_skip_the_scipy_special_package(tmp_path):
+    # a fresh interpreter runs infer and evaluate, which load nothing of
+    # scipy.special, then train and diagnose, whose ufuncs come from its
+    # _ufuncs extension (see mahaclass._scipy): the package __init__, and
+    # the scipy._lib._array_api it imports, never run
+    data, model = tmp_path / "data.tsv", tmp_path / "model.txt"
+    assert cli.main(["synth", "--output", str(data), "--seed", "1"] + SYNTH_FLAGS) == 0
+    assert cli.main(["train", "--input", str(data), "--output", str(model), "--seed", "1"]
+                    + TRAIN_FLAGS) == 0
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = """if True:
+        import sys
+        from mahaclass import cli
+        model, data, out, *train_flags = sys.argv[1:]
+        def loaded(prefix):
+            return sorted(m for m in sys.modules if m.startswith(prefix))
+        for command in ("infer", "evaluate"):
+            assert cli.main([command, "--model", model, "--input", data,
+                             "--output", out + command]) == 0
+        assert loaded("scipy.special") == [], loaded("scipy.special")
+        assert cli.main(["train", "--input", data, "--output", out + "model", "--seed", "1",
+                         *train_flags]) == 0
+        assert cli.main(["diagnose", "--input", data, "--model", model,
+                         "--output", out + "diag"]) == 0
+        assert "scipy.special._ufuncs" in sys.modules
+        assert loaded("scipy._lib._array_api") == [], loaded("scipy._lib._array_api")
+        assert "scipy.special" not in sys.modules
+    """
+    result = subprocess.run([sys.executable, "-c", code, str(model), str(data),
+                             str(tmp_path / "out_"), *TRAIN_FLAGS],
+                            env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve, lapack, solve_triangular
 
-from mahaclass import _lapack
+from mahaclass import _scipy
 from mahaclass.diagnostics import henze_zirkler
 from mahaclass.errors import NotPositiveDefinite, NumericalError
 from mahaclass.linalg import (
@@ -207,12 +207,12 @@ class TestSlidingWindow:
 
 
 class TestLapackLoading:
-    """Both ways ``_lapack`` can load dtrtrs and dpotrs give the answers of
+    """Both ways ``_scipy`` can load dtrtrs and dpotrs give the answers of
     scipy's public solvers, bit for bit."""
 
     @pytest.fixture(params=["extension", "no-scipy-spec", "no-extension-file"])
     def loaded(self, request, monkeypatch, tmp_path):
-        """Swap in the functions ``_lapack._load`` returns, with scipy's
+        """Swap in the functions ``_scipy._load`` returns, with scipy's
         spec made unfindable, or pointing at a directory without the file,
         to force the fallback import."""
         lookups = []
@@ -226,12 +226,12 @@ class TestLapackLoading:
         with monkeypatch.context() as m:
             if request.param != "extension":
                 m.setattr(importlib.util, "find_spec", find_spec)
-            dtrtrs, dpotrs = _lapack._load()
+            dtrtrs, dpotrs = _scipy._load()
         if request.param != "extension":
             assert lookups == ["scipy"]
             assert (dtrtrs, dpotrs) == (lapack.dtrtrs, lapack.dpotrs)
-        monkeypatch.setattr(_lapack, "dtrtrs", dtrtrs)
-        monkeypatch.setattr(_lapack, "dpotrs", dpotrs)
+        monkeypatch.setattr(_scipy, "dtrtrs", dtrtrs)
+        monkeypatch.setattr(_scipy, "dpotrs", dpotrs)
 
     def test_whitened_sq_norms(self, loaded):
         rng = np.random.default_rng(7)
@@ -254,6 +254,6 @@ class TestLapackLoading:
     def test_henze_zirkler(self, loaded, monkeypatch):
         x = np.random.default_rng(9).normal(size=(700, 3))
         got = henze_zirkler(x)
-        monkeypatch.setattr(_lapack, "dpotrs", lambda c, b, lower: (
+        monkeypatch.setattr(_scipy, "dpotrs", lambda c, b, lower: (
             cho_solve((c, bool(lower)), b, check_finite=False), 0))
         assert got == henze_zirkler(x)
