@@ -24,7 +24,9 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 # (label, argv); paths are relative to the run's temporary directory, its cwd.
 # The default train's head is square (identity, no SGD); REDUCED trains an
-# 8-dim head of the 32-dim rows, so the other runs cover SGD.
+# 8-dim head of the 32-dim rows, so the other runs cover SGD.  The 2-dim head
+# of the *-2d runs makes every projection a product that OpenBLAS computes
+# with its small-matrix kernel.
 TRAIN = ["train", "--input", "data.tsv"]
 REDUCED = ["--proj-dim", "8"]
 COMMANDS = [
@@ -53,6 +55,13 @@ COMMANDS = [
                         "--output", "diag_model"]),
     ("diagnose-mah", ["diagnose", "--input", "data.tsv", "--model", "model_mah.txt",
                       "--output", "diag_mah"]),
+    ("train-2d", TRAIN + ["--proj-dim", "2", "--output", "model_2d.txt"]),
+    ("infer-2d", ["infer", "--model", "model_2d.txt", "--input", "data.tsv",
+                  "--output", "decisions_2d.tsv"]),
+    ("evaluate-2d", ["evaluate", "--model", "model_2d.txt", "--input", "data.tsv",
+                     "--output", "metrics_2d.txt"]),
+    ("diagnose-2d", ["diagnose", "--input", "data.tsv", "--model", "model_2d.txt",
+                     "--output", "diag_2d", "--k", "2"]),
     ("ablate", ["ablate", "--input", "data.tsv", "--output", "ablation.tsv",
                 "--mlp-epochs", "3"] + REDUCED),
     ("ablate-fpr-cap", ["ablate", "--input", "data.tsv", "--output", "ablation_fpr_cap.tsv",

@@ -22,7 +22,7 @@ from . import data as data_mod
 from . import diagnostics, metrics, trainer
 from .errors import ConfigError, DataError, NumericalError
 from .linalg import fit_gaussian
-from .mahalanobis import DecisionThreshold, calibrate, scores
+from .mahalanobis import DecisionThreshold, calibrate
 from .trainer import TrainConfig
 
 EXIT_OK = 0
@@ -187,7 +187,8 @@ def cmd_synth(args) -> int:
                                components=args.components,
                                separation=args.separation, seed=args.seed)
     ds = data_mod.synth_benchmark(cfg)
-    data_mod.save_dataset(ds, args.output)
+    with _replacing(args.output) as tmp:
+        data_mod.save_dataset(ds, tmp)
     print(f"wrote {len(ds)} records (dim {ds.d_in}, "
           f"{ds.n_target} target / {ds.m_non_target} non-target) to {args.output}")
     return EXIT_OK
@@ -224,8 +225,7 @@ def cmd_train(args) -> int:
     train_ds, dev_ds, _ = _split(args)
     det, log = _train_and_calibrate(train_ds, dev_ds, args.loss, args)
     try:  # a failing run writes nothing, so the dev split is scored first
-        report = _evaluate(det, scores(det.gaussian, det.project(dev_ds.vectors, dev_ds.ids)),
-                           dev_ds.labels)
+        report = _evaluate(det, det.scores(dev_ds.vectors, dev_ds.ids), dev_ds.labels)
     except NumericalError as exc:
         raise NumericalError(f"dev split: {exc}") from exc
     with _replacing(args.output) as model_tmp:
@@ -241,19 +241,9 @@ def cmd_train(args) -> int:
 
 
 def _scored_chunks(det: data_mod.Detector, path):
-    """Each chunk of the dataset at path with the T of its rows.  A short
-    last chunk is scored zero-padded to CHUNK_ROWS rows, so every chunk is
-    one product shape: BLAS may round a smaller product differently
-    (OpenBLAS switches to a small-matrix kernel), and a row's T would then
-    depend on where the file ends."""
-    first_row = 0
+    """Each chunk of the dataset at path with the T of its rows."""
     for chunk in data_mod.read_chunks(path):
-        rows = chunk.vectors
-        if len(chunk) < data_mod.CHUNK_ROWS:
-            rows = np.zeros((data_mod.CHUNK_ROWS, chunk.d_in))
-            rows[:len(chunk)] = chunk.vectors
-        yield chunk, det.scores(rows, first_row)[:len(chunk)]
-        first_row += len(chunk)
+        yield chunk, det.scores(chunk.vectors, chunk.ids)
 
 
 def cmd_infer(args) -> int:
@@ -284,7 +274,7 @@ def cmd_evaluate(args) -> int:
 def cmd_diagnose(args) -> int:
     dataset = data_mod.load_dataset(args.input)
     det = data_mod.load_model(args.model) if args.model else None
-    vectors = dataset.vectors if det is None else det.project(dataset.vectors)
+    vectors = dataset.vectors if det is None else det.project(dataset.vectors, dataset.ids)
     if args.k > vectors.shape[1]:
         raise ConfigError(f"--k {args.k} exceeds the {'input' if det is None else 'projected'} "
                           f"dimension {vectors.shape[1]}")
@@ -328,13 +318,13 @@ def cmd_ablate(args) -> int:
     rows = []
     for loss_flag in ("mah", "mah-mean", "cosine"):
         det, _ = _train_and_calibrate(train_ds, dev_ds, loss_flag, args)
-        z_test = det.project(test_ds.vectors, test_ds.ids)
-        rows.append((loss_flag, "beta", _evaluate(det, scores(det.gaussian, z_test),
+        rows.append((loss_flag, "beta", _evaluate(det, det.scores(test_ds.vectors, test_ds.ids),
                                                   test_ds.labels)))
         mlp = trainer.train_mlp(det.project(train_ds.vectors, train_ds.ids), train_ds.labels,
                                 epochs=args.mlp_epochs, seed=args.seed)
-        rows.append((loss_flag, "mlp", metrics.score(mlp.predict(z_test), test_ds.labels)))
-    with open(args.output, "w", encoding="utf-8") as fh:
+        rows.append((loss_flag, "mlp", metrics.score(
+            mlp.predict(det.project(test_ds.vectors, test_ds.ids)), test_ds.labels)))
+    with _replacing(args.output) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         fh.write("loss\tdecision\tacc\tpr\tfpr\tf1\n")
         for loss_flag, decision, r in rows:
             fh.write(f"{loss_flag}\t{decision}\t{r.accuracy:.3f}\t{r.precision:.3f}"

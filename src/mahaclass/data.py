@@ -29,7 +29,7 @@ from .trainer import ProjectionHead
 ARTIFACT_MAGIC = "mahaclass-model"
 ARTIFACT_VERSION = 1
 SPLIT_RATIOS = (0.8, 0.1, 0.1)  # train, dev, test
-CHUNK_ROWS = 256  # records per chunk of read_chunks, so streaming memory stays flat
+CHUNK_ROWS = 256  # rows per read_chunks chunk (flat streaming memory) and projected block
 
 
 def _fmt(x: float) -> str:
@@ -346,36 +346,46 @@ class Detector:
     def beta_b(self) -> float:
         return (self.n - self.d_out) / 2.0
 
-    def project(self, raw, ids=None, first_row: int = 0) -> np.ndarray:
-        """Raw (N, d_in) rows in the projected space; DataError at another
-        width, NumericalError as in ``finite_projection``."""
-        if np.ndim(raw) != 2:
-            raise DataError(f"the model takes {self.d_in}-dim rows, "
-                            f"got an array of shape {np.shape(raw)}")
-        if np.shape(raw)[1] != self.d_in:
-            raise DataError(f"the model takes {self.d_in}-dim input, "
-                            f"got {np.shape(raw)[1]}-dim rows")
-        return finite_projection(ProjectionHead(self.weights, self.bias), raw, ids, first_row)
+    def project(self, raw, ids=None) -> np.ndarray:
+        """Raw (N, d_in) rows in the projected space (see ``finite_projection``)."""
+        return finite_projection(ProjectionHead(self.weights, self.bias), raw, ids)
 
-    def scores(self, raw, first_row: int = 0) -> np.ndarray:
-        """Normalized statistic T of each raw row (see ``mahalanobis.scores``)."""
-        return mahalanobis.scores(self.gaussian, self.project(raw, first_row=first_row))
+    def scores(self, raw, ids=None) -> np.ndarray:
+        """Normalized statistic T of each raw row (see ``finite_projection``)."""
+        return finite_projection(ProjectionHead(self.weights, self.bias), raw, ids,
+                                 self.gaussian)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # reported below as a NumericalError
-def finite_projection(head: ProjectionHead, raw, ids=None, first_row: int = 0) -> np.ndarray:
-    """``head.project(raw)``, or a NumericalError naming the first row that
-    projects past the largest double: by its record id when the rows' ``ids``
-    are given (rows of a split), else by its row of the input, where raw's
-    first row is the input's row ``first_row`` (a chunk's offset)."""
-    z = head.project(raw)
-    bad = ~np.isfinite(z).all(axis=1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        row = (f"record {ids[i]!r}" if ids is not None
-               else f"row {first_row + i} of the input (counting from 0)")
-        raise NumericalError(f"{row} does not project to finite values")
-    return z
+def finite_projection(head: ProjectionHead, raw, ids=None,
+                      gaussian: GaussianModel | None = None) -> np.ndarray:
+    """``head.project(raw)``, or with a ``gaussian`` each projected row's T
+    (``mahalanobis.scores``).  DataError unless raw holds (N, d_in) rows;
+    NumericalError naming the first row that projects past the largest
+    double by its record id (its index in raw when no ``ids`` are given)."""
+    d_in = head.weights.shape[1]
+    if np.ndim(raw) != 2:
+        raise DataError(f"the model takes {d_in}-dim rows, got an array of shape {np.shape(raw)}")
+    if np.shape(raw)[1] != d_in:
+        raise DataError(f"the model takes {d_in}-dim input, got {np.shape(raw)[1]}-dim rows")
+    # CHUNK_ROWS rows at a time, a short last block zero-padded, so that every
+    # product and solve has one shape: BLAS rounds some shapes differently
+    # (OpenBLAS's small-matrix dgemm, a one-column solve), and a row's value
+    # would then depend on the rows computed with it
+    raw = np.ascontiguousarray(raw, dtype=float)
+    out = np.empty((len(raw), len(head.bias)) if gaussian is None else len(raw))
+    for start in range(0, len(raw), CHUNK_ROWS):
+        n = len(block := raw[start:start + CHUNK_ROWS])
+        if n < CHUNK_ROWS:
+            block = np.pad(block, ((0, CHUNK_ROWS - n), (0, 0)))
+        z = head.project(block)
+        bad = ~np.isfinite(z[:n]).all(axis=1)
+        if bad.any():
+            i = start + int(np.argmax(bad))
+            raise NumericalError(f"record {ids[i] if ids is not None else i!r} "
+                                 "does not project to finite values")
+        out[start:start + n] = (z if gaussian is None else mahalanobis.scores(gaussian, z))[:n]
+    return out
 
 
 def save_model(det: Detector, path) -> None:

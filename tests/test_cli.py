@@ -174,11 +174,27 @@ class TestInferEvaluate:
         auc = roc_auc(-t, load_dataset(far).labels)
         assert auc > 0.99 and fields["auc"] == f"{auc:.6f}"
 
+    def test_evaluate_on_the_dev_split_prints_the_dev_metrics(self, tmp_path, capsys):
+        # a 2-dim head of 32-dim rows, whose small products BLAS may round
+        # apart from large ones: evaluate, scoring the dev split in chunks,
+        # must give each row the T that train's calibration gave it
+        data, model, dev = tmp_path / "data.tsv", tmp_path / "m.txt", tmp_path / "dev.tsv"
+        assert cli.main(["synth", "--output", str(data), "--seed", "0"]) == 0
+        capsys.readouterr()
+        assert cli.main(["train", "--input", str(data), "--output", str(model), "--seed", "0",
+                         "--proj-dim", "2"]) == 0
+        dev_metrics = capsys.readouterr().out.split("dev metrics:\n")[1]
+        save_dataset(split(load_dataset(data), seed=0)[1], dev)
+        assert cli.main(["evaluate", "--model", str(model), "--input", str(dev),
+                         "--output", str(tmp_path / "metrics.txt")]) == 0
+        assert capsys.readouterr().out == dev_metrics
+
 
 # fault -> (exit code, message); at 4 rows a chunk, row r is on line r + 1,
-# in chunk r // 4 + 1
+# in chunk r // 4 + 1, and the workspace's row r < 160 is record t00000r
 CHUNK_FAULTS = {
-    "overflow-in-chunk-2": (cli.EXIT_NUMERICAL, "row 5 of the input (counting from 0)"),
+    "overflow-in-chunk-2": (cli.EXIT_NUMERICAL,
+                            "record 't000005' does not project to finite values"),
     "ragged-in-chunk-3": (cli.EXIT_DATA, "line 10: 2 components, expected 8"),
     "duplicate-across-chunks": (cli.EXIT_DATA, "line 7: duplicate id"),
     "not-utf8-after-chunk-1": (cli.EXIT_DATA, "not UTF-8 text"),
@@ -318,6 +334,46 @@ class TestOutputKinds:
         assert rc == cli.EXIT_DATA
         assert f"Is a directory: '{out}'" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["out"] and not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["synth", "ablate"])
+    def test_failed_write_keeps_an_existing_output(self, workspace, tmp_path, capsys,
+                                                   monkeypatch, command):
+        # the file being written fails after three rows, as on a full disk
+        _, data, _ = workspace
+        real_open = open
+
+        class FailingFile:
+            def __init__(self, fh):
+                self.fh, self.rows = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                if self.rows == 3:
+                    raise OSError(28, "No space left on device")
+                self.rows += 1
+                return self.fh.write(text)
+
+        def failing_open(path, mode="r", **kwargs):
+            fh = real_open(path, mode, **kwargs)
+            return FailingFile(fh) if "w" in mode else fh
+
+        # synth's rows are written by data.save_dataset, ablate's table by cli
+        monkeypatch.setattr(data_mod if command == "synth" else cli, "open", failing_open,
+                            raising=False)
+        out = tmp_path / "out.tsv"
+        out.write_bytes(b"an earlier output\n")
+        argv = (SYNTH_FLAGS if command == "synth" else
+                ["--input", str(data), "--mlp-epochs", "0"] + TRAIN_FLAGS)
+        capsys.readouterr()
+        assert cli.main([command, "--output", str(out), "--seed", "1"] + argv) == cli.EXIT_DATA
+        assert "No space left on device" in capsys.readouterr().err
+        assert out.read_bytes() == b"an earlier output\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.tsv"]
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
@@ -1020,7 +1076,8 @@ class TestExitCodes:
         rc = cli.main([command, "--model", str(model), "--input", str(huge),
                        "--output", str(tmp_path / "out")])
         assert rc == cli.EXIT_NUMERICAL
-        assert "row 2 of the input (counting from 0)" in capsys.readouterr().err
+        assert (f"record {ds.ids[2]!r} does not project to finite values"
+                in capsys.readouterr().err)
         assert [p.name for p in tmp_path.iterdir()] == ["huge.tsv"]
 
     def test_unknown_subcommand_is_usage(self):

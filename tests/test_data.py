@@ -9,6 +9,7 @@ from mahaclass.data import (
     Detector,
     EmbeddingDataset,
     SynthConfig,
+    finite_projection,
     load_dataset,
     load_model,
     read_chunks,
@@ -21,7 +22,7 @@ from mahaclass.data import (
 from mahaclass.errors import ConfigError, DataError, NumericalError
 from mahaclass.linalg import GaussianModel, cholesky
 from mahaclass.mahalanobis import DecisionThreshold, beta_decide, scores
-from mahaclass.trainer import TrainConfig, train
+from mahaclass.trainer import ProjectionHead, TrainConfig, train
 
 
 def toy_dataset(n=10, d=3, seed=0):
@@ -381,11 +382,32 @@ class TestDetector:
         det = make_detector()
         rows = np.zeros((4, det.d_in))
         rows[2:] = 1e308 * np.sign(det.weights[0])  # projects past the largest double
-        with pytest.raises(NumericalError, match=r"row 2 of the input \(counting from 0\)"):
+        # by the row's index in the array when no ids are given
+        with pytest.raises(NumericalError, match=r"^record 2 does not project to finite values$"):
             det.project(rows)
-        # rows of a chunk that starts at row 256 of the input
-        with pytest.raises(NumericalError, match=r"row 258 of the input \(counting from 0\)"):
-            det.scores(rows, first_row=256)
+        with pytest.raises(NumericalError,
+                           match=r"^record 'r258' does not project to finite values$"):
+            det.scores(rows, ["r256", "r257", "r258", "r259"])
+
+    @pytest.mark.parametrize("d_in", [32, 128])
+    @pytest.mark.parametrize("d_out", [1, 2, 3, 4])
+    def test_a_row_projects_the_same_in_any_batch(self, d_in, d_out):
+        # BLAS rounds some shapes apart (OpenBLAS's small-matrix dgemm at
+        # d_in >= 32, a one-column solve); a row's projection and T must not
+        # depend on how many rows, or which, go with it
+        det = make_detector(seed=d_in + d_out, d_in=d_in, d_out=d_out)
+        head = ProjectionHead(det.weights, det.bias)
+        rng = np.random.default_rng(d_in * d_out)
+        for n in (1, 255, 257, 3000):
+            raw = rng.normal(size=(n, d_in))
+            whole_z, whole_t = finite_projection(head, raw), det.scores(raw)
+            subset = rng.permutation(n)[: max(1, n // 3)]
+            np.testing.assert_array_equal(finite_projection(head, raw[subset]), whole_z[subset])
+            np.testing.assert_array_equal(det.scores(raw[subset]), whole_t[subset])
+            alone_z = np.vstack([finite_projection(head, raw[i:i + 1]) for i in range(n)])
+            alone_t = np.concatenate([det.scores(raw[i:i + 1]) for i in range(n)])
+            np.testing.assert_array_equal(alone_z, whole_z)
+            np.testing.assert_array_equal(alone_t, whole_t)
 
     def test_scores_of_trained_parts(self):
         data, head, model, thr = trained_parts()
