@@ -26,7 +26,8 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 # The default train's head is square (identity, no SGD); REDUCED trains an
 # 8-dim head of the 32-dim rows, so the other runs cover SGD.  The 2-dim head
 # of the *-2d runs makes every projection a product that OpenBLAS computes
-# with its small-matrix kernel.
+# with its small-matrix kernel.  The *-wide runs repeat synth, train, infer
+# and evaluate at d_in 128, the width of perfbench's score workload.
 TRAIN = ["train", "--input", "data.tsv"]
 REDUCED = ["--proj-dim", "8"]
 COMMANDS = [
@@ -62,6 +63,13 @@ COMMANDS = [
                      "--output", "metrics_2d.txt"]),
     ("diagnose-2d", ["diagnose", "--input", "data.tsv", "--model", "model_2d.txt",
                      "--output", "diag_2d", "--k", "2"]),
+    ("synth-wide", ["synth", "--output", "data_wide.tsv", "--d-in", "128",
+                    "--n-target", "600", "--m-non-target", "2400"]),
+    ("train-wide", ["train", "--input", "data_wide.tsv", "--output", "model_wide.txt"]),
+    ("infer-wide", ["infer", "--model", "model_wide.txt", "--input", "data_wide.tsv",
+                    "--output", "decisions_wide.tsv"]),
+    ("evaluate-wide", ["evaluate", "--model", "model_wide.txt", "--input", "data_wide.tsv",
+                       "--output", "metrics_wide.txt"]),
     ("ablate", ["ablate", "--input", "data.tsv", "--output", "ablation.tsv",
                 "--mlp-epochs", "3"] + REDUCED),
     ("ablate-fpr-cap", ["ablate", "--input", "data.tsv", "--output", "ablation_fpr_cap.tsv",

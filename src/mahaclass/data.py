@@ -85,19 +85,86 @@ class EmbeddingDataset:
         return self.vectors[self.labels == 0]
 
 
+def _parse_lines(numbered, seen: set[str], width: int | None):
+    """Ids, labels and (N, d) vectors of the numbered (line number, line)
+    pairs, parsed one line at a time: the DataError of the first bad line,
+    naming it.  Adds the ids to ``seen``; ``width`` None takes d from the
+    first line.  Numpy converts each component by ``float()``'s rules."""
+    ids, labels, buf = [], [], None
+    for lineno, line in numbered:
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise DataError(f"line {lineno}: expected 3 tab-separated fields")
+        rid, label_s, vec_s = parts
+        if label_s not in ("0", "1"):
+            raise DataError(f"line {lineno}: label must be 0 or 1, got {label_s!r}")
+        tokens = vec_s.split()
+        if not tokens:
+            raise DataError(f"line {lineno}: no vector components")
+        if buf is None:
+            buf = np.empty((len(numbered), width or len(tokens)))
+        if len(tokens) != buf.shape[1]:
+            raise DataError(f"line {lineno}: {len(tokens)} components, "
+                            f"expected {buf.shape[1]}")
+        if rid in seen:
+            raise DataError(f"line {lineno}: duplicate id {rid!r}")
+        try:
+            buf[len(ids)] = tokens
+        except ValueError as exc:
+            raise DataError(f"line {lineno}: {exc}") from exc
+        seen.add(rid)
+        ids.append(rid)
+        labels.append(int(label_s))
+    return ids, labels, buf
+
+
+def _bulk_vectors(vecs: list[str], width: int) -> np.ndarray | None:
+    """The (len(vecs), width) array of the vector fields vecs in one C call,
+    or None when numpy refuses a field or finds another shape.  Numpy
+    converts each component with ``PyOS_string_to_double``, the routine
+    ``float()`` uses, and splits on the same whitespace as ``str.split``;
+    it refuses some tokens ``float()`` takes (``1_0``, non-ASCII digits)."""
+    try:
+        out = np.loadtxt(vecs, dtype=float, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return out if out.shape == (len(vecs), width) else None
+
+
+def _parse_chunk(numbered, seen: set[str], width: int | None):
+    """``_parse_lines`` of the numbered lines, but with every vector field
+    parsed by one ``_bulk_vectors`` call when each line is well formed: three
+    fields, a 0/1 label, a non-blank vector field and a new id.  Any other
+    chunk, or one numpy refuses, is parsed line by line, so the first bad
+    line in file order gets the per-line parse's message."""
+    fields = [line.split("\t") for _, line in numbered]
+    if all(len(f) == 3 and f[1] in ("0", "1") and f[2] and not f[2].isspace()
+           for f in fields):
+        ids, label_s, vecs = (list(col) for col in zip(*fields))
+        new = set(ids)
+        if len(new) == len(ids) and new.isdisjoint(seen):
+            out = _bulk_vectors(vecs, width or len(vecs[0].split()))
+            if out is not None:
+                seen |= new
+                return ids, [int(s) for s in label_s], out
+    return _parse_lines(numbered, seen, width)
+
+
 def read_chunks(path):
     """Yield a dataset file as EmbeddingDatasets of at most CHUNK_ROWS
-    records each, in file order.  Each line is parsed into the chunk's
-    preallocated (CHUNK_ROWS, d) buffer; numpy converts each component by
-    ``float()``'s rules.  Messages name the file line; an id repeated
-    anywhere in the file is a DataError, as is a file that is not UTF-8 or
-    has no records."""
+    records each, in file order.  A chunk's vector fields are parsed in one
+    bulk call (``_parse_chunk``); a chunk that fails it is parsed again line
+    by line, so messages name the file line.  An id repeated anywhere in the
+    file is a DataError, as is a file that is not UTF-8 or has no records."""
     rows = CHUNK_ROWS
     seen: set[str] = set()
-    ids, labels, buf = [], [], None
+    numbered, width = [], None
 
     def chunk():
-        return EmbeddingDataset(ids, np.array(labels), buf[:len(ids)])
+        nonlocal width
+        ids, labels, vectors = _parse_chunk(numbered, seen, width)
+        width = vectors.shape[1]
+        return EmbeddingDataset(ids, np.array(labels), vectors)
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -105,38 +172,18 @@ def read_chunks(path):
                 line = line.rstrip("\n")
                 if not line:
                     continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise DataError(f"line {lineno}: expected 3 tab-separated fields")
-                rid, label_s, vec_s = parts
-                if label_s not in ("0", "1"):
-                    raise DataError(f"line {lineno}: label must be 0 or 1, got {label_s!r}")
-                tokens = vec_s.split()
-                if not tokens:
-                    raise DataError(f"line {lineno}: no vector components")
-                if buf is None:  # the first record sets the width
-                    buf = np.empty((rows, len(tokens)))
-                if len(tokens) != buf.shape[1]:
-                    raise DataError(f"line {lineno}: {len(tokens)} components, "
-                                    f"expected {buf.shape[1]}")
-                if rid in seen:
-                    raise DataError(f"line {lineno}: duplicate id {rid!r}")
-                try:
-                    buf[len(ids)] = tokens
-                except ValueError as exc:
-                    raise DataError(f"line {lineno}: {exc}") from exc
-                seen.add(rid)
-                ids.append(rid)
-                labels.append(int(label_s))
-                if len(ids) == rows:
+                numbered.append((lineno, line))
+                if len(numbered) == rows:
                     yield chunk()
-                    ids, labels, buf = [], [], np.empty_like(buf)
+                    numbered = []
     except UnicodeDecodeError as exc:
+        # a bad line read before the undecodable text comes first
+        _parse_lines(numbered, seen, width)
         raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
-    if not seen:
-        raise DataError(f"{path}: no records")
-    if ids:
+    if numbered:
         yield chunk()
+    elif not seen:
+        raise DataError(f"{path}: no records")
 
 
 def load_dataset(path) -> EmbeddingDataset:
@@ -158,9 +205,12 @@ def load_dataset(path) -> EmbeddingDataset:
 
 
 def save_dataset(data: EmbeddingDataset, path) -> None:
+    # one %-template per file: "%.17g" % x is _fmt(x); a row at a time, as
+    # the whole array as Python floats would take about 4x its memory
+    template = "%s\t%d\t" + " ".join(["%.17g"] * data.d_in) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         for rid, label, row in zip(data.ids, data.labels.tolist(), data.vectors):
-            fh.write(f"{rid}\t{label}\t{' '.join(_fmt(v) for v in row.tolist())}\n")
+            fh.write(template % (rid, label, *row.tolist()))
 
 
 def split(data: EmbeddingDataset, seed: int = 0):

@@ -63,7 +63,11 @@ def _deltas(model: GaussianModel, x) -> np.ndarray:
 
 
 def sq_mahalanobis(model: GaussianModel, x: np.ndarray) -> float:
-    """(x - mu)^T (Sigma + ridge*I)^{-1} (x - mu); zero iff x == mu."""
+    """(x - mu)^T (Sigma + ridge*I)^{-1} (x - mu); zero iff x == mu.
+
+    It solves with one right-hand side, which BLAS may round differently
+    from a many-column solve: d2 can differ in the last bit from what a
+    batch of rows gives the same row."""
     return float(whitened_sq_norms(model.chol, _deltas(model, np.asarray(x)[None]))[0])
 
 
@@ -87,7 +91,11 @@ def scores(model: GaussianModel, x) -> np.ndarray:
 
 
 def decision_statistic(model: GaussianModel, x: np.ndarray) -> DecisionScore:
-    """``scores`` of the single query x, with its appended squared distance."""
+    """``scores`` of the single query x, with its appended squared distance.
+
+    It solves with one right-hand side, which BLAS may round differently
+    from a many-column solve: T can differ in the last bit from what
+    ``infer`` (``data.finite_projection``'s 256-row blocks) gives the row."""
     t = float(scores(model, np.asarray(x)[None])[0])
     return DecisionScore(d2=model.n**2 / (model.n + 1) * t, T=t)
 
@@ -99,7 +107,12 @@ def _isclose(a: float, b: float) -> bool:
 
 
 def beta_decide(model: GaussianModel, x: np.ndarray, thr: DecisionThreshold) -> int:
-    """1 (target) iff the normalized statistic falls strictly below v_beta."""
+    """1 (target) iff the normalized statistic falls strictly below v_beta.
+
+    It solves with one right-hand side, which BLAS may round differently
+    from a many-column solve: T can differ in the last bit from what
+    ``infer`` gives the row, so a T within an ulp of v_beta may be decided
+    the other way."""
     a, b = _null_shapes(model)
     if not (_isclose(thr.params.a, a) and _isclose(thr.params.b, b)):
         raise NumericalError(
@@ -126,7 +139,9 @@ def calibrate(model: GaussianModel, dev_vectors, dev_labels,
     # (beta_level, critical value) candidates, sorted; a dev statistic t
     # maps back to the level I_t(a, b), whose quantile is t itself.
     grid = np.linspace(0.01, 0.99, 99)
-    unique_t = np.unique(t_values)
+    # np.unique's values; np.unique itself imports numpy.ma on its first call
+    sorted_t = np.sort(t_values)
+    unique_t = sorted_t[np.concatenate(([True], sorted_t[1:] != sorted_t[:-1]))]
     levels = np.concatenate([reg_inc_beta(params, unique_t), grid])
     crit = np.concatenate([unique_t, beta_quantile(params, grid)])
     keep = (levels > 0.0) & (levels < 1.0)

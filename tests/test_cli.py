@@ -1134,3 +1134,23 @@ def test_commands_skip_the_scipy_special_package(tmp_path):
                              str(tmp_path / "out_"), *TRAIN_FLAGS],
                             env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_train_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique imports numpy.ma (and inspect) on its first call; calibration
+    # takes its distinct dev statistics by a sort instead
+    data = tmp_path / "data.tsv"
+    assert cli.main(["synth", "--output", str(data), "--seed", "1"] + SYNTH_FLAGS) == 0
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = """if True:
+        import sys
+        from mahaclass import cli
+        data, out, *train_flags = sys.argv[1:]
+        assert cli.main(["train", "--input", data, "--output", out, *train_flags]) == 0
+        assert "numpy.ma" not in sys.modules
+    """
+    result = subprocess.run([sys.executable, "-c", code, str(data), str(tmp_path / "model.txt"),
+                             *TRAIN_FLAGS], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

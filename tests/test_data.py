@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -160,6 +161,104 @@ class TestDatasetIo:
         for read in READERS:
             with pytest.raises(DataError, match="no records"):
                 read(p)
+
+
+GOOD = b"a\t1\t1.5 -2.25\nb\t0\t3 4\n"
+# (file bytes, what reading gives: a regex of the DataError, or the vectors);
+# the bad rows sit on lines 3-4, one chunk at CHUNK_ROWS 2 as at 256
+PARSE_CASES = {
+    "crlf": (b"a\t1\t1.5 -2.25\r\nb\t0\t3 4\r\n", [[1.5, -2.25], [3, 4]]),
+    "space-runs": (b"a\t1\t1.5    -2.25\nb\t0\t3  4\n", [[1.5, -2.25], [3, 4]]),
+    "outer-spaces": (b"a\t1\t  1.5 -2.25 \nb\t0\t 3 4   \n", [[1.5, -2.25], [3, 4]]),
+    "formfeed": (GOOD + b"c\t1\t5\x0c6\n", [[1.5, -2.25], [3, 4], [5, 6]]),
+    "nbsp": (GOOD + "c\t1\t5\xa06\n".encode(), [[1.5, -2.25], [3, 4], [5, 6]]),
+    "en-quad": (GOOD + "c\t1\t5\u20006\n".encode(), [[1.5, -2.25], [3, 4], [5, 6]]),
+    "subnormal": (GOOD + b"c\t1\t4e-320 -0\n", [[1.5, -2.25], [3, 4], [4e-320, -0.0]]),
+    "overflow": (GOOD + b"c\t1\t1e400 0\n", "record 'c' contains non-finite values"),
+    "nan": (GOOD + b"c\t1\t0 nan\n", "record 'c' contains non-finite values"),
+    # float() takes these, numpy's bulk parse refuses them
+    "underscore": (GOOD + b"c\t1\t1_0 0\n", [[1.5, -2.25], [3, 4], [10, 0]]),
+    "arabic-digit": (GOOD + "c\t1\t١ 0\n".encode(), [[1.5, -2.25], [3, 4], [1, 0]]),
+    # both refuse these
+    "nan-payload": (GOOD + b"c\t1\tnan(1) 0\n",
+                    "line 3: could not convert string to float: 'nan\\(1\\)'"),
+    "hex": (GOOD + b"c\t1\t0 0x1p3\n", "line 3: could not convert string to float: '0x1p3'"),
+    "hash": (GOOD + b"c\t1\t#2 0\n", "line 3: could not convert string to float: '#2'"),
+    "empty-vector": (GOOD + b"c\t1\t\n", "line 3: no vector components"),
+    "space-vector": (GOOD + b"c\t1\t   \n", "line 3: no vector components"),
+    "bad-float-then-label": (GOOD + b"c\t1\t1 x\nd\t2\t1 2\n",
+                             "line 3: could not convert string to float: 'x'"),
+    "bad-label-then-float": (GOOD + b"c\t2\t1 2\nd\t1\t1 x\n", "line 3: label must be 0 or 1"),
+    "duplicate-in-chunk": (GOOD + b"c\t1\t1 2\nc\t0\t1 2\n", "line 4: duplicate id 'c'"),
+    "ragged-then-float": (GOOD + b"c\t1\t1\nd\t0\t1 x\n", "line 3: 1 components, expected 2"),
+    # line 4's bad byte lies past the decoder's first 8 KiB block, so line 3
+    # is read (and is the first bad line) before the file fails to decode
+    "bad-float-then-byte": (GOOD + b"c\t1\t1 x\nd\t0\t" + b"1 " * 5000 + b"\xff\n",
+                            "line 3: could not convert string to float: 'x'"),
+    "byte-in-first-block": (GOOD + b"c\t1\t1 x\nd\t0\t1 \xff\n", "not UTF-8 text"),
+}
+
+
+class TestBulkParse:
+    """The bulk parse of a chunk (``_bulk_vectors``) against the per-line
+    parse it falls back to: each file gives the same ids, labels and vector
+    bytes, or the same DataError, at 2 and 256 rows a chunk."""
+
+    @staticmethod
+    def outcome(path):
+        try:
+            ds = load_dataset(path)
+        except DataError as exc:
+            return str(exc)
+        return ds.ids, ds.labels.tolist(), ds.vectors.tobytes()
+
+    @pytest.mark.parametrize("case", PARSE_CASES)
+    def test_bulk_and_per_line_parse_agree(self, tmp_path, monkeypatch, case):
+        content, expected = PARSE_CASES[case]
+        p = tmp_path / "case.tsv"
+        p.write_bytes(content)
+        outcomes = []
+        for rows in (2, 256):
+            monkeypatch.setattr(data_mod, "CHUNK_ROWS", rows)
+            outcomes.append(self.outcome(p))
+            with monkeypatch.context() as m:
+                m.setattr(data_mod, "_bulk_vectors", lambda vecs, width: None)
+                outcomes.append(self.outcome(p))
+        assert outcomes == [outcomes[0]] * 4
+        if isinstance(expected, str):
+            assert isinstance(outcomes[0], str) and re.search(expected, outcomes[0])
+        else:
+            n = len(expected)
+            assert outcomes[0][:2] == (["a", "b", "c"][:n], [1, 0, 1][:n])
+            assert outcomes[0][2] == np.array(expected, dtype=float).tobytes()
+
+    def test_well_formed_chunks_parse_in_bulk(self, tmp_path, monkeypatch):
+        def per_line(*args):
+            raise AssertionError("per-line parse of a well-formed chunk")
+
+        ds = toy_dataset(600, d=5)
+        p = tmp_path / "ds.tsv"
+        save_dataset(ds, p)
+        monkeypatch.setattr(data_mod, "_parse_lines", per_line)
+        back = load_dataset(p)
+        assert back.ids == ds.ids
+        assert back.vectors.tobytes() == ds.vectors.tobytes()
+
+    def test_template_matches_per_float_formatting(self, tmp_path):
+        # save_dataset's "%.17g" row template writes what _fmt writes
+        rng = np.random.default_rng(3)
+        vectors = np.concatenate([
+            rng.normal(size=(20, 4)) * 10.0 ** rng.integers(-300, 300, size=(20, 1)),
+            [[5e-324, -0.0, 1e308, 0.1], [2.0 ** 53 + 2, 1 / 3, -1e-5, 123456789.0]]])
+        ds = EmbeddingDataset([f"r{i}" for i in range(len(vectors))],
+                              np.arange(len(vectors)) % 2, vectors)
+        p = tmp_path / "ds.tsv"
+        save_dataset(ds, p)
+        expected = "".join(f"{rid}\t{label}\t{' '.join(data_mod._fmt(v) for v in row)}\n"
+                           for rid, label, row in zip(ds.ids, ds.labels.tolist(),
+                                                      vectors.tolist()))
+        assert p.read_text(encoding="utf-8") == expected
+        assert load_dataset(p).vectors.tobytes() == vectors.tobytes()
 
 
 class TestSplit:
