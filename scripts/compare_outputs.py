@@ -70,6 +70,10 @@ COMMANDS = [
                     "--output", "decisions_wide.tsv"]),
     ("evaluate-wide", ["evaluate", "--model", "model_wide.txt", "--input", "data_wide.tsv",
                        "--output", "metrics_wide.txt"]),
+    # four components over 8003 rows: the mixture's alternating offset signs
+    # and a last component longer than the others
+    ("synth-components", ["synth", "--output", "data_components.tsv", "--components", "4",
+                           "--m-non-target", "8003"]),
     ("ablate", ["ablate", "--input", "data.tsv", "--output", "ablation.tsv",
                 "--mlp-epochs", "3"] + REDUCED),
     ("ablate-fpr-cap", ["ablate", "--input", "data.tsv", "--output", "ablation_fpr_cap.tsv",

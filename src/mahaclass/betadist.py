@@ -2,11 +2,9 @@
 
 Thin wrappers over scipy's ``betainc`` and ``betaincinv`` ufuncs that add
 the package's domain errors.  Both work elementwise on arrays.  The
-ufuncs come from ``_scipy.special()``, which on the first call loads
-scipy's ``special/_ufuncs`` extension without the ``scipy.special``
-package ``__init__`` (and falls back to the public ``scipy.special``), so
-importing the CLI loads neither: ``infer`` and ``evaluate`` never call
-either function.
+ufuncs come from ``_scipy.special()``, which loads scipy's ``_ufuncs``
+extension on its first call, so importing the CLI loads none of
+scipy.special: ``infer`` and ``evaluate`` never call either function.
 """
 
 from __future__ import annotations

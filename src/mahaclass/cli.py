@@ -22,7 +22,7 @@ from . import data as data_mod
 from . import diagnostics, metrics, trainer
 from .errors import ConfigError, DataError, NumericalError
 from .linalg import fit_gaussian
-from .mahalanobis import DecisionThreshold, calibrate
+from .mahalanobis import DecisionThreshold, calibrate_scores, null_beta_params
 from .trainer import TrainConfig
 
 EXIT_OK = 0
@@ -201,17 +201,22 @@ def _split(args):
 
 
 def _train_and_calibrate(train_ds, dev_ds, loss, args):
+    """The trained Detector, its training log and the T of each dev row,
+    which calibration (without --beta-level) picks the threshold from."""
     cfg = TrainConfig(loss_kind=_LOSS_FLAGS[loss], batch_size=args.batch_size,
                       window_multiplier=args.window_mult, learning_rate=args.lr,
                       epochs=args.epochs, ridge=args.ridge, proj_dim=args.proj_dim,
                       seed=args.seed)  # train() caps proj_dim at the input width
     head, model, log = trainer.train(train_ds, cfg)
+    try:
+        dev_t = data_mod.finite_projection(head, dev_ds.vectors, dev_ds.ids, model)
+    except NumericalError as exc:
+        raise NumericalError(f"dev split: {exc}") from exc
     if args.beta_level is not None:
         thr = DecisionThreshold.for_model(model, args.beta_level)
     else:
-        thr = calibrate(model, data_mod.finite_projection(head, dev_ds.vectors, dev_ds.ids),
-                        dev_ds.labels, args.fpr_cap)
-    return data_mod.Detector.of(head, model, thr, args.seed, _config_hash(args)), log
+        thr = calibrate_scores(null_beta_params(model), dev_t, dev_ds.labels, args.fpr_cap)
+    return data_mod.Detector.of(head, model, thr, args.seed, _config_hash(args)), log, dev_t
 
 
 def _evaluate(det: data_mod.Detector, t_values, labels) -> metrics.MetricsReport:
@@ -223,9 +228,9 @@ def _evaluate(det: data_mod.Detector, t_values, labels) -> metrics.MetricsReport
 
 def cmd_train(args) -> int:
     train_ds, dev_ds, _ = _split(args)
-    det, log = _train_and_calibrate(train_ds, dev_ds, args.loss, args)
-    try:  # a failing run writes nothing, so the dev split is scored first
-        report = _evaluate(det, det.scores(dev_ds.vectors, dev_ds.ids), dev_ds.labels)
+    det, log, dev_t = _train_and_calibrate(train_ds, dev_ds, args.loss, args)
+    try:  # a failing run writes nothing, so the dev report is made first
+        report = _evaluate(det, dev_t, dev_ds.labels)
     except NumericalError as exc:
         raise NumericalError(f"dev split: {exc}") from exc
     with _replacing(args.output) as model_tmp:
@@ -317,7 +322,7 @@ def cmd_ablate(args) -> int:
                           "the head is the identity, so the losses have nothing to compare")
     rows = []
     for loss_flag in ("mah", "mah-mean", "cosine"):
-        det, _ = _train_and_calibrate(train_ds, dev_ds, loss_flag, args)
+        det, _, _ = _train_and_calibrate(train_ds, dev_ds, loss_flag, args)
         rows.append((loss_flag, "beta", _evaluate(det, det.scores(test_ds.vectors, test_ds.ids),
                                                   test_ds.labels)))
         mlp = trainer.train_mlp(det.project(train_ds.vectors, train_ds.ids), train_ds.labels,

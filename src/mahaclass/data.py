@@ -295,40 +295,47 @@ def synth_target_moments(cfg: SynthConfig):
     return mu, cov
 
 def synth_benchmark(cfg: SynthConfig) -> EmbeddingDataset:
+    """The benchmark's rows: the targets, then each mixture component and
+    the background, each drawn into its own rows of one preallocated array."""
     mu, basis, scales = _synth_geometry(cfg)
     rng = rng_for(cfg.seed, "synth-sample")
+    m = cfg.m_non_target
+    vectors = np.empty((cfg.n_target + m, cfg.d_in))
 
-    z = rng.normal(size=(cfg.n_target, cfg.manifold_dim)) * scales
-    targets = mu + z @ basis.T + _AMBIENT_NOISE * rng.normal(size=(cfg.n_target, cfg.d_in))
+    def gaussian(rows, center, scale, noise):
+        """center + (N(0, I) * scale) @ basis.T + noise * N(0, I) into rows."""
+        z = rng.normal(size=(len(rows), cfg.manifold_dim)) * scale
+        np.matmul(z, basis.T, out=rows)
+        rows += center
+        eps = rng.normal(size=rows.shape)
+        eps *= noise
+        rows += eps
+
+    gaussian(vectors[:cfg.n_target], mu, scales, _AMBIENT_NOISE)
 
     # component weights: 10% uniform background, rest split evenly
-    m = cfg.m_non_target
     n_bg = max(1, int(round(0.1 * m)))
     per_comp = (m - n_bg) // cfg.components
     counts = [per_comp] * cfg.components
     counts[-1] += (m - n_bg) - per_comp * cfg.components
     spread = cfg.separation * float(np.mean(scales))
+    parts = np.split(vectors[cfg.n_target:], np.cumsum(counts))
 
-    neg = []
     # concentric component: same manifold, separation-times the scale --
     # angularly indistinguishable from the target class
-    z = rng.normal(size=(counts[0], cfg.manifold_dim)) * (cfg.separation * scales)
-    neg.append(mu + z @ basis.T
-               + cfg.separation * _AMBIENT_NOISE * rng.normal(size=(counts[0], cfg.d_in)))
+    gaussian(parts[0], mu, cfg.separation * scales, cfg.separation * _AMBIENT_NOISE)
     # displaced components: radial offsets (along the class-mean ray,
     # invisible to angular similarity) with target-like covariance
     for k in range(1, cfg.components):
         sign = 1.0 if k % 2 else -0.7
-        center = mu + sign * spread * basis[:, 0]
         comp_scale = float(rng.uniform(0.6, 1.2))
-        z = rng.normal(size=(counts[k], cfg.manifold_dim)) * (comp_scale * scales)
-        neg.append(center + z @ basis.T
-                   + 2.0 * _AMBIENT_NOISE * rng.normal(size=(counts[k], cfg.d_in)))
-    neg.append(rng.uniform(-1.5 * spread, 1.5 * spread, size=(n_bg, cfg.d_in)) + mu)
+        gaussian(parts[k], mu + sign * spread * basis[:, 0], comp_scale * scales,
+                 2.0 * _AMBIENT_NOISE)
+    parts[-1][:] = rng.uniform(-1.5 * spread, 1.5 * spread, size=(n_bg, cfg.d_in))
+    parts[-1] += mu
 
     ids = [f"t{i:06d}" for i in range(cfg.n_target)] + [f"n{i:06d}" for i in range(m)]
-    return EmbeddingDataset(ids, np.repeat([1, 0], [cfg.n_target, m]),
-                            np.vstack([targets, *neg]))
+    return EmbeddingDataset(ids, np.repeat([1, 0], [cfg.n_target, m]), vectors)
 
 
 # -- trained model -----------------------------------------------------------

@@ -7,10 +7,9 @@ projected by a model; the caller projects once and passes the same rows
 to each report.  Statistics are reported raw (no p-values); for both
 tests, larger values mean greater deviation from normality.  Failures
 are ``NumericalError``.  ``anderson_darling`` and ``emit_qq`` call the
-``ndtr`` and ``ndtri`` ufuncs of ``_scipy.special()``, which loads scipy's
-``special/_ufuncs`` extension on the first call, without the
-``scipy.special`` package ``__init__`` (the public ``scipy.special`` is
-the fallback), so importing the CLI loads neither.
+``ndtr`` and ``ndtri`` ufuncs of ``_scipy.special()``, which loads
+scipy's ``_ufuncs`` extension on its first call, so importing the CLI
+loads none of scipy.special.
 """
 
 from __future__ import annotations

@@ -122,9 +122,17 @@ def beta_decide(model: GaussianModel, x: np.ndarray, thr: DecisionThreshold) -> 
 
 def calibrate(model: GaussianModel, dev_vectors, dev_labels,
               fpr_cap: float = 1.0) -> DecisionThreshold:
-    """Pick the quantile level with the best F1 on the dev split among
-    those whose false positive rate is at most fpr_cap (every level by
-    default); the lowest-FPR level when none is.
+    """``calibrate_scores`` of the dev rows' ``scores``, all in one batch."""
+    return calibrate_scores(null_beta_params(model), scores(model, dev_vectors),
+                            dev_labels, fpr_cap)
+
+
+def calibrate_scores(params: BetaParams, t_values, dev_labels,
+                     fpr_cap: float = 1.0) -> DecisionThreshold:
+    """Pick the quantile level of Beta ``params`` with the best F1 on the
+    dev rows with statistics t_values among those whose false positive
+    rate is at most fpr_cap (every level by default); the lowest-FPR level
+    when none is.
 
     Candidates are the dev statistics' own quantile levels plus a grid of
     99 evenly spaced levels; ties break toward the smaller level (lower
@@ -133,8 +141,7 @@ def calibrate(model: GaussianModel, dev_vectors, dev_labels,
     truth = np.asarray(dev_labels, dtype=int)
     if len(set(truth.tolist())) < 2:
         raise NumericalError("dev split must contain both classes")
-    params = null_beta_params(model)
-    t_values = scores(model, dev_vectors)
+    t_values = np.asarray(t_values, dtype=float)
 
     # (beta_level, critical value) candidates, sorted; a dev statistic t
     # maps back to the level I_t(a, b), whose quantile is t itself.

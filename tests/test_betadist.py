@@ -1,14 +1,9 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mahaclass import _scipy
 from mahaclass.betadist import BetaParams, beta_quantile, reg_inc_beta
 from mahaclass.errors import NumericalError
 
@@ -114,61 +109,3 @@ class TestBetaQuantile:
         lo, hi = sorted((p1, p2))
         p = BetaParams(a, b)
         assert beta_quantile(p, lo) <= beta_quantile(p, hi) + 1e-12
-
-
-# Run in a fresh interpreter, since this suite itself imports scipy.special.
-# argv: the path to take, an empty directory.  Loads the ufuncs the way the
-# path says, checks that no stand-in scipy.special is left in sys.modules,
-# then compares every ufunc's values with the public scipy.special's, bit
-# for bit, and prints the loaded module's name.
-_SPECIAL_LOADING = """if True:
-    import importlib.util, sys, types
-    import numpy as np
-    from mahaclass import _scipy
-    path, empty = sys.argv[1:]
-    if path == "scipy-special-imported":
-        import scipy.special
-    find_spec = importlib.util.find_spec
-    if path == "no-extension-file":
-        importlib.util.find_spec = lambda name, *args: types.SimpleNamespace(
-            submodule_search_locations=[empty])
-    try:
-        module = _scipy._load_special()
-    finally:
-        importlib.util.find_spec = find_spec
-    left = sys.modules.get("scipy.special")
-    if path == "stand-in":
-        assert left is None, left
-    else:
-        assert left is module and hasattr(left, "__file__"), left
-    import scipy.special as public
-    assert hasattr(sys.modules["scipy.special"], "__file__")
-    rng = np.random.default_rng(0)
-    a, b = rng.uniform(0.3, 60.0, size=(2, 200))
-    u = np.concatenate([[0.0, 1e-300, 0.5, 1.0 - 1e-16, 1.0], rng.uniform(size=195)])
-    z = np.concatenate([[-np.inf, -40.0, 0.0, 8.5, np.inf, np.nan], rng.normal(size=194) * 5])
-    for name, args in (("betainc", (a, b, u)), ("betaincinv", (a, b, u)),
-                       ("ndtr", (z,)), ("ndtri", (u,))):
-        got, want = getattr(module, name)(*args), getattr(public, name)(*args)
-        assert got.tobytes() == want.tobytes(), name
-    print(module.__name__)
-"""
-
-
-class TestSpecialLoading:
-    """Each way ``_scipy`` can load scipy.special's ufuncs gives the public
-    functions' values bit for bit and leaves no stand-in package behind."""
-
-    @pytest.mark.parametrize("path, loaded", [
-        ("stand-in", "scipy.special._ufuncs"),
-        ("scipy-special-imported", "scipy.special"),
-        ("no-extension-file", "scipy.special"),  # the stand-in's directory is empty
-    ])
-    def test_ufuncs_match_scipy_special(self, tmp_path, path, loaded):
-        src = str(Path(_scipy.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        result = subprocess.run([sys.executable, "-c", _SPECIAL_LOADING, path, str(tmp_path)],
-                                env=env, capture_output=True, text=True)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == [loaded]

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mahaclass import cli
+from conftest import run_fresh
+from mahaclass import cli, mahalanobis
 from mahaclass import data as data_mod
 from mahaclass.data import (
     SynthConfig,
@@ -188,6 +189,18 @@ class TestInferEvaluate:
         assert cli.main(["evaluate", "--model", str(model), "--input", str(dev),
                          "--output", str(tmp_path / "metrics.txt")]) == 0
         assert capsys.readouterr().out == dev_metrics
+
+    @pytest.mark.parametrize("flags", [[], ["--beta-level", "0.9"]])
+    def test_train_scores_in_chunk_row_blocks(self, workspace, tmp_path, monkeypatch, flags):
+        # calibration and the dev metrics use the T infer gives each row:
+        # every solve is one block of CHUNK_ROWS rows, scored once
+        _, data, _ = workspace
+        sizes, scores = [], mahalanobis.scores
+        monkeypatch.setattr(mahalanobis, "scores",
+                            lambda model, z: sizes.append(len(z)) or scores(model, z))
+        assert cli.main(["train", "--input", str(data), "--output", str(tmp_path / "m.txt"),
+                         "--seed", "1"] + TRAIN_FLAGS + flags) == 0
+        assert sizes == [data_mod.CHUNK_ROWS]
 
 
 # fault -> (exit code, message); at 4 rows a chunk, row r is on line r + 1,
@@ -1141,9 +1154,6 @@ def test_train_leaves_numpy_ma_unloaded(tmp_path):
     # takes its distinct dev statistics by a sort instead
     data = tmp_path / "data.tsv"
     assert cli.main(["synth", "--output", str(data), "--seed", "1"] + SYNTH_FLAGS) == 0
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = """if True:
         import sys
         from mahaclass import cli
@@ -1151,6 +1161,4 @@ def test_train_leaves_numpy_ma_unloaded(tmp_path):
         assert cli.main(["train", "--input", data, "--output", out, *train_flags]) == 0
         assert "numpy.ma" not in sys.modules
     """
-    result = subprocess.run([sys.executable, "-c", code, str(data), str(tmp_path / "model.txt"),
-                             *TRAIN_FLAGS], env=env, capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
+    run_fresh(code, str(data), str(tmp_path / "model.txt"), *TRAIN_FLAGS)

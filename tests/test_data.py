@@ -1,9 +1,11 @@
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import run_fresh
 from mahaclass import data as data_mod
 from mahaclass.betadist import BetaParams
 from mahaclass.data import (
@@ -350,6 +352,22 @@ class TestSynthBenchmark:
         assert np.isfinite(back.vectors).all()
         assert np.abs(back.vectors).max() > 1e299
         np.testing.assert_array_equal(back.vectors, ds.vectors)
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+    def test_memory_stays_within_twice_the_output(self):
+        # a fresh interpreter, whose high-water mark this test alone raises
+        code = r"""if True:
+            import re
+            from mahaclass.data import SynthConfig, synth_benchmark
+            def status(key):
+                with open("/proc/self/status") as fh:
+                    return int(re.search(key + r":\s+(\d+) kB", fh.read()).group(1)) * 1024
+            before = status("VmRSS")
+            ds = synth_benchmark(SynthConfig(d_in=128, n_target=3000, m_non_target=12000))
+            print(status("VmHWM") - before, ds.vectors.nbytes)
+        """
+        rise, size = map(int, run_fresh(code).split())
+        assert rise <= 2 * size, (rise, size)
 
 
 def make_detector(seed=0, d_in=5, d_out=3):

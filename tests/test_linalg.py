@@ -1,11 +1,8 @@
-import importlib.util
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_solve, lapack, solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 
 from mahaclass import _scipy
 from mahaclass.diagnostics import henze_zirkler
@@ -207,33 +204,11 @@ class TestSlidingWindow:
 
 
 class TestLapackLoading:
-    """Both ways ``_scipy`` can load dtrtrs and dpotrs give the answers of
-    scipy's public solvers, bit for bit."""
+    """The dtrtrs and dpotrs ``_scipy`` loads give the answers of scipy's
+    public solvers, bit for bit (tests/test_scipy.py checks each way of
+    loading them)."""
 
-    @pytest.fixture(params=["extension", "no-scipy-spec", "no-extension-file"])
-    def loaded(self, request, monkeypatch, tmp_path):
-        """Swap in the functions ``_scipy._load`` returns, with scipy's
-        spec made unfindable, or pointing at a directory without the file,
-        to force the fallback import."""
-        lookups = []
-
-        def find_spec(name, *args):
-            lookups.append(name)
-            if request.param == "no-scipy-spec":
-                raise ModuleNotFoundError(name)
-            return SimpleNamespace(submodule_search_locations=[str(tmp_path)])
-
-        with monkeypatch.context() as m:
-            if request.param != "extension":
-                m.setattr(importlib.util, "find_spec", find_spec)
-            dtrtrs, dpotrs = _scipy._load()
-        if request.param != "extension":
-            assert lookups == ["scipy"]
-            assert (dtrtrs, dpotrs) == (lapack.dtrtrs, lapack.dpotrs)
-        monkeypatch.setattr(_scipy, "dtrtrs", dtrtrs)
-        monkeypatch.setattr(_scipy, "dpotrs", dpotrs)
-
-    def test_whitened_sq_norms(self, loaded):
+    def test_whitened_sq_norms(self):
         rng = np.random.default_rng(7)
         a = rng.normal(size=(40, 6))
         chol = cholesky(a.T @ a / 39)
@@ -242,7 +217,7 @@ class TestLapackLoading:
                                       TestWhitenedSqNorms.reference(chol, deltas))
 
     @pytest.mark.parametrize("shape", [(5,), (9, 5), (2, 3, 5), (0, 5), (2, 0, 5)])
-    def test_spd_solve(self, loaded, shape):
+    def test_spd_solve(self, shape):
         rng = np.random.default_rng(8)
         m = fit_gaussian(rng.normal(size=(30, 5)), ridge=1e-6)
         v = rng.normal(size=shape)
@@ -251,7 +226,7 @@ class TestLapackLoading:
         assert got.shape == shape
         np.testing.assert_array_equal(got, want.reshape(shape))
 
-    def test_henze_zirkler(self, loaded, monkeypatch):
+    def test_henze_zirkler(self, monkeypatch):
         x = np.random.default_rng(9).normal(size=(700, 3))
         got = henze_zirkler(x)
         monkeypatch.setattr(_scipy, "dpotrs", lambda c, b, lower: (
