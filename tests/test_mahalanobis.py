@@ -16,6 +16,7 @@ from mahaclass.mahalanobis import (
     _isclose,
     beta_decide,
     calibrate,
+    calibrate_scores,
     decision_statistic,
     null_beta_params,
     scores,
@@ -318,6 +319,17 @@ class TestCalibrate:
         for thr in (calibrate(model, vectors, labels, fpr_cap=1.0),
                     calibrate(model, vectors, labels)):
             assert (thr.beta_level, thr.v_beta) == (uncapped.beta_level, uncapped.v_beta)
+
+    @pytest.mark.parametrize("seed", [20, 21, 22])
+    def test_scores_in_any_row_order_calibrate_alike(self, seed):
+        # train hands calibrate_scores the T values of its own blocked
+        # projection; only the (T, label) pairs may matter, not their order
+        model, vectors, labels = self._dev(seed, n_t=150, n_n=150, shift=1.0)
+        t_values, params = scores(model, vectors), null_beta_params(model)
+        want = calibrate(model, vectors, labels, fpr_cap=0.1)
+        order = np.random.default_rng(seed).permutation(labels.size)
+        got = calibrate_scores(params, t_values[order], labels[order], fpr_cap=0.1)
+        assert (got.beta_level, got.v_beta) == (want.beta_level, want.v_beta)
 
     def test_single_class_dev_raises(self):
         model, vectors, labels = self._dev(17)
