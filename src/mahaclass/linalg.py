@@ -91,19 +91,35 @@ def spd_solve(model: GaussianModel, v: np.ndarray) -> np.ndarray:
     return w.T.reshape(v.shape)
 
 
-def whitened_sq_norms(chol: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """delta^T (L L^T)^{-1} delta for each row of the (N, d) deltas, by one
-    triangular solve against the (d, N) right-hand side.
+def _whiten(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """L^-1 rhs, for a (d,) or (d, N) right-hand side.
 
-    LAPACK's dtrtrs is handed U = L^T and solves U^T z = delta: the factor
+    LAPACK's dtrtrs is handed U = L^T and solves U^T z = rhs: the factor
     from ``np.linalg.cholesky`` is C-ordered, so U is a Fortran-ordered
     array that LAPACK reads without a copy.
     """
-    z, info = _scipy.dtrtrs(chol.T, deltas.T, lower=0, trans=1)
+    z, info = _scipy.dtrtrs(chol.T, rhs, lower=0, trans=1)
     if info != 0:
         raise NotPositiveDefinite(f"triangular solve failed (LAPACK info {info}): "
                                   "zero pivot in the factor")
+    return z
+
+
+def whitened_sq_norms(chol: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """delta^T (L L^T)^{-1} delta for each row of the (N, d) deltas, by one
+    triangular solve against the (d, N) right-hand side."""
+    z = _whiten(chol, deltas.T)
     return np.einsum("ij,ij->j", z, z)
+
+
+def whitened_sq_norm(chol: np.ndarray, delta: np.ndarray) -> float:
+    """``whitened_sq_norms`` of the single (d,) delta: the same one-column
+    solve and the same float, bit for bit, without the batch's (d, 1)
+    arrays.  ``np.einsum("i,i")`` rounds the sum of squares as the batch's
+    ``einsum`` does; ``np.dot`` is faster but differs in the last bit on
+    about a third of rows."""
+    z = _whiten(chol, delta)
+    return float(np.einsum("i,i", z, z))
 
 
 def append_point(model: GaussianModel, x: np.ndarray) -> GaussianModel:

@@ -16,10 +16,10 @@ import numpy as np
 
 from .betadist import BetaParams, beta_quantile, reg_inc_beta
 from .errors import NumericalError
-from .linalg import GaussianModel, whitened_sq_norms
+from .linalg import GaussianModel, whitened_sq_norm, whitened_sq_norms
 from .metrics import NON_TARGET, TARGET
 
-_Q_MAX = np.finfo(float).max
+_Q_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,12 @@ class DecisionThreshold:
     beta_level: float
     params: BetaParams
     v_beta: float
+
+    def __post_init__(self):
+        # NaN fails both tests, like any level or critical value outside (0, 1)
+        if not (0 < self.v_beta < 1 and 0 < self.beta_level < 1):
+            raise NumericalError(f"v_beta {self.v_beta} and beta_level {self.beta_level} "
+                                 "must lie in (0, 1)")
 
     @classmethod
     def for_model(cls, model: GaussianModel, beta_level: float) -> "DecisionThreshold":
@@ -54,21 +60,22 @@ def null_beta_params(model: GaussianModel) -> BetaParams:
     return BetaParams(*_null_shapes(model))
 
 
-def _deltas(model: GaussianModel, x) -> np.ndarray:
-    """Rows of the (N, d) array x minus the model mean."""
+def _delta(model: GaussianModel, x) -> np.ndarray:
+    """The single query x, of shape (d,), minus the model mean."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != model.d:
-        raise NumericalError(f"expected rows of length {model.d}, got shape {x.shape}")
+    if x.shape != (model.d,):
+        raise NumericalError(f"expected rows of length {model.d}, got shape {(1, *x.shape)}")
     return x - model.mean
 
 
 def sq_mahalanobis(model: GaussianModel, x: np.ndarray) -> float:
     """(x - mu)^T (Sigma + ridge*I)^{-1} (x - mu); zero iff x == mu.
 
-    It solves with one right-hand side, which BLAS may round differently
-    from a many-column solve: d2 can differ in the last bit from what a
-    batch of rows gives the same row."""
-    return float(whitened_sq_norms(model.chol, _deltas(model, np.asarray(x)[None]))[0])
+    It solves with one right-hand side (``linalg.whitened_sq_norm``), which
+    gives the d2 of a one-row ``whitened_sq_norms`` call bit for bit; BLAS
+    may round a many-column solve differently, so d2 can differ in the last
+    bit from what a batch of rows gives the same row."""
+    return whitened_sq_norm(model.chol, _delta(model, x))
 
 
 def scores(model: GaussianModel, x) -> np.ndarray:
@@ -86,17 +93,34 @@ def scores(model: GaussianModel, x) -> np.ndarray:
     move, so the quotient rounds to 1.  Every finite q passes unchanged.
     """
     _null_shapes(model)  # n > d+1
-    q = np.fmin(whitened_sq_norms(model.appended_chol, _deltas(model, x)), _Q_MAX)
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != model.d:
+        raise NumericalError(f"expected rows of length {model.d}, got shape {x.shape}")
+    q = np.fmin(whitened_sq_norms(model.appended_chol, x - model.mean), _Q_MAX)
+    return q / (model.n + 1 + q)
+
+
+def _score_one(model: GaussianModel, x) -> float:
+    """T of the single query x, the value a one-row ``scores`` call gives
+    it bit for bit: the same solve (``linalg.whitened_sq_norm``), the
+    same clamp of an overflowing q, the same quotient, on Python floats.
+    The caller checks n > d+1."""
+    q = whitened_sq_norm(model.appended_chol, _delta(model, x))
+    if not q <= _Q_MAX:  # inf or NaN, which np.fmin takes to _Q_MAX
+        q = _Q_MAX
     return q / (model.n + 1 + q)
 
 
 def decision_statistic(model: GaussianModel, x: np.ndarray) -> DecisionScore:
     """``scores`` of the single query x, with its appended squared distance.
 
-    It solves with one right-hand side, which BLAS may round differently
-    from a many-column solve: T can differ in the last bit from what
-    ``infer`` (``data.finite_projection``'s 256-row blocks) gives the row."""
-    t = float(scores(model, np.asarray(x)[None])[0])
+    It solves with one right-hand side (``linalg.whitened_sq_norm``): T is
+    a one-row ``scores`` call's bit for bit, but BLAS may round a
+    many-column solve differently, so T can differ in the last bit from
+    what ``infer`` (``data.finite_projection``'s 256-row blocks) gives the
+    row."""
+    _null_shapes(model)  # n > d+1
+    t = _score_one(model, x)
     return DecisionScore(d2=model.n**2 / (model.n + 1) * t, T=t)
 
 
@@ -109,15 +133,15 @@ def _isclose(a: float, b: float) -> bool:
 def beta_decide(model: GaussianModel, x: np.ndarray, thr: DecisionThreshold) -> int:
     """1 (target) iff the normalized statistic falls strictly below v_beta.
 
-    It solves with one right-hand side, which BLAS may round differently
-    from a many-column solve: T can differ in the last bit from what
-    ``infer`` gives the row, so a T within an ulp of v_beta may be decided
-    the other way."""
+    T is ``decision_statistic``'s, from the same one-row kernel: a one-row
+    ``scores`` call's bit for bit, but it can differ in the last bit from
+    what ``infer`` gives the row, so a T within an ulp of v_beta may be
+    decided the other way."""
     a, b = _null_shapes(model)
     if not (_isclose(thr.params.a, a) and _isclose(thr.params.b, b)):
         raise NumericalError(
             f"threshold shapes {thr.params} do not match model (n={model.n}, d={model.d})")
-    return TARGET if scores(model, np.asarray(x)[None])[0] < thr.v_beta else NON_TARGET
+    return TARGET if _score_one(model, x) < thr.v_beta else NON_TARGET
 
 
 def calibrate(model: GaussianModel, dev_vectors, dev_labels,

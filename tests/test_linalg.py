@@ -13,6 +13,7 @@ from mahaclass.linalg import (
     cholesky,
     fit_gaussian,
     spd_solve,
+    whitened_sq_norm,
     whitened_sq_norms,
 )
 
@@ -63,11 +64,24 @@ class TestWhitenedSqNorms:
             z = solve_triangular(chol, deltas.T, lower=True, check_finite=False)
             np.testing.assert_allclose(got, np.einsum("ij,ij->j", z, z), rtol=1e-13)
 
+    @pytest.mark.parametrize("d", [1, 3, 32, 64])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_one_row_kernel_is_a_one_row_batch(self, d, order):
+        rng = np.random.default_rng(d)
+        a = rng.normal(size=(3 * d + 5, d))
+        chol = np.asarray(cholesky(a.T @ a / (3 * d + 4)), order=order)
+        for delta in 3.0 * rng.normal(size=(200, d)):
+            got = whitened_sq_norm(chol, delta)
+            assert type(got) is float
+            assert got == whitened_sq_norms(chol, delta[None])[0]
+
     def test_zero_pivot_raises(self):
         chol = np.tril(np.ones((4, 4)))
         chol[2, 2] = 0.0
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(NotPositiveDefinite, match="zero pivot"):
             whitened_sq_norms(chol, np.ones((3, 4)))
+        with pytest.raises(NotPositiveDefinite, match="zero pivot"):
+            whitened_sq_norm(chol, np.ones(4))
 
 
 class TestFitGaussian:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import make_model
 from mahaclass.betadist import BetaParams, beta_quantile, reg_inc_beta
-from mahaclass.errors import NumericalError
-from mahaclass.linalg import append_point, fit_gaussian, whitened_sq_norms
+from mahaclass.errors import NotPositiveDefinite, NumericalError
+from mahaclass.linalg import GaussianModel, append_point, fit_gaussian, whitened_sq_norms
 from mahaclass.mahalanobis import (
     NON_TARGET,
     TARGET,
@@ -246,6 +247,105 @@ class TestBetaDecide:
             got = [beta_decide(model, row, thr) for row in x]
             np.testing.assert_array_equal(got, expected)
             assert 0 < np.count_nonzero(expected == TARGET) < len(x)
+
+
+class TestOneRowScorers:
+    """``sq_mahalanobis``, ``decision_statistic`` and ``beta_decide`` score a
+    row with the one-row kernel; it must give exactly what a one-row batch
+    through ``scores`` and ``whitened_sq_norms`` gives."""
+
+    ONE_ROW = (sq_mahalanobis, decision_statistic,
+               lambda model, x: beta_decide(model, x, DecisionThreshold.for_model(model, 0.5)))
+
+    @staticmethod
+    def rows(model, rng):
+        """The mean, rows near and far at several scales, a row whose q
+        overflows and a NaN row."""
+        d = model.d
+        scaled = rng.normal(size=(300, d)) * rng.choice([1e-3, 0.3, 1.0, 3.0, 1e4], size=(300, 1))
+        special = np.array([np.zeros(d), np.full(d, 1e200), np.full(d, np.nan)])
+        return model.mean + np.vstack([special, scaled])
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 32, 64])
+    def test_bit_identical_to_one_row_batch(self, d):
+        rng = np.random.default_rng(100 + d)
+        n = 4 * d + 10
+        model = fit_gaussian(rng.normal(size=(n, d)) @ rng.normal(size=(d, d)), ridge=1e-6)
+        thresholds = [DecisionThreshold.for_model(model, level) for level in (0.1, 0.5, 0.9)]
+        for x in self.rows(model, rng):
+            t = scores(model, x[None])[0]
+            score = decision_statistic(model, x)
+            assert score.T == t
+            assert score.d2 == n**2 / (n + 1) * t
+            d2 = sq_mahalanobis(model, x)
+            want = whitened_sq_norms(model.chol, (x - model.mean)[None])[0]
+            assert d2 == want or (math.isnan(d2) and math.isnan(want))
+            for thr in thresholds:
+                assert beta_decide(model, x, thr) == (TARGET if t < thr.v_beta else NON_TARGET)
+        at_mean, overflowing, nan_row = self.rows(model, rng)[:3]
+        assert decision_statistic(model, at_mean).T == 0.0
+        assert decision_statistic(model, overflowing).T == 1.0
+        assert decision_statistic(model, nan_row).T == 1.0
+        assert beta_decide(model, nan_row, thresholds[-1]) == NON_TARGET
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 3), ()])
+    def test_wrong_shape_message(self, shape):
+        model = fit_gaussian(np.random.default_rng(0).normal(size=(20, 3)), ridge=1e-6)
+        for score in self.ONE_ROW:
+            with pytest.raises(NumericalError, match=re.escape(
+                    f"expected rows of length 3, got shape {(1, *shape)}")):
+                score(model, np.zeros(shape))
+
+    def test_list_row(self):
+        model = fit_gaussian(np.random.default_rng(0).normal(size=(20, 3)), ridge=1e-6)
+        x = [0.5, -1.0, 2.0]
+        assert sq_mahalanobis(model, x) == sq_mahalanobis(model, np.array(x))
+        assert decision_statistic(model, x) == decision_statistic(model, np.array(x))
+        assert self.ONE_ROW[2](model, x) == self.ONE_ROW[2](model, np.array(x))
+
+    def test_too_few_samples(self):
+        # n = d+1: no null law, so no T; the distance itself needs none
+        pts = np.random.default_rng(1).normal(size=(4, 3))
+        model = fit_gaussian(pts, ridge=1e-6)
+        thr = DecisionThreshold.for_model(fit_gaussian(np.vstack([pts, pts]), ridge=1e-6), 0.5)
+        for score in (decision_statistic, lambda m, x: beta_decide(m, x, thr)):
+            with pytest.raises(NumericalError, match=r"need n > d\+1, got n=4, d=3"):
+                score(model, np.zeros(3))
+            with pytest.raises(NumericalError, match=r"need n > d\+1"):
+                score(model, np.zeros(5))  # checked before the row's shape
+        assert sq_mahalanobis(model, np.zeros(3)) >= 0.0
+
+    def test_singular_factor(self):
+        # a zero pivot in the cached factor fails the solve; the appended
+        # factor of the same singular covariance fails to factor
+        cov = np.diag([1.0, 0.0, 1.0])
+        model = GaussianModel(mean=np.zeros(3), cov=cov, chol=np.sqrt(cov), n=20, ridge=0.0)
+        thr = DecisionThreshold.for_model(model, 0.5)
+        with pytest.raises(NotPositiveDefinite, match="zero pivot"):
+            sq_mahalanobis(model, np.ones(3))
+        for score in (decision_statistic, lambda m, x: beta_decide(m, x, thr)):
+            with pytest.raises(NotPositiveDefinite):
+                score(model, np.ones(3))
+
+
+class TestDecisionThreshold:
+    @pytest.mark.parametrize("v_beta", [np.nan, 0.0, -1.0, 1.0, 2.0, np.inf])
+    def test_critical_value_outside_unit_interval(self, v_beta):
+        with pytest.raises(NumericalError, match="must lie in \\(0, 1\\)"):
+            DecisionThreshold(beta_level=0.5, params=BetaParams(1.5, 23.5), v_beta=v_beta)
+
+    @pytest.mark.parametrize("level", [np.nan, 0.0, -1.0, 1.0, 2.0])
+    def test_level_outside_unit_interval(self, level):
+        with pytest.raises(NumericalError, match="must lie in \\(0, 1\\)"):
+            DecisionThreshold(beta_level=level, params=BetaParams(1.5, 23.5), v_beta=0.1)
+
+    def test_far_row_stays_non_target(self):
+        # v_beta = 2 once decided a row 100 units from the mean a target
+        model = fit_gaussian(np.random.default_rng(13).normal(size=(50, 3)), ridge=0.0)
+        with pytest.raises(NumericalError):
+            DecisionThreshold(beta_level=0.9, params=null_beta_params(model), v_beta=2.0)
+        thr = DecisionThreshold.for_model(model, 0.999999)
+        assert beta_decide(model, model.mean + 100.0, thr) == NON_TARGET
 
 
 class TestCalibrate:
