@@ -9,11 +9,15 @@ OTHER_SRC is a directory holding a ``mahaclass`` package, such as the
 once with this checkout's ``src/`` and once with OTHER_SRC, each in its own
 temporary directory.  Every output file is compared byte for byte, and each
 command's exit code and stdout with the temporary directory's path replaced.
-Prints ``same`` or ``DIFF`` per output and exits 1 on any DIFF.  Standard
-library only; one BLAS thread.
+Prints ``same`` or ``DIFF`` per output and exits 1 on any DIFF.  A DIFF
+whose outputs split into the same number of whitespace-separated fields,
+differing only in fields that parse as floats, also shows the largest
+relative difference between such fields.  Standard library only; one BLAS
+thread.
 """
 
 import argparse
+import math
 import os
 import pathlib
 import subprocess
@@ -98,6 +102,27 @@ def run_all(src: pathlib.Path, work: pathlib.Path) -> dict[str, bytes]:
     return outputs
 
 
+def largest_relative_difference(a: bytes, b: bytes) -> float | None:
+    """max |x - y| / max(|x|, |y|) over the differing fields x, y of a and b;
+    None when the fields do not pair up or a differing field is not a float."""
+    fields_a, fields_b = a.split(), b.split()
+    if len(fields_a) != len(fields_b):
+        return None
+    largest = 0.0
+    for x, y in zip(fields_a, fields_b):
+        if x == y:
+            continue
+        try:
+            x, y = float(x), float(y)
+        except ValueError:
+            return None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return math.inf
+        scale = max(abs(x), abs(y))
+        largest = max(largest, abs(x - y) / scale if scale else 0.0)
+    return largest
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("other_src", type=pathlib.Path,
@@ -113,7 +138,15 @@ def main() -> int:
     for name in sorted(ours.keys() | theirs.keys()):
         same = ours.get(name) == theirs.get(name)
         diff += not same
-        print(f"{'same' if same else 'DIFF'}  {name}")
+        if same:
+            print(f"same  {name}")
+            continue
+        moved = None
+        if name in ours and name in theirs:
+            moved = largest_relative_difference(ours[name], theirs[name])
+        note = ("fields differ beyond floats" if moved is None
+                else f"largest relative difference {moved:.3g}")
+        print(f"DIFF  {name}  ({note})")
     return 1 if diff else 0
 
 

@@ -10,6 +10,7 @@ from scipy's LAPACK extension file without importing scipy's linalg package.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -17,6 +18,23 @@ import numpy as np
 
 from . import _scipy
 from .errors import NotPositiveDefinite, NumericalError
+
+
+def _c_einsum():
+    """numpy's C ``einsum``, which ``np.einsum`` calls and returns the
+    result of when ``optimize`` is False: the same bits without the Python
+    wrapper, about half of a one-row ``einsum``'s cost.  The name is
+    private to numpy (``numpy._core.multiarray``, ``numpy.core.multiarray``
+    on numpy 1.x), so ``np.einsum`` stands in when neither import works."""
+    for module in ("numpy._core.multiarray", "numpy.core.multiarray"):
+        try:
+            return importlib.import_module(module).c_einsum
+        except (ImportError, AttributeError):
+            pass
+    return np.einsum
+
+
+_einsum = _c_einsum()
 
 
 def cholesky(m: np.ndarray) -> np.ndarray:
@@ -96,9 +114,11 @@ def _whiten(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     LAPACK's dtrtrs is handed U = L^T and solves U^T z = rhs: the factor
     from ``np.linalg.cholesky`` is C-ordered, so U is a Fortran-ordered
-    array that LAPACK reads without a copy.
+    array that LAPACK reads without a copy.  lower=0 and trans=1 are passed
+    by position: parsing them as keywords costs the f2py wrapper about
+    0.3 us, a sixteenth of a one-row decision.
     """
-    z, info = _scipy.dtrtrs(chol.T, rhs, lower=0, trans=1)
+    z, info = _scipy.dtrtrs(chol.T, rhs, 0, 1)
     if info != 0:
         raise NotPositiveDefinite(f"triangular solve failed (LAPACK info {info}): "
                                   "zero pivot in the factor")
@@ -115,11 +135,12 @@ def whitened_sq_norms(chol: np.ndarray, deltas: np.ndarray) -> np.ndarray:
 def whitened_sq_norm(chol: np.ndarray, delta: np.ndarray) -> float:
     """``whitened_sq_norms`` of the single (d,) delta: the same one-column
     solve and the same float, bit for bit, without the batch's (d, 1)
-    arrays.  ``np.einsum("i,i")`` rounds the sum of squares as the batch's
-    ``einsum`` does; ``np.dot`` is faster but differs in the last bit on
-    about a third of rows."""
+    arrays.  The sum of squares is ``einsum("i,i")`` through ``_einsum``
+    (numpy's C ``einsum``, or ``np.einsum`` with the same bits), which rounds
+    as the batch's ``einsum`` does; ``np.dot`` is faster but differs in the
+    last bit on about a third of rows."""
     z = _whiten(chol, delta)
-    return float(np.einsum("i,i", z, z))
+    return float(_einsum("i,i", z, z))
 
 
 def append_point(model: GaussianModel, x: np.ndarray) -> GaussianModel:

@@ -104,8 +104,14 @@ def _score_one(model: GaussianModel, x) -> float:
     """T of the single query x, the value a one-row ``scores`` call gives
     it bit for bit: the same solve (``linalg.whitened_sq_norm``), the
     same clamp of an overflowing q, the same quotient, on Python floats.
-    The caller checks n > d+1."""
-    q = whitened_sq_norm(model.appended_chol, _delta(model, x))
+    The caller checks n > d+1.  ``_delta`` is inlined: this is the hot
+    path of every one-row decision."""
+    mean = model.mean
+    x = np.asarray(x, dtype=float)
+    if x.shape != mean.shape:
+        raise NumericalError(
+            f"expected rows of length {mean.shape[0]}, got shape {(1, *x.shape)}")
+    q = whitened_sq_norm(model.appended_chol, x - mean)
     if not q <= _Q_MAX:  # inf or NaN, which np.fmin takes to _Q_MAX
         q = _Q_MAX
     return q / (model.n + 1 + q)
@@ -124,12 +130,6 @@ def decision_statistic(model: GaussianModel, x: np.ndarray) -> DecisionScore:
     return DecisionScore(d2=model.n**2 / (model.n + 1) * t, T=t)
 
 
-def _isclose(a: float, b: float) -> bool:
-    """``np.isclose(a, b)`` (atol 1e-8, rtol 1e-5) for finite scalar b, at a
-    fraction of its cost."""
-    return abs(a - b) <= 1e-8 + 1e-5 * abs(b)
-
-
 def beta_decide(model: GaussianModel, x: np.ndarray, thr: DecisionThreshold) -> int:
     """1 (target) iff the normalized statistic falls strictly below v_beta.
 
@@ -138,7 +138,9 @@ def beta_decide(model: GaussianModel, x: np.ndarray, thr: DecisionThreshold) -> 
     what ``infer`` gives the row, so a T within an ulp of v_beta may be
     decided the other way."""
     a, b = _null_shapes(model)
-    if not (_isclose(thr.params.a, a) and _isclose(thr.params.b, b)):
+    p = thr.params
+    # np.isclose(p.a, a) and np.isclose(p.b, b) (atol 1e-8, rtol 1e-5; a, b > 0)
+    if not (abs(p.a - a) <= 1e-8 + 1e-5 * a and abs(p.b - b) <= 1e-8 + 1e-5 * b):
         raise NumericalError(
             f"threshold shapes {thr.params} do not match model (n={model.n}, d={model.d})")
     return TARGET if _score_one(model, x) < thr.v_beta else NON_TARGET

@@ -97,6 +97,20 @@ class TestHenzeZirkler:
                        rng.standard_exponential(size=(n - n // 2, d)) + 1.0])
         assert henze_zirkler(x) == pytest.approx(dense_hz(x), rel=1e-12)
 
+    # rows repeated exactly (zero distances, where the clamp binds) and one
+    # row far out, which holds most of the covariance
+    @pytest.mark.parametrize("n", [300, 700])
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    @pytest.mark.parametrize("sample", ["duplicates", "far-outlier"])
+    def test_edge_samples_match_dense_reference(self, n, d, sample):
+        rng = np.random.default_rng(2000 * d + n)
+        if sample == "duplicates":
+            x = rng.normal(size=(n // 3 + 1, d))[np.arange(n) % (n // 3 + 1)]
+        else:
+            x = rng.normal(size=(n, d))
+            x[n // 2] = 1e3
+        assert henze_zirkler(x) == pytest.approx(dense_hz(x), rel=1e-12)
+
     def test_memory_stays_bounded(self):
         # the kernel is never held whole, nor one n-wide block of it:
         # an 8000 x 8000 kernel is 512 MB, and 512 of its rows are 33 MB

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_model
+from conftest import make_model, run_fresh
+from mahaclass import linalg
 from mahaclass.betadist import BetaParams, beta_quantile, reg_inc_beta
 from mahaclass.errors import NotPositiveDefinite, NumericalError
 from mahaclass.linalg import GaussianModel, append_point, fit_gaussian, whitened_sq_norms
@@ -14,7 +15,6 @@ from mahaclass.mahalanobis import (
     NON_TARGET,
     TARGET,
     DecisionThreshold,
-    _isclose,
     beta_decide,
     calibrate,
     calibrate_scores,
@@ -216,10 +216,24 @@ class TestBetaDecide:
         return out
 
     @settings(max_examples=300, deadline=None)
-    @given(st.floats(min_value=1e-3, max_value=1e9, allow_nan=False, allow_infinity=False))
-    def test_shape_test_agrees_with_isclose(self, b):
-        for a in self.near_edge(b, steps=3):
-            assert _isclose(a, b) == bool(np.isclose(a, b)), (a, b)
+    @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2 * 10**9))
+    def test_shape_test_agrees_with_isclose(self, d, extra):
+        # any model's shapes a = d/2, b = (n-d)/2, each threshold shape
+        # nudged across np.isclose's tolerance while the other one matches
+        model = GaussianModel(mean=np.zeros(d), cov=np.eye(d), chol=np.eye(d),
+                              n=d + 2 + extra, ridge=0.0)
+        expected = null_beta_params(model)
+        shapes = [(a, expected.b) for a in self.near_edge(expected.a, steps=3)]
+        shapes += [(expected.a, b) for b in self.near_edge(expected.b, steps=3)]
+        for a, b in shapes:
+            if not (a > 0 and b > 0):
+                continue
+            thr = DecisionThreshold(0.5, BetaParams(a, b), 0.5)
+            if np.isclose(a, expected.a) and np.isclose(b, expected.b):
+                assert beta_decide(model, model.mean, thr) == TARGET, (a, b)
+            else:
+                with pytest.raises(NumericalError, match="do not match model"):
+                    beta_decide(model, model.mean, thr)
 
     def test_threshold_shapes_at_tolerance_edge(self):
         # accepted exactly when np.isclose accepts both shapes
@@ -287,6 +301,50 @@ class TestOneRowScorers:
         assert decision_statistic(model, overflowing).T == 1.0
         assert decision_statistic(model, nan_row).T == 1.0
         assert beta_decide(model, nan_row, thresholds[-1]) == NON_TARGET
+
+    @pytest.mark.skipif(linalg._einsum is np.einsum, reason="numpy's C einsum is not importable")
+    def test_one_row_scorers_skip_np_einsum(self, monkeypatch):
+        model = fit_gaussian(np.random.default_rng(3).normal(size=(40, 4)), ridge=1e-6)
+        thr = DecisionThreshold.for_model(model, 0.5)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("np.einsum called")
+
+        monkeypatch.setattr(np, "einsum", fail)
+        x = model.mean + 0.5
+        assert sq_mahalanobis(model, x) > 0.0
+        assert decision_statistic(model, x).T > 0.0
+        assert beta_decide(model, x, thr) in (TARGET, NON_TARGET)
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 32, 64])
+    def test_np_einsum_fallback_gives_the_same_bits(self, d, monkeypatch):
+        rng = np.random.default_rng(200 + d)
+        model = fit_gaussian(rng.normal(size=(4 * d + 10, d)) @ rng.normal(size=(d, d)),
+                             ridge=1e-6)
+        rows = self.rows(model, rng)
+
+        def one_row_values():
+            scored = [(decision_statistic(model, x), sq_mahalanobis(model, x)) for x in rows]
+            return np.array([(score.T, score.d2, d2) for score, d2 in scored])
+
+        fast = one_row_values()
+        monkeypatch.setattr(linalg, "_einsum", np.einsum)
+        assert one_row_values().tobytes() == fast.tobytes()
+
+    def test_package_scores_without_c_einsum(self):
+        # the private import fails in a fresh interpreter: np.einsum stands in
+        code = """if True:
+            import sys
+            import numpy as np
+            sys.modules["numpy._core.multiarray"] = None
+            sys.modules["numpy.core.multiarray"] = None
+            from mahaclass import cli, linalg, mahalanobis
+            assert linalg._einsum is np.einsum
+            model = linalg.fit_gaussian(np.random.default_rng(0).normal(size=(30, 3)), 1e-6)
+            print(repr(mahalanobis.decision_statistic(model, model.mean + 1.0).T))
+        """
+        model = fit_gaussian(np.random.default_rng(0).normal(size=(30, 3)), 1e-6)
+        assert float(run_fresh(code)) == decision_statistic(model, model.mean + 1.0).T
 
     @pytest.mark.parametrize("shape", [(4,), (1, 3), ()])
     def test_wrong_shape_message(self, shape):
