@@ -31,9 +31,25 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 # 8-dim head of the 32-dim rows, so the other runs cover SGD.  The 2-dim head
 # of the *-2d runs makes every projection a product that OpenBLAS computes
 # with its small-matrix kernel.  The *-wide runs repeat synth, train, infer
-# and evaluate at d_in 128, the width of perfbench's score workload.
+# and evaluate at d_in 128, the width of perfbench's score workload.  An
+# entry whose argv is a function is a step of this script, run on the
+# temporary directory: write_mixed turns data.tsv into data_mixed.tsv.
 TRAIN = ["train", "--input", "data.tsv"]
 REDUCED = ["--proj-dim", "8"]
+
+
+def write_mixed(work: pathlib.Path) -> None:
+    """data_mixed.tsv: data.tsv with its components written in turn as
+    repr, %.6e, a short decimal and an integer, a zero integer as -0."""
+    forms = (repr, "{:.6e}".format, "{:.3f}".format, lambda x: "%d" % x if abs(x) >= 1 else "-0")
+    with open(work / "data.tsv", encoding="utf-8") as src, \
+            open(work / "data_mixed.tsv", "w", encoding="utf-8") as dst:
+        for i, line in enumerate(src):
+            rid, label, vec = line.split("\t")
+            tokens = (forms[(i + j) % 4](float(t)) for j, t in enumerate(vec.split()))
+            dst.write(f"{rid}\t{label}\t{' '.join(tokens)}\n")
+
+
 COMMANDS = [
     ("synth", ["synth", "--output", "data.tsv"]),
     ("train", TRAIN + ["--output", "model.txt", "--log", "train_log.tsv"]),
@@ -78,6 +94,14 @@ COMMANDS = [
     # and a last component longer than the others
     ("synth-components", ["synth", "--output", "data_components.tsv", "--components", "4",
                            "--m-non-target", "8003"]),
+    # the same rows in the number forms other tools write
+    ("mixed-input", write_mixed),
+    ("train-mixed", ["train", "--input", "data_mixed.tsv", "--output", "model_mixed.txt"]
+     + REDUCED),
+    ("infer-mixed", ["infer", "--model", "model_mixed.txt", "--input", "data_mixed.tsv",
+                     "--output", "decisions_mixed.tsv"]),
+    ("evaluate-mixed", ["evaluate", "--model", "model_mixed.txt", "--input", "data_mixed.tsv",
+                        "--output", "metrics_mixed.txt"]),
     ("ablate", ["ablate", "--input", "data.tsv", "--output", "ablation.tsv",
                 "--mlp-epochs", "3"] + REDUCED),
     ("ablate-fpr-cap", ["ablate", "--input", "data.tsv", "--output", "ablation_fpr_cap.tsv",
@@ -92,6 +116,9 @@ def run_all(src: pathlib.Path, work: pathlib.Path) -> dict[str, bytes]:
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     outputs = {}
     for label, argv in COMMANDS:
+        if callable(argv):
+            argv(work)
+            continue
         proc = subprocess.run([sys.executable, "-m", "mahaclass.cli", *argv, "--seed", "0"],
                               env=env, cwd=work, capture_output=True)
         stdout = proc.stdout.replace(str(work).encode(), b"<tmp>")

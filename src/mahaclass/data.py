@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -86,14 +87,14 @@ class EmbeddingDataset:
 
 
 def _parse_lines(numbered, seen: set[str], width: int | None):
-    """Ids, labels and (N, d) vectors of the numbered (line number, line)
-    pairs, parsed one line at a time: the DataError of the first bad line,
-    naming it.  Adds the ids to ``seen``; ``width`` None takes d from the
-    first line.  Numpy converts each component by ``float()``'s rules."""
+    """Ids, labels and (N, d) vectors of the numbered (line number, parts)
+    pairs, each line's parts split at its first two tabs, parsed one line at
+    a time: the DataError of the first bad line, naming it.  Adds the ids to
+    ``seen``; ``width`` None takes d from the first line.  Numpy converts
+    each component by ``float()``'s rules."""
     ids, labels, buf = [], [], None
-    for lineno, line in numbered:
-        parts = line.split("\t")
-        if len(parts) != 3:
+    for lineno, parts in numbered:
+        if len(parts) != 3 or "\t" in parts[2]:
             raise DataError(f"line {lineno}: expected 3 tab-separated fields")
         rid, label_s, vec_s = parts
         if label_s not in ("0", "1"):
@@ -118,12 +119,71 @@ def _parse_lines(numbered, seen: set[str], width: int | None):
     return ids, labels, buf
 
 
+def _x87_long_double() -> bool:
+    """Whether ``np.longdouble`` is x87's 80-bit format (a 64-bit significand,
+    little-endian, the bytes of 1.0 below) and numpy reads it with a correctly
+    rounded ``strtold``: "0.1" must give the long double nearest 1/10, which a
+    ``strtod`` fallback does not."""
+    one = np.longdouble(1)
+    if one.tobytes()[:10] != bytes(7) + b"\x80\xff\x3f":
+        return False
+    return bool(np.fromstring(b"0.1", dtype=np.longdouble, sep=" ")[0] == one / 10)
+
+
+_X87_LONG_DOUBLE = _x87_long_double()  # the gate of _strtold_vectors, checked once
+_NUMBER_BYTES = b"0123456789.+-eE"  # with the space, all a token may hold: no hex, inf, nan or 1_0
+_TINY = np.finfo(float).tiny  # the smallest normal double
+
+
+def _strtold_vectors(vecs: list[str], width: int) -> np.ndarray | None:
+    """The (len(vecs), width) array of the vector fields vecs, bit for bit
+    what ``float()`` gives each token, in one ``np.fromstring`` call; None
+    unless every field is width tokens of ``_NUMBER_BYTES`` between single
+    spaces that each read as one number.  Only for x87 long doubles
+    (``_X87_LONG_DOUBLE``).
+
+    ``strtold`` rounds each token correctly to a 64-bit significand, and
+    the cast to float64 rounds that again.  Every midpoint between two
+    normal doubles lies on the 64-bit grid, so the two roundings give the
+    correctly rounded double unless the long double is such a midpoint (its
+    low 11 significand bits are 0x400), or the double is subnormal or the
+    smallest normal one, where the two grids do not line up (Clinger 1990,
+    "How to read floating point numbers accurately").  Those tokens are
+    converted again with ``float()``."""
+    spaces = b" " * (width - 1)
+    if any(f.encode().translate(None, _NUMBER_BYTES) != spaces for f in vecs):
+        return None
+    # a str, which numpy reads in place; a token strtold stops inside ("1-2",
+    # "1e", "e") ends the read early: a ValueError, or on numpy 1.x a
+    # DeprecationWarning and a short array.  Never pass count=: it pads a
+    # short read
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            wide = np.fromstring(" ".join(vecs), dtype=np.longdouble, sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
+    if wide.size != len(vecs) * width:  # an empty token reads as no number
+        return None
+    with np.errstate(over="ignore"):  # past the largest double: inf, as float()
+        out = wide.astype(float)
+    low_bits = np.ndarray(wide.shape, "<u2", wide, strides=(wide.itemsize,))
+    redo = ((low_bits & 0x7FF) == 0x400) | ((np.abs(out) <= _TINY) & (wide != 0))
+    for i in np.flatnonzero(redo).tolist():
+        row, col = divmod(i, width)
+        out[i] = float(vecs[row].split(" ")[col])
+    return out.reshape(len(vecs), width)
+
+
 def _bulk_vectors(vecs: list[str], width: int) -> np.ndarray | None:
     """The (len(vecs), width) array of the vector fields vecs in one C call,
-    or None when numpy refuses a field or finds another shape.  Numpy
-    converts each component with ``PyOS_string_to_double``, the routine
-    ``float()`` uses, and splits on the same whitespace as ``str.split``;
-    it refuses some tokens ``float()`` takes (``1_0``, non-ASCII digits)."""
+    or None when both bulk routes refuse them.  ``_strtold_vectors`` goes
+    first where its gate holds.  Then ``np.loadtxt``: it converts each
+    component with ``PyOS_string_to_double``, the routine ``float()`` uses,
+    and splits on the same whitespace as ``str.split``; it refuses some
+    tokens ``float()`` takes (``1_0``, non-ASCII digits) and any other shape."""
+    if _X87_LONG_DOUBLE and (out := _strtold_vectors(vecs, width)) is not None:
+        return out
     try:
         out = np.loadtxt(vecs, dtype=float, comments=None, ndmin=2)
     except ValueError:
@@ -132,15 +192,14 @@ def _bulk_vectors(vecs: list[str], width: int) -> np.ndarray | None:
 
 
 def _parse_chunk(numbered, seen: set[str], width: int | None):
-    """``_parse_lines`` of the numbered lines, but with every vector field
+    """``_parse_lines`` of the numbered parts, but with every vector field
     parsed by one ``_bulk_vectors`` call when each line is well formed: three
     fields, a 0/1 label, a non-blank vector field and a new id.  Any other
-    chunk, or one numpy refuses, is parsed line by line, so the first bad
-    line in file order gets the per-line parse's message."""
-    fields = [line.split("\t") for _, line in numbered]
+    chunk, or one both bulk routes refuse, is parsed line by line, so the
+    first bad line in file order gets the per-line parse's message."""
     if all(len(f) == 3 and f[1] in ("0", "1") and f[2] and not f[2].isspace()
-           for f in fields):
-        ids, label_s, vecs = (list(col) for col in zip(*fields))
+           and "\t" not in f[2] for _, f in numbered):
+        ids, label_s, vecs = (list(col) for col in zip(*(f for _, f in numbered)))
         new = set(ids)
         if len(new) == len(ids) and new.isdisjoint(seen):
             out = _bulk_vectors(vecs, width or len(vecs[0].split()))
@@ -152,10 +211,13 @@ def _parse_chunk(numbered, seen: set[str], width: int | None):
 
 def read_chunks(path):
     """Yield a dataset file as EmbeddingDatasets of at most CHUNK_ROWS
-    records each, in file order.  A chunk's vector fields are parsed in one
-    bulk call (``_parse_chunk``); a chunk that fails it is parsed again line
-    by line, so messages name the file line.  An id repeated anywhere in the
-    file is a DataError, as is a file that is not UTF-8 or has no records."""
+    records each, in file order.  Each line is held as its parts, split at
+    its first two tabs.  A chunk's vector fields are parsed in one bulk call
+    (``_parse_chunk``): by ``_strtold_vectors`` where the long-double gate
+    holds, else or on its refusal by ``np.loadtxt``.  A chunk both refuse is
+    parsed again line by line, so messages name the file line.  An id repeated
+    anywhere in the file is a DataError, as is a file that is not UTF-8 or
+    has no records."""
     rows = CHUNK_ROWS
     seen: set[str] = set()
     numbered, width = [], None
@@ -172,7 +234,7 @@ def read_chunks(path):
                 line = line.rstrip("\n")
                 if not line:
                     continue
-                numbered.append((lineno, line))
+                numbered.append((lineno, line.split("\t", 2)))
                 if len(numbered) == rows:
                     yield chunk()
                     numbered = []

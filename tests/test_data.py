@@ -1,9 +1,14 @@
+import math
 import re
+import warnings
 from dataclasses import replace
+from decimal import Context, Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import run_fresh
 from mahaclass import data as data_mod
@@ -178,14 +183,28 @@ PARSE_CASES = {
     "subnormal": (GOOD + b"c\t1\t4e-320 -0\n", [[1.5, -2.25], [3, 4], [4e-320, -0.0]]),
     "overflow": (GOOD + b"c\t1\t1e400 0\n", "record 'c' contains non-finite values"),
     "nan": (GOOD + b"c\t1\t0 nan\n", "record 'c' contains non-finite values"),
-    # float() takes these, numpy's bulk parse refuses them
+    # the strtold route reads these; the midpoints and the subnormal
+    # boundary are converted again by float()
+    "mixed-forms": (GOOD + b"c\t1\t1E5 -.5e-3\nd\t0\t+7. 00012\n",
+                    [[1.5, -2.25], [3, 4], [1e5, -5e-4], [7, 12]]),
+    "midpoints": (GOOD + b"c\t1\t9007199254740993 4.9406564584124654e-324\n",
+                  [[1.5, -2.25], [3, 4], [9007199254740992.0, 5e-324]]),
+    # the strtold route refuses these; loadtxt reads them
+    "infinity": (GOOD + b"c\t1\tInfinity 0\n", "record 'c' contains non-finite values"),
+    "vertical-tab": (GOOD + b"c\t1\t5\x0b6\n", [[1.5, -2.25], [3, 4], [5, 6]]),
+    # float() takes these, both bulk routes refuse them
     "underscore": (GOOD + b"c\t1\t1_0 0\n", [[1.5, -2.25], [3, 4], [10, 0]]),
     "arabic-digit": (GOOD + "c\t1\t١ 0\n".encode(), [[1.5, -2.25], [3, 4], [1, 0]]),
-    # both refuse these
+    # all three routes refuse these
     "nan-payload": (GOOD + b"c\t1\tnan(1) 0\n",
                     "line 3: could not convert string to float: 'nan\\(1\\)'"),
     "hex": (GOOD + b"c\t1\t0 0x1p3\n", "line 3: could not convert string to float: '0x1p3'"),
     "hash": (GOOD + b"c\t1\t#2 0\n", "line 3: could not convert string to float: '#2'"),
+    "minus-inside": (GOOD + b"c\t1\t1-2 0\n", "line 3: could not convert string to float: '1-2'"),
+    "bare-exponent": (GOOD + b"c\t1\t1e 0\n", "line 3: could not convert string to float: '1e'"),
+    # 3 + 1 components balance the chunk's total of 2 a row at 256 rows a chunk
+    "widths-balance": (GOOD + b"c\t1\t1 2 3\nd\t0\t4\n", "line 3: 3 components, expected 2"),
+    "extra-tab": (b"a\t1\t1 2\t3\n", "line 1: expected 3 tab-separated fields"),
     "empty-vector": (GOOD + b"c\t1\t\n", "line 3: no vector components"),
     "space-vector": (GOOD + b"c\t1\t   \n", "line 3: no vector components"),
     "bad-float-then-label": (GOOD + b"c\t1\t1 x\nd\t2\t1 2\n",
@@ -202,9 +221,11 @@ PARSE_CASES = {
 
 
 class TestBulkParse:
-    """The bulk parse of a chunk (``_bulk_vectors``) against the per-line
-    parse it falls back to: each file gives the same ids, labels and vector
-    bytes, or the same DataError, at 2 and 256 rows a chunk."""
+    """The three routes of a chunk's vectors: the strtold read
+    (``_strtold_vectors``), ``np.loadtxt`` (with the long-double gate off)
+    and the per-line parse (``_bulk_vectors`` off).  Each file gives the
+    same ids, labels and vector bytes, or the same DataError, by every
+    route at 2 and 256 rows a chunk."""
 
     @staticmethod
     def outcome(path):
@@ -214,24 +235,31 @@ class TestBulkParse:
             return str(exc)
         return ds.ids, ds.labels.tolist(), ds.vectors.tobytes()
 
+    @classmethod
+    def outcomes(cls, path, monkeypatch):
+        out = []
+        for rows in (2, 256):
+            monkeypatch.setattr(data_mod, "CHUNK_ROWS", rows)
+            out.append(cls.outcome(path))
+            with monkeypatch.context() as m:
+                m.setattr(data_mod, "_X87_LONG_DOUBLE", False)
+                out.append(cls.outcome(path))
+                m.setattr(data_mod, "_bulk_vectors", lambda vecs, width: None)
+                out.append(cls.outcome(path))
+        return out
+
     @pytest.mark.parametrize("case", PARSE_CASES)
     def test_bulk_and_per_line_parse_agree(self, tmp_path, monkeypatch, case):
         content, expected = PARSE_CASES[case]
         p = tmp_path / "case.tsv"
         p.write_bytes(content)
-        outcomes = []
-        for rows in (2, 256):
-            monkeypatch.setattr(data_mod, "CHUNK_ROWS", rows)
-            outcomes.append(self.outcome(p))
-            with monkeypatch.context() as m:
-                m.setattr(data_mod, "_bulk_vectors", lambda vecs, width: None)
-                outcomes.append(self.outcome(p))
-        assert outcomes == [outcomes[0]] * 4
+        outcomes = self.outcomes(p, monkeypatch)
+        assert outcomes == [outcomes[0]] * 6
         if isinstance(expected, str):
             assert isinstance(outcomes[0], str) and re.search(expected, outcomes[0])
         else:
             n = len(expected)
-            assert outcomes[0][:2] == (["a", "b", "c"][:n], [1, 0, 1][:n])
+            assert outcomes[0][:2] == (["a", "b", "c", "d"][:n], [1, 0, 1, 0][:n])
             assert outcomes[0][2] == np.array(expected, dtype=float).tobytes()
 
     def test_well_formed_chunks_parse_in_bulk(self, tmp_path, monkeypatch):
@@ -261,6 +289,111 @@ class TestBulkParse:
                                                       vectors.tolist()))
         assert p.read_text(encoding="utf-8") == expected
         assert load_dataset(p).vectors.tobytes() == vectors.tobytes()
+
+
+def midpoint(x: float, nudge: int = 0) -> str:
+    """The exact decimal halfway between the double x and the next one up,
+    moved up (nudge 1) or down (-1) by 1e-40 of itself."""
+    ctx = Context(prec=1200)
+    m = ctx.add(Decimal(x), ctx.divide(Decimal(math.ulp(x)), 2))
+    return f"{ctx.add(m, Decimal(nudge).scaleb(m.adjusted() - 40)):e}"
+
+
+def assert_reads_as_float(rows: list[list[str]]):
+    """_strtold_vectors reads the token rows as float() does, bit for bit."""
+    out = data_mod._strtold_vectors([" ".join(r) for r in rows], len(rows[0]))
+    assert out is not None, rows
+    assert out.tobytes() == np.array([[float(t) for t in r] for r in rows]).tobytes(), rows
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+TOKENS = st.one_of(
+    FINITE.map("{:.17g}".format), FINITE.map(repr), FINITE.map("{:.6e}".format),
+    FINITE.map("{:.3f}".format),
+    # 1-30 random digits, a point anywhere (or after them) and an exponent
+    st.builds(lambda sign, digits, point, exp: f"{sign}{digits[:point]}.{digits[point:]}e{exp}",
+              st.sampled_from(["", "-", "+"]), st.text("0123456789", min_size=1, max_size=30),
+              st.integers(0, 30), st.integers(-330, 310)))
+PINNED = [
+    "9007199254740993", "9007199254740995",  # 2^53 + 1 and + 3: ties to even
+    midpoint(1.0), midpoint(1.0, 1), midpoint(1.0, -1), midpoint(0.1), midpoint(0.1, -1),
+    midpoint(2.0 ** -1022 - 2.0 ** -1074, -1),  # below the smallest normal
+    midpoint(5e-324), midpoint(0.0), midpoint(0.0, 1), midpoint(0.0, -1),
+    midpoint(1.7976931348623157e308), midpoint(1.7976931348623157e308, -1),  # overflow edge
+    "5e-324", "-5e-324", "2.4703282292062327e-324", "2.4703282292062328e-324",
+    "2.2250738585072011e-308", "2.2250738585072012e-308", "1e-400", "-1e-400", "1e400",
+    "-1e400", "1.7976931348623158e308", "-0", "0", "0.000123456789012345678901234567890",
+]
+
+
+@pytest.mark.skipif(not data_mod._X87_LONG_DOUBLE, reason="long double is not x87's 80-bit format")
+class TestStrtoldVectors:
+    """``_strtold_vectors`` gives what ``float()`` gives each token, bit for
+    bit, or refuses the chunk."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda w: st.lists(st.lists(TOKENS, min_size=w, max_size=w), min_size=1, max_size=8)))
+    def test_reads_what_float_reads(self, rows):
+        assert_reads_as_float(rows)
+
+    @pytest.mark.parametrize("token", PINNED)
+    def test_pinned_tokens(self, token):
+        # in every row and column, so a token converted again is put back in place
+        assert_reads_as_float([["1", "2", "3"], ["4", token, "6"], [token, "8", token]])
+
+    def test_random_doubles_and_midpoints(self):
+        rng = np.random.default_rng(26)
+        x = rng.integers(0, 2 ** 64, size=20000, dtype=np.uint64).view(float)
+        x = x[np.isfinite(x)].tolist()
+        tokens = [f"{v:.17g}" for v in x] + [repr(v) for v in x[:4000]]
+        subnormal = rng.integers(0, 2 ** 52, size=200, dtype=np.uint64).view(float).tolist()
+        tokens += [midpoint(abs(v), nudge) for v in x[:200] + subnormal for nudge in (-1, 0, 1)]
+        tokens += ["0"] * (-len(tokens) % 16)
+        assert_reads_as_float([tokens[i:i + 16] for i in range(0, len(tokens), 16)])
+
+    @pytest.mark.parametrize("vecs, width", [
+        (["0x1p3 0"], 2), (["nan(1) 0"], 2), (["1_0 0"], 2), (["Infinity 0"], 2),
+        (["inf 0"], 2), (["5\x0b6"], 2), (["1 2 3", "4"], 2), (["1-2 0"], 2), (["1e 0"], 2),
+        (["e5 0"], 2), (["+ 0"], 2), ([". 0"], 2), (["1,2"], 2), (["1 2\r"], 2),
+        (["\u0661 0"], 2), ([" 1 2"], 3), (["1  2"], 3), (["1 2 "], 3), (["1\t2"], 2),
+    ])
+    def test_refuses(self, vecs, width):
+        assert data_mod._strtold_vectors(vecs, width) is None
+
+    def test_gate_off_gives_the_same_outcome(self, tmp_path, monkeypatch):
+        # every record of a file of mixed forms goes by the strtold route
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(600, 6)) * 10.0 ** rng.integers(-320, 300, size=(600, 1))
+        forms = [repr, "{:.6e}".format, "{:.3f}".format, lambda v: str(int(v)), "{:.17g}".format]
+        lines = [f"r{i}\t{i % 2}\t" + " ".join(forms[(i + j) % 5](v) if j else "-0"
+                                              for j, v in enumerate(row))
+                 for i, row in enumerate(x.tolist())]
+        p = tmp_path / "mixed.tsv"
+        p.write_text("\n".join(lines) + "\n")
+        read, original = [], data_mod._strtold_vectors
+
+        def strtold(vecs, width):
+            read.append(original(vecs, width))
+            return read[-1]
+
+        monkeypatch.setattr(data_mod, "_strtold_vectors", strtold)
+        outcomes = TestBulkParse.outcomes(p, monkeypatch)
+        assert outcomes == [outcomes[0]] * 6 and not isinstance(outcomes[0], str)
+        assert read and all(out is not None for out in read)
+
+
+def test_importing_data_warns_nothing():
+    code = """if True:
+        import warnings
+        warnings.simplefilter("error")
+        import mahaclass.data
+        print(type(mahaclass.data._X87_LONG_DOUBLE).__name__)
+    """
+    assert run_fresh(code).split() == ["bool"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert data_mod._x87_long_double() == data_mod._X87_LONG_DOUBLE
 
 
 class TestSplit:
