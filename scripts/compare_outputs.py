@@ -33,7 +33,8 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 # with its small-matrix kernel.  The *-wide runs repeat synth, train, infer
 # and evaluate at d_in 128, the width of perfbench's score workload.  An
 # entry whose argv is a function is a step of this script, run on the
-# temporary directory: write_mixed turns data.tsv into data_mixed.tsv.
+# temporary directory: write_mixed and write_spaced turn data.tsv into
+# data_mixed.tsv and data_spaced.tsv.
 TRAIN = ["train", "--input", "data.tsv"]
 REDUCED = ["--proj-dim", "8"]
 
@@ -48,6 +49,17 @@ def write_mixed(work: pathlib.Path) -> None:
             rid, label, vec = line.split("\t")
             tokens = (forms[(i + j) % 4](float(t)) for j, t in enumerate(vec.split()))
             dst.write(f"{rid}\t{label}\t{' '.join(tokens)}\n")
+
+
+def write_spaced(work: pathlib.Path) -> None:
+    """data_spaced.tsv: data.tsv with one space before its components and
+    two between them, a layout the strtold read refuses, so that every
+    chunk is parsed line by line."""
+    with open(work / "data.tsv", encoding="utf-8") as src, \
+            open(work / "data_spaced.tsv", "w", encoding="utf-8") as dst:
+        for line in src:
+            rid, label, vec = line.split("\t")
+            dst.write(f"{rid}\t{label}\t {'  '.join(vec.split())}\n")
 
 
 COMMANDS = [
@@ -102,6 +114,14 @@ COMMANDS = [
                      "--output", "decisions_mixed.tsv"]),
     ("evaluate-mixed", ["evaluate", "--model", "model_mixed.txt", "--input", "data_mixed.tsv",
                         "--output", "metrics_mixed.txt"]),
+    # the same rows in a hand-spaced layout
+    ("spaced-input", write_spaced),
+    ("train-spaced", ["train", "--input", "data_spaced.tsv", "--output", "model_spaced.txt"]
+     + REDUCED),
+    ("infer-spaced", ["infer", "--model", "model_spaced.txt", "--input", "data_spaced.tsv",
+                      "--output", "decisions_spaced.tsv"]),
+    ("evaluate-spaced", ["evaluate", "--model", "model_spaced.txt", "--input",
+                         "data_spaced.tsv", "--output", "metrics_spaced.txt"]),
     ("ablate", ["ablate", "--input", "data.tsv", "--output", "ablation.tsv",
                 "--mlp-epochs", "3"] + REDUCED),
     ("ablate-fpr-cap", ["ablate", "--input", "data.tsv", "--output", "ablation_fpr_cap.tsv",

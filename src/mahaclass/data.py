@@ -175,34 +175,20 @@ def _strtold_vectors(vecs: list[str], width: int) -> np.ndarray | None:
     return out.reshape(len(vecs), width)
 
 
-def _bulk_vectors(vecs: list[str], width: int) -> np.ndarray | None:
-    """The (len(vecs), width) array of the vector fields vecs in one C call,
-    or None when both bulk routes refuse them.  ``_strtold_vectors`` goes
-    first where its gate holds.  Then ``np.loadtxt``: it converts each
-    component with ``PyOS_string_to_double``, the routine ``float()`` uses,
-    and splits on the same whitespace as ``str.split``; it refuses some
-    tokens ``float()`` takes (``1_0``, non-ASCII digits) and any other shape."""
-    if _X87_LONG_DOUBLE and (out := _strtold_vectors(vecs, width)) is not None:
-        return out
-    try:
-        out = np.loadtxt(vecs, dtype=float, comments=None, ndmin=2)
-    except ValueError:
-        return None
-    return out if out.shape == (len(vecs), width) else None
-
-
 def _parse_chunk(numbered, seen: set[str], width: int | None):
     """``_parse_lines`` of the numbered parts, but with every vector field
-    parsed by one ``_bulk_vectors`` call when each line is well formed: three
-    fields, a 0/1 label, a non-blank vector field and a new id.  Any other
-    chunk, or one both bulk routes refuse, is parsed line by line, so the
-    first bad line in file order gets the per-line parse's message."""
-    if all(len(f) == 3 and f[1] in ("0", "1") and f[2] and not f[2].isspace()
-           and "\t" not in f[2] for _, f in numbered):
+    read by one ``_strtold_vectors`` call, where its gate holds, when each
+    line is well formed: three fields, a 0/1 label, a non-empty vector field
+    (a chunk of empty ones would read as width 0) and a new id.  Any other
+    chunk, or one that read refuses (a field of spaces among them), is
+    parsed line by line, so the first bad line in file order gets the
+    per-line parse's message."""
+    if _X87_LONG_DOUBLE and all(len(f) == 3 and f[1] in ("0", "1") and f[2]
+                                for _, f in numbered):
         ids, label_s, vecs = (list(col) for col in zip(*(f for _, f in numbered)))
         new = set(ids)
         if len(new) == len(ids) and new.isdisjoint(seen):
-            out = _bulk_vectors(vecs, width or len(vecs[0].split()))
+            out = _strtold_vectors(vecs, width or len(vecs[0].split()))
             if out is not None:
                 seen |= new
                 return ids, [int(s) for s in label_s], out
@@ -212,10 +198,10 @@ def _parse_chunk(numbered, seen: set[str], width: int | None):
 def read_chunks(path):
     """Yield a dataset file as EmbeddingDatasets of at most CHUNK_ROWS
     records each, in file order.  Each line is held as its parts, split at
-    its first two tabs.  A chunk's vector fields are parsed in one bulk call
-    (``_parse_chunk``): by ``_strtold_vectors`` where the long-double gate
-    holds, else or on its refusal by ``np.loadtxt``.  A chunk both refuse is
-    parsed again line by line, so messages name the file line.  An id repeated
+    its first two tabs.  A chunk's vector fields are read in one bulk call
+    by ``_strtold_vectors`` where the long-double gate holds
+    (``_parse_chunk``); any other chunk, or one that read refuses, is parsed
+    line by line, so messages name the file line.  An id repeated
     anywhere in the file is a DataError, as is a file that is not UTF-8 or
     has no records."""
     rows = CHUNK_ROWS

@@ -189,13 +189,12 @@ PARSE_CASES = {
                     [[1.5, -2.25], [3, 4], [1e5, -5e-4], [7, 12]]),
     "midpoints": (GOOD + b"c\t1\t9007199254740993 4.9406564584124654e-324\n",
                   [[1.5, -2.25], [3, 4], [9007199254740992.0, 5e-324]]),
-    # the strtold route refuses these; loadtxt reads them
+    # float() takes these, the strtold route refuses them
     "infinity": (GOOD + b"c\t1\tInfinity 0\n", "record 'c' contains non-finite values"),
     "vertical-tab": (GOOD + b"c\t1\t5\x0b6\n", [[1.5, -2.25], [3, 4], [5, 6]]),
-    # float() takes these, both bulk routes refuse them
     "underscore": (GOOD + b"c\t1\t1_0 0\n", [[1.5, -2.25], [3, 4], [10, 0]]),
     "arabic-digit": (GOOD + "c\t1\t١ 0\n".encode(), [[1.5, -2.25], [3, 4], [1, 0]]),
-    # all three routes refuse these
+    # both routes refuse these
     "nan-payload": (GOOD + b"c\t1\tnan(1) 0\n",
                     "line 3: could not convert string to float: 'nan\\(1\\)'"),
     "hex": (GOOD + b"c\t1\t0 0x1p3\n", "line 3: could not convert string to float: '0x1p3'"),
@@ -207,6 +206,8 @@ PARSE_CASES = {
     "extra-tab": (b"a\t1\t1 2\t3\n", "line 1: expected 3 tab-separated fields"),
     "empty-vector": (GOOD + b"c\t1\t\n", "line 3: no vector components"),
     "space-vector": (GOOD + b"c\t1\t   \n", "line 3: no vector components"),
+    # a first chunk of one empty vector field would read as width 0
+    "all-empty-vectors": (b"a\t1\t\n", "line 1: no vector components"),
     "bad-float-then-label": (GOOD + b"c\t1\t1 x\nd\t2\t1 2\n",
                              "line 3: could not convert string to float: 'x'"),
     "bad-label-then-float": (GOOD + b"c\t2\t1 2\nd\t1\t1 x\n", "line 3: label must be 0 or 1"),
@@ -221,11 +222,10 @@ PARSE_CASES = {
 
 
 class TestBulkParse:
-    """The three routes of a chunk's vectors: the strtold read
-    (``_strtold_vectors``), ``np.loadtxt`` (with the long-double gate off)
-    and the per-line parse (``_bulk_vectors`` off).  Each file gives the
-    same ids, labels and vector bytes, or the same DataError, by every
-    route at 2 and 256 rows a chunk."""
+    """The two routes of a chunk's vectors: the strtold read
+    (``_strtold_vectors``) and the per-line parse (``_strtold_vectors``
+    off).  Each file gives the same ids, labels and vector bytes, or the
+    same DataError, by both routes at 2 and 256 rows a chunk."""
 
     @staticmethod
     def outcome(path):
@@ -242,11 +242,18 @@ class TestBulkParse:
             monkeypatch.setattr(data_mod, "CHUNK_ROWS", rows)
             out.append(cls.outcome(path))
             with monkeypatch.context() as m:
-                m.setattr(data_mod, "_X87_LONG_DOUBLE", False)
-                out.append(cls.outcome(path))
-                m.setattr(data_mod, "_bulk_vectors", lambda vecs, width: None)
+                m.setattr(data_mod, "_strtold_vectors", lambda vecs, width: None)
                 out.append(cls.outcome(path))
         return out
+
+    @staticmethod
+    def assert_expected(outcome, expected):
+        if isinstance(expected, str):
+            assert isinstance(outcome, str) and re.search(expected, outcome)
+        else:
+            n = len(expected)
+            assert outcome[:2] == (["a", "b", "c", "d"][:n], [1, 0, 1, 0][:n])
+            assert outcome[2] == np.array(expected, dtype=float).tobytes()
 
     @pytest.mark.parametrize("case", PARSE_CASES)
     def test_bulk_and_per_line_parse_agree(self, tmp_path, monkeypatch, case):
@@ -254,19 +261,51 @@ class TestBulkParse:
         p = tmp_path / "case.tsv"
         p.write_bytes(content)
         outcomes = self.outcomes(p, monkeypatch)
-        assert outcomes == [outcomes[0]] * 6
-        if isinstance(expected, str):
-            assert isinstance(outcomes[0], str) and re.search(expected, outcomes[0])
-        else:
-            n = len(expected)
-            assert outcomes[0][:2] == (["a", "b", "c", "d"][:n], [1, 0, 1, 0][:n])
-            assert outcomes[0][2] == np.array(expected, dtype=float).tobytes()
+        assert outcomes == [outcomes[0]] * 4
+        self.assert_expected(outcomes[0], expected)
 
-    def test_well_formed_chunks_parse_in_bulk(self, tmp_path, monkeypatch):
+    def test_no_chunk_is_read_by_loadtxt(self, tmp_path, monkeypatch):
+        def loadtxt(*args, **kwargs):
+            raise AssertionError("np.loadtxt read a chunk")
+
+        monkeypatch.setattr(data_mod.np, "loadtxt", loadtxt)
+        gates = (data_mod._X87_LONG_DOUBLE, False)  # as on this host, and off
+        p = tmp_path / "case.tsv"
+        for content, expected in PARSE_CASES.values():
+            p.write_bytes(content)
+            for rows in (2, 256):
+                monkeypatch.setattr(data_mod, "CHUNK_ROWS", rows)
+                for gate in gates:
+                    monkeypatch.setattr(data_mod, "_X87_LONG_DOUBLE", gate)
+                    self.assert_expected(self.outcome(p), expected)
+
+    def test_gate_off_parses_every_chunk_line_by_line(self, tmp_path, monkeypatch):
+        ds = toy_dataset(600, d=5)
+        p = tmp_path / "ds.tsv"
+        save_dataset(ds, p)
+        gate_on = load_dataset(p)
+        chunks, original = [], data_mod._parse_lines
+
+        def per_line(numbered, seen, width):
+            chunks.append(len(numbered))
+            return original(numbered, seen, width)
+
+        monkeypatch.setattr(data_mod, "_X87_LONG_DOUBLE", False)
+        monkeypatch.setattr(data_mod, "_parse_lines", per_line)
+        back = load_dataset(p)
+        assert chunks == [256, 256, 88]
+        assert back.ids == gate_on.ids
+        assert back.vectors.tobytes() == gate_on.vectors.tobytes() == ds.vectors.tobytes()
+
+    # 128: the d_in of perfbench's score workload
+    @pytest.mark.skipif(not data_mod._X87_LONG_DOUBLE,
+                        reason="long double is not x87's 80-bit format: no bulk read")
+    @pytest.mark.parametrize("d", [5, 128])
+    def test_well_formed_chunks_parse_in_bulk(self, tmp_path, monkeypatch, d):
         def per_line(*args):
             raise AssertionError("per-line parse of a well-formed chunk")
 
-        ds = toy_dataset(600, d=5)
+        ds = toy_dataset(600, d=d)
         p = tmp_path / "ds.tsv"
         save_dataset(ds, p)
         monkeypatch.setattr(data_mod, "_parse_lines", per_line)
@@ -379,7 +418,7 @@ class TestStrtoldVectors:
 
         monkeypatch.setattr(data_mod, "_strtold_vectors", strtold)
         outcomes = TestBulkParse.outcomes(p, monkeypatch)
-        assert outcomes == [outcomes[0]] * 6 and not isinstance(outcomes[0], str)
+        assert outcomes == [outcomes[0]] * 4 and not isinstance(outcomes[0], str)
         assert read and all(out is not None for out in read)
 
 
