@@ -109,17 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss", choices=sorted(_LOSS_FLAGS), default="mah-mean")
     train_flags(p)
 
-    p = sub.add_parser("infer", help="per-instance decisions and statistics")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-
-    p = sub.add_parser("evaluate", help="metrics report on a labeled set")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
+    for name, help_text in (("infer", "per-instance decisions and statistics"),
+                            ("evaluate", "metrics report on a labeled set")):
+        p = sub.add_parser(name, help=help_text)
+        common(p)
+        for flag in ("--model", "--input", "--output"):
+            p.add_argument(flag, required=True)
 
     p = sub.add_parser("diagnose", help="normality, Q-Q and distance reports")
     common(p)

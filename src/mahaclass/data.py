@@ -33,10 +33,6 @@ SPLIT_RATIOS = (0.8, 0.1, 0.1)  # train, dev, test
 CHUNK_ROWS = 256  # rows per read_chunks chunk (flat streaming memory) and projected block
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 @dataclass(frozen=True, eq=False)
 class EmbeddingDataset:
     """A labelled embedding matrix as three columns: ``ids`` (a list of N
@@ -138,9 +134,9 @@ _TINY = np.finfo(float).tiny  # the smallest normal double
 def _strtold_vectors(vecs: list[str], width: int) -> np.ndarray | None:
     """The (len(vecs), width) array of the vector fields vecs, bit for bit
     what ``float()`` gives each token, in one ``np.fromstring`` call; None
-    unless every field is width tokens of ``_NUMBER_BYTES`` between single
-    spaces that each read as one number.  Only for x87 long doubles
-    (``_X87_LONG_DOUBLE``).
+    unless width is at least 1 and every field is width tokens of
+    ``_NUMBER_BYTES`` between single spaces that each read as one number.
+    Only for x87 long doubles (``_X87_LONG_DOUBLE``).
 
     ``strtold`` rounds each token correctly to a 64-bit significand, and
     the cast to float64 rounds that again.  Every midpoint between two
@@ -151,7 +147,7 @@ def _strtold_vectors(vecs: list[str], width: int) -> np.ndarray | None:
     "How to read floating point numbers accurately").  Those tokens are
     converted again with ``float()``."""
     spaces = b" " * (width - 1)
-    if any(f.encode().translate(None, _NUMBER_BYTES) != spaces for f in vecs):
+    if width < 1 or any(f.encode().translate(None, _NUMBER_BYTES) != spaces for f in vecs):
         return None
     # a str, which numpy reads in place; a token strtold stops inside ("1-2",
     # "1e", "e") ends the read early: a ValueError, or on numpy 1.x a
@@ -178,13 +174,11 @@ def _strtold_vectors(vecs: list[str], width: int) -> np.ndarray | None:
 def _parse_chunk(numbered, seen: set[str], width: int | None):
     """``_parse_lines`` of the numbered parts, but with every vector field
     read by one ``_strtold_vectors`` call, where its gate holds, when each
-    line is well formed: three fields, a 0/1 label, a non-empty vector field
-    (a chunk of empty ones would read as width 0) and a new id.  Any other
-    chunk, or one that read refuses (a field of spaces among them), is
-    parsed line by line, so the first bad line in file order gets the
+    line has three fields, a 0/1 label and a new id.  Any other chunk, or
+    one that read refuses (an empty or all-space vector field among them),
+    is parsed line by line, so the first bad line in file order gets the
     per-line parse's message."""
-    if _X87_LONG_DOUBLE and all(len(f) == 3 and f[1] in ("0", "1") and f[2]
-                                for _, f in numbered):
+    if _X87_LONG_DOUBLE and all(len(f) == 3 and f[1] in ("0", "1") for _, f in numbered):
         ids, label_s, vecs = (list(col) for col in zip(*(f for _, f in numbered)))
         new = set(ids)
         if len(new) == len(ids) and new.isdisjoint(seen):
@@ -253,7 +247,7 @@ def load_dataset(path) -> EmbeddingDataset:
 
 
 def save_dataset(data: EmbeddingDataset, path) -> None:
-    # one %-template per file: "%.17g" % x is _fmt(x); a row at a time, as
+    # one %-template of "%.17g" fields, as in save_model; a row at a time, as
     # the whole array as Python floats would take about 4x its memory
     template = "%s\t%d\t" + " ".join(["%.17g"] * data.d_in) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
@@ -501,8 +495,9 @@ def save_model(det: Detector, path) -> None:
     rows = [("bias", det.bias), *(("w", row) for row in det.weights), ("mean", det.mean),
             *(("cov", det.cov[i, : i + 1]) for i in range(det.d_out))]
     lines = [f"{ARTIFACT_MAGIC} {ARTIFACT_VERSION}", *(f"{k} {v}" for k, v in plain),
-             *(f"{k} {_fmt(v)}" for k, v in floats),
-             *(f"{k} " + " ".join(_fmt(v) for v in row) for k, row in rows), "end"]
+             *("%s %.17g" % kv for kv in floats),
+             *(f"{k} " + " ".join(["%.17g"] * len(row)) % tuple(row) for k, row in rows),
+             "end"]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

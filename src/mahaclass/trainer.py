@@ -2,10 +2,11 @@
 with target-class statistics maintained by a sliding window, plus the
 feed-forward ablation head.
 
-The window is warm-started with one full pass of projected target
-vectors before the first optimizer step so the covariance is
-well-conditioned from step one.  Within a step the Gaussian statistics
-are constants; gradients flow only through the projected coordinates.
+Under the Mahalanobis losses the window is warm-started with one full
+pass of projected target vectors before the first optimizer step so the
+covariance is well-conditioned from step one; the cosine loss reads no
+window.  Within a step the Gaussian statistics are constants; gradients
+flow only through the projected coordinates.
 """
 
 from __future__ import annotations
@@ -31,10 +32,6 @@ class ProjectionHead:
 
     weights: np.ndarray  # (d_out, d_in)
     bias: np.ndarray     # (d_out,)
-
-    @property
-    def d_out(self) -> int:
-        return self.weights.shape[0]
 
     def project(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float) @ self.weights.T + self.bias
@@ -173,9 +170,11 @@ def _descend(data, cfg: TrainConfig, d_out: int):
     dw, db = opt.grads
     window = SlidingWindow(capacity=cfg.window_capacity, dim=d_out, ridge=cfg.ridge)
 
-    # warm start: statistics must exist before the first loss evaluation
+    # warm start: a Mahalanobis loss reads the window's statistics from its
+    # first evaluation on; the cosine loss reads none, so its window stays empty
     try:
-        window.push(head.project(x_t[-cfg.window_capacity:]))
+        if cfg.loss_kind != "cosine":
+            window.push(head.project(x_t[-cfg.window_capacity:]))
     except NotPositiveDefinite as exc:
         raise NotPositiveDefinite(
             f"warm-start window ({len(window)} rows, dimension {d_out}, ridge {cfg.ridge}) "
@@ -190,13 +189,12 @@ def _descend(data, cfg: TrainConfig, d_out: int):
             raw = np.stack(rows, axis=1)
             z = head.project(raw)
             try:
-                window.push(z[:, 0])
-                if cfg.loss_kind == "mah":
-                    lv = mah_loss(z, window.model)
-                elif cfg.loss_kind == "cosine":
+                if cfg.loss_kind == "cosine":
                     lv = cosine_loss(z)
                 else:
-                    lv = mah_mean_loss(z[:, 0], z[:, 1], window.model)
+                    window.push(z[:, 0])
+                    lv = (mah_loss(z, window.model) if cfg.loss_kind == "mah"
+                          else mah_mean_loss(z[:, 0], z[:, 1], window.model))
                 if not math.isfinite(lv.value):
                     if epoch == batch_i == 0:  # no update yet: the input is at fault
                         raise NumericalError(f"the first loss, before any update, is "
@@ -253,10 +251,8 @@ class MlpHead:
     @classmethod
     def init(cls, d_in: int, hidden: tuple[int, int], rng: np.random.Generator) -> "MlpHead":
         sizes = [d_in, hidden[0], hidden[1], 1]
-        layers = []
-        for a, b in zip(sizes[:-1], sizes[1:]):
-            layers.append((rng.normal(scale=1.0 / math.sqrt(a), size=(b, a)), np.zeros(b)))
-        return cls(layers=layers)
+        heads = [ProjectionHead.init(a, b, rng) for a, b in zip(sizes[:-1], sizes[1:])]
+        return cls(layers=[(h.weights, h.bias) for h in heads])
 
 
 def train_mlp(x, labels, epochs: int = 50, seed: int = 0) -> MlpHead:

@@ -798,16 +798,23 @@ class TestExitCodes:
                 in capsys.readouterr().err)
         assert not out.exists()
 
-    def test_warm_start_failure_names_the_window(self, tmp_path, capsys):
+    @pytest.mark.parametrize("loss", ["mah", "mah-mean", "cosine"])
+    def test_warm_start_failure_names_the_window(self, tmp_path, capsys, loss):
         # a 16-row window cannot span a 32-dim head of the 40-dim rows without
-        # a ridge; the 40 target training rows are enough for the final refit
+        # a ridge; the 40 target training rows are enough for the final refit.
+        # The cosine loss reads no window, so its run trains
         data = tmp_path / "data.tsv"
         assert cli.main(["synth", "--output", str(data), "--d-in", "40",
                          "--n-target", "50", "--m-non-target", "100"]) == 0
         out = tmp_path / "m.txt"
         capsys.readouterr()
         rc = cli.main(["train", "--input", str(data), "--output", str(out), "--ridge", "0",
-                       "--proj-dim", "32", "--batch-size", "4", "--window-mult", "4"])
+                       "--proj-dim", "32", "--batch-size", "4", "--window-mult", "4",
+                       "--loss", loss])
+        if loss == "cosine":
+            assert rc == cli.EXIT_OK
+            assert load_model(out).weights.shape == (32, 40)
+            return
         assert rc == cli.EXIT_NUMERICAL
         assert "warm-start window (16 rows, dimension 32, ridge 0.0)" in capsys.readouterr().err
         assert not out.exists()

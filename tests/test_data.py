@@ -314,20 +314,37 @@ class TestBulkParse:
         assert back.vectors.tobytes() == ds.vectors.tobytes()
 
     def test_template_matches_per_float_formatting(self, tmp_path):
-        # save_dataset's "%.17g" row template writes what _fmt writes
+        # the "%.17g" templates of save_dataset and save_model write each
+        # float as format(v, ".17g")
+        def g17(values):
+            return " ".join(format(v, ".17g") for v in np.asarray(values).tolist())
+
+        extremes = [5e-324, -0.0, 1e308, 0.1, 2.0 ** 53 + 2, 1 / 3, -1e-5, 123456789.0,
+                    np.finfo(float).max, -np.finfo(float).tiny]
         rng = np.random.default_rng(3)
         vectors = np.concatenate([
-            rng.normal(size=(20, 4)) * 10.0 ** rng.integers(-300, 300, size=(20, 1)),
-            [[5e-324, -0.0, 1e308, 0.1], [2.0 ** 53 + 2, 1 / 3, -1e-5, 123456789.0]]])
+            rng.normal(size=(20, 5)) * 10.0 ** rng.integers(-300, 300, size=(20, 1)),
+            np.reshape(extremes, (2, 5))])
         ds = EmbeddingDataset([f"r{i}" for i in range(len(vectors))],
                               np.arange(len(vectors)) % 2, vectors)
         p = tmp_path / "ds.tsv"
         save_dataset(ds, p)
-        expected = "".join(f"{rid}\t{label}\t{' '.join(data_mod._fmt(v) for v in row)}\n"
-                           for rid, label, row in zip(ds.ids, ds.labels.tolist(),
-                                                      vectors.tolist()))
+        expected = "".join(f"{rid}\t{label}\t{g17(row)}\n"
+                           for rid, label, row in zip(ds.ids, ds.labels, vectors))
         assert p.read_text(encoding="utf-8") == expected
         assert load_dataset(p).vectors.tobytes() == vectors.tobytes()
+
+        det = replace(make_detector(d_in=10, d_out=4),
+                      weights=np.array([np.roll(extremes, i) for i in range(4)]),
+                      bias=np.array(extremes[:4]), mean=np.array(extremes[-4:]))
+        save_model(det, p)
+        floats = [("ridge", [det.ridge]), ("beta_level", [det.beta_level]),
+                  ("beta_a", [det.beta_a]), ("beta_b", [det.beta_b]), ("v_beta", [det.v_beta]),
+                  ("bias", det.bias), *(("w", row) for row in det.weights), ("mean", det.mean),
+                  *(("cov", det.cov[i, :i + 1]) for i in range(4))]
+        lines = p.read_text(encoding="utf-8").splitlines()
+        assert lines[6:-1] == [f"{k} {g17(v)}" for k, v in floats]
+        assert load_model(p).weights.tobytes() == det.weights.tobytes()
 
 
 def midpoint(x: float, nudge: int = 0) -> str:
@@ -396,6 +413,7 @@ class TestStrtoldVectors:
         (["inf 0"], 2), (["5\x0b6"], 2), (["1 2 3", "4"], 2), (["1-2 0"], 2), (["1e 0"], 2),
         (["e5 0"], 2), (["+ 0"], 2), ([". 0"], 2), (["1,2"], 2), (["1 2\r"], 2),
         (["\u0661 0"], 2), ([" 1 2"], 3), (["1  2"], 3), (["1 2 "], 3), (["1\t2"], 2),
+        ([""], 0), (["", ""], 0),
     ])
     def test_refuses(self, vecs, width):
         assert data_mod._strtold_vectors(vecs, width) is None

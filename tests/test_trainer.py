@@ -212,7 +212,7 @@ class TestTrain:
         data = toy_data(6, d=4)
         head, model, _ = train(data, TrainConfig(proj_dim=64, window_multiplier=10,
                                                  epochs=0))
-        assert head.d_out == 4
+        assert head.weights.shape[0] == 4
         assert model.d == 4
 
     @pytest.mark.parametrize("proj_dim", [6, 64])
@@ -255,7 +255,7 @@ class TestTrain:
         for kind in ("mah", "mah_mean", "cosine"):
             head, model, log = train(data, TrainConfig(loss_kind=kind, proj_dim=3,
                                                        window_multiplier=4))
-            assert head.d_out == 3
+            assert head.weights.shape[0] == 3
             assert model is not None and log
 
     def test_training_reduces_mah_mean_loss(self):
