@@ -18,8 +18,6 @@ def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--workdir", default="runs/synthetic")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--skip-ablation", action="store_true",
-                    help="skip the (slower) six-way ablation grid")
     args = ap.parse_args()
 
     work = pathlib.Path(args.workdir)
@@ -38,11 +36,9 @@ def main() -> int:
          "--output", str(work / "metrics.txt")] + seed,
         ["diagnose", "--input", data, "--model", model,
          "--output", str(work / "diag")] + seed,
+        ["ablate", "--input", data, "--output", str(work / "ablation.tsv"),
+         "--proj-dim", "8", "--epochs", "2", "--mlp-epochs", "20"] + seed,
     ]
-    if not args.skip_ablation:
-        steps.append(["ablate", "--input", data,
-                      "--output", str(work / "ablation.tsv"),
-                      "--proj-dim", "8", "--epochs", "2", "--mlp-epochs", "20"] + seed)
 
     for argv in steps:
         print(f"$ mahaclass {' '.join(argv)}")

@@ -4,23 +4,26 @@ extension files without the package ``__init__`` files around them.
 ``_extension(name, public)`` imports one extension module, such as
 ``scipy.linalg._flapack``, under its own name while a bare stand-in for its
 package sits in ``sys.modules`` with scipy's real directory as its path.
-The package's ``__init__`` never runs, nor does the top-level ``scipy``
-package's: ``find_spec("scipy")`` locates the directory without importing
-it.  The stand-in is removed afterwards and the extension module stays, so
+The package's ``__init__`` never runs, and ``find_spec("scipy")`` locates
+the directory without importing the top-level ``scipy`` package.  The
+stand-in is removed afterwards and the extension module stays, so
 a later public import of the package runs the real ``__init__``, which
 reuses the loaded extension: the functions are the very objects scipy's
 public modules export.  When the package is already imported, or on any
 failure (no such file, a loader error), the public module is imported.
 
 LAPACK: ``dtrtrs`` and ``dpotrs``, loaded when this module is imported,
-come from ``linalg/_flapack``.  That skips the ``scipy.linalg`` package
-(with ``scipy._lib`` and ``numpy.f2py``, about half of the CLI's
-start-up); the fallback is ``scipy.linalg.lapack``.
+come from ``linalg/_flapack``.  That leaves the top-level ``scipy``
+package unimported and skips ``scipy.linalg`` (with ``scipy._lib`` and
+``numpy.f2py``, about half of the CLI's start-up); the fallback is
+``scipy.linalg.lapack``.
 
 Special functions: ``special()`` returns a module holding the ufuncs
 ``betainc``, ``betaincinv``, ``ndtr`` and ``ndtri``, loaded on the first
 call (calibration and ``diagnose``; ``infer`` and ``evaluate`` never make
-it): ``special/_ufuncs``, or the public ``scipy.special``.  That package's
+it): ``special/_ufuncs``, or the public ``scipy.special``.  This load does
+run the top-level ``scipy/__init__``: ``_ufuncs`` imports its sibling
+``_ufuncs_cxx``, which imports ``scipy._cyutility``.  The ``scipy.special``
 ``__init__`` would also import ``scipy._lib._array_api``,
 ``array_api_compat`` and the rest of the package: about 0.25 s on a
 2-core x86 host, where the extension alone takes about 20 ms.

@@ -233,8 +233,7 @@ def cmd_train(args) -> int:
         if args.log:
             with _replacing(args.log) as log_tmp:
                 trainer.write_training_log(log, log_tmp)
-    print(f"model written to {args.output} (beta={det.beta_level:.6g}, "
-          f"v_beta={det.v_beta:.6g})")
+    print(f"model written to {args.output} (beta={det.beta_level!r}, v_beta={det.v_beta!r})")
     print("dev metrics:")
     print(report.to_text(), end="")
     return EXIT_OK
@@ -316,7 +315,7 @@ def cmd_ablate(args) -> int:
         raise ConfigError(f"--proj-dim {args.proj_dim} is not below d_in {train_ds.d_in}: "
                           "the head is the identity, so the losses have nothing to compare")
     rows = []
-    for loss_flag in ("mah", "mah-mean", "cosine"):
+    for loss_flag in _LOSS_FLAGS:
         det, _, _ = _train_and_calibrate(train_ds, dev_ds, loss_flag, args)
         rows.append((loss_flag, "beta", _evaluate(det, det.scores(test_ds.vectors, test_ds.ids),
                                                   test_ds.labels)))

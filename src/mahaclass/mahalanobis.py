@@ -49,7 +49,7 @@ class DecisionThreshold:
 
 def _null_shapes(model: GaussianModel) -> tuple[float, float]:
     """(a, b) of ``null_beta_params``, without building the BetaParams."""
-    n, d = model.n, model.d
+    n, d = model.n, model.mean.shape[0]
     if n <= d + 1:
         raise NumericalError(f"need n > d+1, got n={n}, d={d}")
     return d / 2.0, (n - d) / 2.0
@@ -60,22 +60,16 @@ def null_beta_params(model: GaussianModel) -> BetaParams:
     return BetaParams(*_null_shapes(model))
 
 
-def _delta(model: GaussianModel, x) -> np.ndarray:
-    """The single query x, of shape (d,), minus the model mean."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.d,):
-        raise NumericalError(f"expected rows of length {model.d}, got shape {(1, *x.shape)}")
-    return x - model.mean
-
-
 def sq_mahalanobis(model: GaussianModel, x: np.ndarray) -> float:
     """(x - mu)^T (Sigma + ridge*I)^{-1} (x - mu); zero iff x == mu.
 
-    It solves with one right-hand side (``linalg.whitened_sq_norm``), which
-    gives the d2 of a one-row ``whitened_sq_norms`` call bit for bit; BLAS
-    may round a many-column solve differently, so d2 can differ in the last
-    bit from what a batch of rows gives the same row."""
-    return whitened_sq_norm(model.chol, _delta(model, x))
+    A one-row ``whitened_sq_norms`` call: BLAS may round a many-column
+    solve differently, so d2 can differ in the last bit from what a batch
+    of rows gives the same row."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (model.d,):
+        raise NumericalError(f"expected rows of length {model.d}, got shape {(1, *x.shape)}")
+    return float(whitened_sq_norms(model.chol, (x - model.mean)[None])[0])
 
 
 def scores(model: GaussianModel, x) -> np.ndarray:
@@ -100,12 +94,30 @@ def scores(model: GaussianModel, x) -> np.ndarray:
     return q / (model.n + 1 + q)
 
 
-def _score_one(model: GaussianModel, x) -> float:
-    """T of the single query x, the value a one-row ``scores`` call gives
-    it bit for bit: the same solve (``linalg.whitened_sq_norm``), the
-    same clamp of an overflowing q, the same quotient, on Python floats.
-    The caller checks n > d+1.  ``_delta`` is inlined: this is the hot
-    path of every one-row decision."""
+def decision_statistic(model: GaussianModel, x: np.ndarray) -> DecisionScore:
+    """A one-row ``scores`` call on the single query x, with its appended
+    squared distance.  BLAS may round a many-column solve differently, so
+    T can differ in the last bit from what ``infer``
+    (``data.finite_projection``'s 256-row blocks) gives the row."""
+    t = float(scores(model, np.asarray(x, dtype=float)[None])[0])
+    return DecisionScore(d2=model.n**2 / (model.n + 1) * t, T=t)
+
+
+def beta_decide(model: GaussianModel, x: np.ndarray, thr: DecisionThreshold) -> int:
+    """1 (target) iff the normalized statistic falls strictly below v_beta.
+
+    This is the hot path of every one-row decision, so it scores x itself
+    with ``linalg.whitened_sq_norm`` in place of a one-row ``scores`` call:
+    the same solve, the same clamp of an overflowing q and the same
+    quotient, on Python floats, so T is that call's bit for bit.  It can
+    differ in the last bit from what ``infer`` gives the row, so a T within
+    an ulp of v_beta may be decided the other way."""
+    a, b = _null_shapes(model)
+    p = thr.params
+    # np.isclose(p.a, a) and np.isclose(p.b, b) (atol 1e-8, rtol 1e-5; a, b > 0)
+    if not (abs(p.a - a) <= 1e-8 + 1e-5 * a and abs(p.b - b) <= 1e-8 + 1e-5 * b):
+        raise NumericalError(
+            f"threshold shapes {thr.params} do not match model (n={model.n}, d={model.d})")
     mean = model.mean
     x = np.asarray(x, dtype=float)
     if x.shape != mean.shape:
@@ -114,36 +126,7 @@ def _score_one(model: GaussianModel, x) -> float:
     q = whitened_sq_norm(model.appended_chol, x - mean)
     if not q <= _Q_MAX:  # inf or NaN, which np.fmin takes to _Q_MAX
         q = _Q_MAX
-    return q / (model.n + 1 + q)
-
-
-def decision_statistic(model: GaussianModel, x: np.ndarray) -> DecisionScore:
-    """``scores`` of the single query x, with its appended squared distance.
-
-    It solves with one right-hand side (``linalg.whitened_sq_norm``): T is
-    a one-row ``scores`` call's bit for bit, but BLAS may round a
-    many-column solve differently, so T can differ in the last bit from
-    what ``infer`` (``data.finite_projection``'s 256-row blocks) gives the
-    row."""
-    _null_shapes(model)  # n > d+1
-    t = _score_one(model, x)
-    return DecisionScore(d2=model.n**2 / (model.n + 1) * t, T=t)
-
-
-def beta_decide(model: GaussianModel, x: np.ndarray, thr: DecisionThreshold) -> int:
-    """1 (target) iff the normalized statistic falls strictly below v_beta.
-
-    T is ``decision_statistic``'s, from the same one-row kernel: a one-row
-    ``scores`` call's bit for bit, but it can differ in the last bit from
-    what ``infer`` gives the row, so a T within an ulp of v_beta may be
-    decided the other way."""
-    a, b = _null_shapes(model)
-    p = thr.params
-    # np.isclose(p.a, a) and np.isclose(p.b, b) (atol 1e-8, rtol 1e-5; a, b > 0)
-    if not (abs(p.a - a) <= 1e-8 + 1e-5 * a and abs(p.b - b) <= 1e-8 + 1e-5 * b):
-        raise NumericalError(
-            f"threshold shapes {thr.params} do not match model (n={model.n}, d={model.d})")
-    return TARGET if _score_one(model, x) < thr.v_beta else NON_TARGET
+    return TARGET if q / (model.n + 1 + q) < thr.v_beta else NON_TARGET
 
 
 def calibrate(model: GaussianModel, dev_vectors, dev_labels,

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -73,12 +74,16 @@ class TestTrain:
         assert art.d_out == 4
         assert 0.0 < art.v_beta < 1.0
 
-    def test_fixed_beta_level(self, workspace, tmp_path):
+    def test_fixed_beta_level(self, workspace, tmp_path, capsys):
         _, data, _ = workspace
         out = tmp_path / "m.txt"
         assert cli.main(["train", "--input", str(data), "--output", str(out),
                          "--seed", "1", "--beta-level", "0.9"] + TRAIN_FLAGS) == 0
-        assert load_model(out).beta_level == 0.9
+        det = load_model(out)
+        assert det.beta_level == 0.9
+        # the printed level and critical value read back as the saved floats
+        printed = re.search(r"\(beta=(\S+), v_beta=(\S+)\)", capsys.readouterr().out)
+        assert (float(printed[1]), float(printed[2])) == (det.beta_level, det.v_beta)
 
     def test_training_log_written(self, workspace, tmp_path):
         _, data, _ = workspace
@@ -1113,7 +1118,7 @@ def test_cli_import_leaves_scipy_packages_and_f2py_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, mahaclass.cli; print(*(m for m in "
-            "('scipy.stats', 'scipy.special', 'scipy.linalg', 'numpy.f2py') "
+            "('scipy', 'scipy.stats', 'scipy.special', 'scipy.linalg', 'numpy.f2py') "
             "if m in sys.modules))")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)

@@ -264,9 +264,10 @@ class TestBetaDecide:
 
 
 class TestOneRowScorers:
-    """``sq_mahalanobis``, ``decision_statistic`` and ``beta_decide`` score a
-    row with the one-row kernel; it must give exactly what a one-row batch
-    through ``scores`` and ``whitened_sq_norms`` gives."""
+    """``sq_mahalanobis`` and ``decision_statistic`` are one-row batch calls
+    to ``whitened_sq_norms`` and ``scores``; ``beta_decide`` scores a row
+    with its own one-row kernel, which must give exactly the T of a one-row
+    ``scores`` call."""
 
     ONE_ROW = (sq_mahalanobis, decision_statistic,
                lambda model, x: beta_decide(model, x, DecisionThreshold.for_model(model, 0.5)))
@@ -296,6 +297,11 @@ class TestOneRowScorers:
             assert d2 == want or (math.isnan(d2) and math.isnan(want))
             for thr in thresholds:
                 assert beta_decide(model, x, thr) == (TARGET if t < thr.v_beta else NON_TARGET)
+            if 0 < t < 1:  # thresholds at t and one ulp above pin the kernel's T to the bit
+                params = thresholds[0].params
+                assert beta_decide(model, x, DecisionThreshold(0.5, params, t)) == NON_TARGET
+                assert beta_decide(model, x, DecisionThreshold(
+                    0.5, params, np.nextafter(t, 1))) == TARGET
         at_mean, overflowing, nan_row = self.rows(model, rng)[:3]
         assert decision_statistic(model, at_mean).T == 0.0
         assert decision_statistic(model, overflowing).T == 1.0
@@ -311,10 +317,7 @@ class TestOneRowScorers:
             raise AssertionError("np.einsum called")
 
         monkeypatch.setattr(np, "einsum", fail)
-        x = model.mean + 0.5
-        assert sq_mahalanobis(model, x) > 0.0
-        assert decision_statistic(model, x).T > 0.0
-        assert beta_decide(model, x, thr) in (TARGET, NON_TARGET)
+        assert beta_decide(model, model.mean + 0.5, thr) in (TARGET, NON_TARGET)
 
     @pytest.mark.parametrize("d", [1, 2, 8, 32, 64])
     def test_np_einsum_fallback_gives_the_same_bits(self, d, monkeypatch):
@@ -322,14 +325,18 @@ class TestOneRowScorers:
         model = fit_gaussian(rng.normal(size=(4 * d + 10, d)) @ rng.normal(size=(d, d)),
                              ridge=1e-6)
         rows = self.rows(model, rng)
+        # critical values at rows' own T, where a last-bit change flips the decision
+        thresholds = [DecisionThreshold(0.5, null_beta_params(model), v)
+                      for v in [scores(model, x[None])[0] for x in rows[3:8]] + [0.5]]
 
-        def one_row_values():
-            scored = [(decision_statistic(model, x), sq_mahalanobis(model, x)) for x in rows]
-            return np.array([(score.T, score.d2, d2) for score, d2 in scored])
+        def kernel_outputs():
+            q = [linalg.whitened_sq_norm(model.appended_chol, x - model.mean) for x in rows]
+            decisions = [beta_decide(model, x, thr) for thr in thresholds for x in rows]
+            return np.array(q).tobytes(), decisions
 
-        fast = one_row_values()
+        fast = kernel_outputs()
         monkeypatch.setattr(linalg, "_einsum", np.einsum)
-        assert one_row_values().tobytes() == fast.tobytes()
+        assert kernel_outputs() == fast
 
     def test_package_scores_without_c_einsum(self):
         # the private import fails in a fresh interpreter: np.einsum stands in
@@ -341,10 +348,10 @@ class TestOneRowScorers:
             from mahaclass import cli, linalg, mahalanobis
             assert linalg._einsum is np.einsum
             model = linalg.fit_gaussian(np.random.default_rng(0).normal(size=(30, 3)), 1e-6)
-            print(repr(mahalanobis.decision_statistic(model, model.mean + 1.0).T))
+            print(repr(linalg.whitened_sq_norm(model.appended_chol, np.ones(3))))
         """
         model = fit_gaussian(np.random.default_rng(0).normal(size=(30, 3)), 1e-6)
-        assert float(run_fresh(code)) == decision_statistic(model, model.mean + 1.0).T
+        assert float(run_fresh(code)) == linalg.whitened_sq_norm(model.appended_chol, np.ones(3))
 
     @pytest.mark.parametrize("shape", [(4,), (1, 3), ()])
     def test_wrong_shape_message(self, shape):
