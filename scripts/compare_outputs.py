@@ -33,8 +33,9 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 # with its small-matrix kernel.  The *-wide runs repeat synth, train, infer
 # and evaluate at d_in 128, the width of perfbench's score workload.  An
 # entry whose argv is a function is a step of this script, run on the
-# temporary directory: write_mixed and write_spaced turn data.tsv into
-# data_mixed.tsv and data_spaced.tsv.
+# temporary directory: write_mixed, write_spaced and write_targets turn
+# data.tsv into data_mixed.tsv, data_spaced.tsv and data_targets.tsv, and
+# write_config writes run.cfg.
 TRAIN = ["train", "--input", "data.tsv"]
 REDUCED = ["--proj-dim", "8"]
 
@@ -60,6 +61,19 @@ def write_spaced(work: pathlib.Path) -> None:
         for line in src:
             rid, label, vec = line.split("\t")
             dst.write(f"{rid}\t{label}\t {'  '.join(vec.split())}\n")
+
+
+def write_targets(work: pathlib.Path) -> None:
+    """data_targets.tsv: the label-1 rows of data.tsv, a file of one class."""
+    with open(work / "data.tsv", encoding="utf-8") as src, \
+            open(work / "data_targets.tsv", "w", encoding="utf-8") as dst:
+        dst.writelines(line for line in src if line.split("\t")[1] == "1")
+
+
+def write_config(work: pathlib.Path) -> None:
+    """run.cfg: train's required flags and an 8-dim head, all in the file."""
+    (work / "run.cfg").write_text("input = data.tsv\noutput = model_config.txt\n"
+                                  "proj-dim = 8\n", encoding="utf-8")
 
 
 COMMANDS = [
@@ -122,6 +136,13 @@ COMMANDS = [
                       "--output", "decisions_spaced.tsv"]),
     ("evaluate-spaced", ["evaluate", "--model", "model_spaced.txt", "--input",
                          "data_spaced.tsv", "--output", "metrics_spaced.txt"]),
+    # evaluate on targets alone, which have no false positive rate or AUC
+    ("targets-input", write_targets),
+    ("evaluate-targets", ["evaluate", "--model", "model.txt", "--input", "data_targets.tsv",
+                          "--output", "metrics_targets.txt"]),
+    # required flags from a --config file
+    ("config-file", write_config),
+    ("train-config", ["train", "--config", "run.cfg"]),
     ("ablate", ["ablate", "--input", "data.tsv", "--output", "ablation.tsv",
                 "--mlp-epochs", "3"] + REDUCED),
     ("ablate-fpr-cap", ["ablate", "--input", "data.tsv", "--output", "ablation_fpr_cap.tsv",

@@ -51,6 +51,18 @@ def _config_tokens(path) -> list[str]:
     return tokens
 
 
+def _config_path(flags):
+    """The --config value among a command's flags, found before the full
+    parse so that the file can supply required flags; None without one, or
+    when it lacks its value, which the full parse then reports."""
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    try:
+        return pre.parse_known_args(flags)[0].config
+    except argparse.ArgumentError:
+        return None
+
+
 def _checked(cast, ok, requirement: str):
     """argparse type that also rejects a value failing ok: exit 2, before any work."""
     def parse(text):
@@ -198,6 +210,8 @@ def _split(args):
 def _train_and_calibrate(train_ds, dev_ds, loss, args):
     """The trained Detector, its training log and the T of each dev row,
     which calibration (without --beta-level) picks the threshold from."""
+    if not (dev_ds.n_target and dev_ds.m_non_target):
+        raise NumericalError("dev split: both classes must be present")
     cfg = TrainConfig(loss_kind=_LOSS_FLAGS[loss], batch_size=args.batch_size,
                       window_multiplier=args.window_mult, learning_rate=args.lr,
                       epochs=args.epochs, ridge=args.ridge, proj_dim=args.proj_dim,
@@ -217,17 +231,18 @@ def _train_and_calibrate(train_ds, dev_ds, loss, args):
 def _evaluate(det: data_mod.Detector, t_values, labels) -> metrics.MetricsReport:
     """Metrics of det's decisions on rows with statistics t_values."""
     report = metrics.score((t_values < det.v_beta).astype(int), labels)
-    report.auc = metrics.roc_auc(-t_values, labels)
+    if report.tp + report.fn and report.fp + report.tn:
+        report.auc = metrics.roc_auc(-t_values, labels)
+    else:  # one class ranks no pair: 0, like a ratio whose denominator is zero
+        report.auc = 0.0
+        report.degenerate.append("auc")
     return report
 
 
 def cmd_train(args) -> int:
     train_ds, dev_ds, _ = _split(args)
     det, log, dev_t = _train_and_calibrate(train_ds, dev_ds, args.loss, args)
-    try:  # a failing run writes nothing, so the dev report is made first
-        report = _evaluate(det, dev_t, dev_ds.labels)
-    except NumericalError as exc:
-        raise NumericalError(f"dev split: {exc}") from exc
+    report = _evaluate(det, dev_t, dev_ds.labels)
     with _replacing(args.output) as model_tmp:
         data_mod.save_model(det, model_tmp)
         if args.log:
@@ -345,14 +360,16 @@ _COMMANDS = {
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    config = _config_path(argv[1:]) if argv and argv[0] in _COMMANDS else None
     try:
-        if args.config:
+        if config:
             # the file's flags go first, so the command line's own flags win
             try:
-                args = parser.parse_args(argv[:1] + _config_tokens(args.config) + argv[1:])
+                args = parser.parse_args(argv[:1] + _config_tokens(config) + argv[1:])
             except SystemExit as exc:  # argparse has printed the usage error
                 return exc.code
+        else:
+            args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except (ConfigError, DataError, OSError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)

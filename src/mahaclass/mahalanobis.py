@@ -1,5 +1,5 @@
-"""Squared Mahalanobis distance and the Beta-distribution decision rule
-with dev-set threshold calibration.
+"""The Beta-distribution decision rule on the normalized squared
+Mahalanobis distance, with dev-set threshold calibration.
 
 A query is tested by appending it to the target statistics, computing its
 squared distance under the updated mean/covariance, and normalizing to
@@ -24,7 +24,6 @@ _Q_MAX = float(np.finfo(float).max)
 
 @dataclass(frozen=True)
 class DecisionScore:
-    d2: float
     T: float
 
 
@@ -60,18 +59,6 @@ def null_beta_params(model: GaussianModel) -> BetaParams:
     return BetaParams(*_null_shapes(model))
 
 
-def sq_mahalanobis(model: GaussianModel, x: np.ndarray) -> float:
-    """(x - mu)^T (Sigma + ridge*I)^{-1} (x - mu); zero iff x == mu.
-
-    A one-row ``whitened_sq_norms`` call: BLAS may round a many-column
-    solve differently, so d2 can differ in the last bit from what a batch
-    of rows gives the same row."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.d,):
-        raise NumericalError(f"expected rows of length {model.d}, got shape {(1, *x.shape)}")
-    return float(whitened_sq_norms(model.chol, (x - model.mean)[None])[0])
-
-
 def scores(model: GaussianModel, x) -> np.ndarray:
     """Normalized statistic T of each row of x, appended alone to the model.
 
@@ -95,12 +82,11 @@ def scores(model: GaussianModel, x) -> np.ndarray:
 
 
 def decision_statistic(model: GaussianModel, x: np.ndarray) -> DecisionScore:
-    """A one-row ``scores`` call on the single query x, with its appended
-    squared distance.  BLAS may round a many-column solve differently, so
-    T can differ in the last bit from what ``infer``
-    (``data.finite_projection``'s 256-row blocks) gives the row."""
-    t = float(scores(model, np.asarray(x, dtype=float)[None])[0])
-    return DecisionScore(d2=model.n**2 / (model.n + 1) * t, T=t)
+    """A one-row ``scores`` call on the single query x.  BLAS may round a
+    many-column solve differently, so T can differ in the last bit from
+    what ``infer`` (``data.finite_projection``'s 256-row blocks) gives the
+    row."""
+    return DecisionScore(T=float(scores(model, np.asarray(x, dtype=float)[None])[0]))
 
 
 def beta_decide(model: GaussianModel, x: np.ndarray, thr: DecisionThreshold) -> int:

@@ -180,6 +180,22 @@ class TestInferEvaluate:
         auc = roc_auc(-t, load_dataset(far).labels)
         assert auc > 0.99 and fields["auc"] == f"{auc:.6f}"
 
+    def test_evaluate_on_targets_only(self, workspace, tmp_path):
+        # a file of fresh targets measures the target rejection rate; with
+        # no non-target row, fpr and auc have nothing to count and read 0
+        _, data, model = workspace
+        targets = tmp_path / "targets.tsv"
+        lines = data.read_text().splitlines(keepends=True)
+        targets.write_text("".join(line for line in lines if line.split("\t")[1] == "1"))
+        out = tmp_path / "metrics.txt"
+        assert cli.main(["evaluate", "--model", str(model), "--input", str(targets),
+                         "--output", str(out)]) == 0
+        fields = dict(line.split("\t") for line in out.read_text().splitlines())
+        assert int(fields["tp"]) + int(fields["fn"]) == 160
+        assert (fields["fp"], fields["tn"]) == ("0", "0")
+        assert (fields["fpr"], fields["auc"]) == ("0.000000", "0.000000")
+        assert fields["degenerate"] == "fpr,auc"
+
     def test_evaluate_on_the_dev_split_prints_the_dev_metrics(self, tmp_path, capsys):
         # a 2-dim head of 32-dim rows, whose small products BLAS may round
         # apart from large ones: evaluate, scoring the dev split in chunks,
@@ -544,6 +560,34 @@ class TestConfigFile:
                          "--config", str(cfg)] + TRAIN_FLAGS) == 0
         assert load_model(out).beta_level == 0.95
 
+    @pytest.mark.parametrize("command", ["train", "infer"])
+    def test_config_supplies_required_flags(self, workspace, tmp_path, command):
+        # every required flag from the file, found under an abbreviated
+        # --config too: the run writes what a flag-only run writes, since the
+        # config hash ignores --config, --input and --output
+        _, data, model = workspace
+        by_file, by_flags = tmp_path / "by_file.out", tmp_path / "by_flags.out"
+        required = {"input": data} if command == "train" else {"model": model, "input": data}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in required.items())
+                       + f"output = {by_file}\n")
+        extra = ["--seed", "1"] + TRAIN_FLAGS if command == "train" else []
+        for spelling in ("--config", "--conf"):
+            by_file.unlink(missing_ok=True)
+            assert cli.main([command, spelling, str(cfg)] + extra) == 0
+            flags = [f"--{k}={v}" for k, v in required.items()]
+            assert cli.main([command, "--output", str(by_flags)] + flags + extra) == 0
+            assert by_file.read_bytes() == by_flags.read_bytes()
+
+    def test_config_without_a_value_is_usage_error(self, workspace, tmp_path, capsys):
+        _, data, _ = workspace
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--input", str(data), "--output", str(tmp_path / "m.txt"),
+                      "--config"])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "argument --config: expected one argument" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_key_is_usage_error(self, workspace, tmp_path):
         _, data, _ = workspace
         cfg = tmp_path / "run.cfg"
@@ -896,6 +940,26 @@ class TestExitCodes:
         assert rc == cli.EXIT_NUMERICAL
         assert "error: dev split: both classes must be present" in capsys.readouterr().err
         assert [str(w.message) for w in recwarn if w.category is RuntimeWarning] == []
+        assert [p.name for p in tmp_path.iterdir()] == ["data.tsv"]
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_one_class_dev_split_fails_before_training(self, tmp_path, capsys, monkeypatch,
+                                                       command):
+        # the same data, calibrating: the dev split is checked before any SGD
+        data = tmp_path / "data.tsv"
+        assert cli.main(["synth", "--output", str(data), "--n-target", "200",
+                         "--m-non-target", "2", "--d-in", "4", "--manifold-dim", "2",
+                         "--seed", "1"]) == 0
+        capsys.readouterr()
+
+        def fail(*args, **kwargs):
+            raise AssertionError("trainer.train called")
+
+        monkeypatch.setattr(cli.trainer, "train", fail)
+        rc = cli.main([command, "--input", str(data), "--output", str(tmp_path / "out"),
+                       "--proj-dim", "2"])
+        assert rc == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err == "error: dev split: both classes must be present\n"
         assert [p.name for p in tmp_path.iterdir()] == ["data.tsv"]
 
     @pytest.mark.parametrize("command", ["train", "infer"])

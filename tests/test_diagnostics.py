@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from conftest import make_model
 from mahaclass import diagnostics
 from mahaclass.data import EmbeddingDataset
 from mahaclass.diagnostics import (
@@ -227,8 +228,40 @@ class TestEmitters:
         model = fit_gaussian(head.project(data.vectors), ridge=1e-6)
         rows = emit_distance_report(data.ids, data.labels, head.project(data.vectors), model)
         assert [r[0] for r in rows] == sorted(data.ids)
-        from mahaclass.mahalanobis import sq_mahalanobis
+        a = model.cov + model.ridge * np.eye(model.d)
         for rid, label, d2 in rows:
             i = data.ids.index(rid)
-            assert d2 == pytest.approx(sq_mahalanobis(model, head.project(data.vectors[i])))
+            delta = head.project(data.vectors[i]) - model.mean
+            assert d2 == pytest.approx(delta @ np.linalg.solve(a, delta))
             assert label == data.labels[i]
+
+
+def report_d2(model, rows) -> list[float]:
+    """The squared distances ``emit_distance_report`` gives rows, in row order."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    ids = [f"r{i:03d}" for i in range(len(rows))]
+    return [d2 for _, _, d2 in emit_distance_report(ids, np.ones(len(rows), int), rows, model)]
+
+
+class TestDistanceReport:
+    def test_identity_cov_is_euclidean(self):
+        m = make_model(np.zeros(3), np.eye(3), n=10)
+        assert report_d2(m, [[1.0, 2.0, 2.0], [0.0, 3.0, 4.0]]) == pytest.approx([9.0, 25.0])
+
+    def test_zero_at_mean(self):
+        m = make_model([2.0, -1.0], [[3.0, 1.0], [1.0, 2.0]], n=10)
+        assert report_d2(m, [2.0, -1.0]) == [0.0]
+
+    def test_diagonal_scaling(self):
+        m = make_model([0.0, 0.0], np.diag([4.0, 0.25]), n=10)
+        assert report_d2(m, [2.0, 1.0]) == pytest.approx([1.0 + 4.0])
+
+    def test_affine_invariance(self):
+        rng = np.random.default_rng(7)
+        pts = rng.normal(size=(40, 3))
+        x = rng.normal(size=(5, 3))
+        a = rng.normal(size=(3, 3)) + 3 * np.eye(3)
+        b = rng.normal(size=3)
+        d2 = report_d2(fit_gaussian(pts, ridge=0.0), x)
+        d2_t = report_d2(fit_gaussian(pts @ a.T + b, ridge=0.0), x @ a.T + b)
+        assert d2_t == pytest.approx(d2, rel=1e-9)

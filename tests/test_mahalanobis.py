@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import make_model, run_fresh
 from mahaclass import linalg
 from mahaclass.betadist import BetaParams, beta_quantile, reg_inc_beta
+from mahaclass.diagnostics import emit_distance_report
 from mahaclass.errors import NotPositiveDefinite, NumericalError
 from mahaclass.linalg import GaussianModel, append_point, fit_gaussian, whitened_sq_norms
 from mahaclass.mahalanobis import (
@@ -21,7 +22,6 @@ from mahaclass.mahalanobis import (
     decision_statistic,
     null_beta_params,
     scores,
-    sq_mahalanobis,
 )
 
 
@@ -64,30 +64,6 @@ def brute_force_calibrate(t_values, truth, params, objective, fpr_cap):
     return best[1:]
 
 
-class TestSqMahalanobis:
-    def test_identity_cov_is_euclidean(self):
-        m = make_model(np.zeros(3), np.eye(3), n=10)
-        assert sq_mahalanobis(m, np.array([1.0, 2.0, 2.0])) == pytest.approx(9.0)
-
-    def test_zero_at_mean(self):
-        m = make_model([2.0, -1.0], [[3.0, 1.0], [1.0, 2.0]], n=10)
-        assert sq_mahalanobis(m, np.array([2.0, -1.0])) == 0.0
-
-    def test_diagonal_scaling(self):
-        m = make_model([0.0, 0.0], np.diag([4.0, 0.25]), n=10)
-        assert sq_mahalanobis(m, np.array([2.0, 1.0])) == pytest.approx(1.0 + 4.0)
-
-    def test_affine_invariance(self):
-        rng = np.random.default_rng(7)
-        pts = rng.normal(size=(40, 3))
-        x = rng.normal(size=3)
-        a = rng.normal(size=(3, 3)) + 3 * np.eye(3)
-        b = rng.normal(size=3)
-        d2 = sq_mahalanobis(fit_gaussian(pts, ridge=0.0), x)
-        d2_t = sq_mahalanobis(fit_gaussian(pts @ a.T + b, ridge=0.0), a @ x + b)
-        assert d2_t == pytest.approx(d2, rel=1e-9)
-
-
 class TestDecisionStatistic:
     def test_matches_brute_force(self):
         # the closed form, one batched call over all queries, against
@@ -101,8 +77,9 @@ class TestDecisionStatistic:
                 pts = rng.normal(size=(n, d))
                 queries = 3.0 * rng.normal(size=(10, d))
                 model = fit_gaussian(pts, ridge=ridge)
-                want = [(n + 1) / n**2 * sq_mahalanobis(append_point(model, x), x)
-                        for x in queries]
+                grown = [append_point(model, x) for x in queries]
+                want = [(n + 1) / n**2 * whitened_sq_norms(g.chol, (x - g.mean)[None])[0]
+                        for g, x in zip(grown, queries)]
                 np.testing.assert_allclose(scores(model, queries), want, rtol=1e-10)
                 np.testing.assert_allclose(
                     [decision_statistic(model, x).T for x in queries], want, rtol=1e-10)
@@ -118,9 +95,7 @@ class TestDecisionStatistic:
     def test_query_at_mean(self):
         pts = np.random.default_rng(10).normal(size=(30, 3))
         model = fit_gaussian(pts, ridge=0.0)
-        score = decision_statistic(model, model.mean)
-        assert score.d2 == pytest.approx(0.0, abs=1e-20)
-        assert score.T == pytest.approx(0.0, abs=1e-20)
+        assert decision_statistic(model, model.mean).T == pytest.approx(0.0, abs=1e-20)
 
     def test_statistic_in_unit_interval(self):
         rng = np.random.default_rng(11)
@@ -264,12 +239,11 @@ class TestBetaDecide:
 
 
 class TestOneRowScorers:
-    """``sq_mahalanobis`` and ``decision_statistic`` are one-row batch calls
-    to ``whitened_sq_norms`` and ``scores``; ``beta_decide`` scores a row
-    with its own one-row kernel, which must give exactly the T of a one-row
-    ``scores`` call."""
+    """``decision_statistic`` is a one-row ``scores`` call; ``beta_decide``
+    scores a row with its own one-row kernel, which must give exactly the T
+    of a one-row ``scores`` call."""
 
-    ONE_ROW = (sq_mahalanobis, decision_statistic,
+    ONE_ROW = (decision_statistic,
                lambda model, x: beta_decide(model, x, DecisionThreshold.for_model(model, 0.5)))
 
     @staticmethod
@@ -289,12 +263,7 @@ class TestOneRowScorers:
         thresholds = [DecisionThreshold.for_model(model, level) for level in (0.1, 0.5, 0.9)]
         for x in self.rows(model, rng):
             t = scores(model, x[None])[0]
-            score = decision_statistic(model, x)
-            assert score.T == t
-            assert score.d2 == n**2 / (n + 1) * t
-            d2 = sq_mahalanobis(model, x)
-            want = whitened_sq_norms(model.chol, (x - model.mean)[None])[0]
-            assert d2 == want or (math.isnan(d2) and math.isnan(want))
+            assert decision_statistic(model, x).T == t
             for thr in thresholds:
                 assert beta_decide(model, x, thr) == (TARGET if t < thr.v_beta else NON_TARGET)
             if 0 < t < 1:  # thresholds at t and one ulp above pin the kernel's T to the bit
@@ -364,12 +333,11 @@ class TestOneRowScorers:
     def test_list_row(self):
         model = fit_gaussian(np.random.default_rng(0).normal(size=(20, 3)), ridge=1e-6)
         x = [0.5, -1.0, 2.0]
-        assert sq_mahalanobis(model, x) == sq_mahalanobis(model, np.array(x))
         assert decision_statistic(model, x) == decision_statistic(model, np.array(x))
-        assert self.ONE_ROW[2](model, x) == self.ONE_ROW[2](model, np.array(x))
+        assert self.ONE_ROW[1](model, x) == self.ONE_ROW[1](model, np.array(x))
 
     def test_too_few_samples(self):
-        # n = d+1: no null law, so no T; the distance itself needs none
+        # n = d+1: no null law, so no T
         pts = np.random.default_rng(1).normal(size=(4, 3))
         model = fit_gaussian(pts, ridge=1e-6)
         thr = DecisionThreshold.for_model(fit_gaussian(np.vstack([pts, pts]), ridge=1e-6), 0.5)
@@ -378,16 +346,16 @@ class TestOneRowScorers:
                 score(model, np.zeros(3))
             with pytest.raises(NumericalError, match=r"need n > d\+1"):
                 score(model, np.zeros(5))  # checked before the row's shape
-        assert sq_mahalanobis(model, np.zeros(3)) >= 0.0
 
     def test_singular_factor(self):
-        # a zero pivot in the cached factor fails the solve; the appended
-        # factor of the same singular covariance fails to factor
+        # a zero pivot in the cached factor fails the distance report's
+        # solve; the appended factor of the same singular covariance fails
+        # to factor
         cov = np.diag([1.0, 0.0, 1.0])
         model = GaussianModel(mean=np.zeros(3), cov=cov, chol=np.sqrt(cov), n=20, ridge=0.0)
         thr = DecisionThreshold.for_model(model, 0.5)
         with pytest.raises(NotPositiveDefinite, match="zero pivot"):
-            sq_mahalanobis(model, np.ones(3))
+            emit_distance_report(["x"], np.array([1]), np.ones((1, 3)), model)
         for score in (decision_statistic, lambda m, x: beta_decide(m, x, thr)):
             with pytest.raises(NotPositiveDefinite):
                 score(model, np.ones(3))
