@@ -120,6 +120,12 @@ COMMANDS = [
     # and a last component longer than the others
     ("synth-components", ["synth", "--output", "data_components.tsv", "--components", "4",
                            "--m-non-target", "8003"]),
+    # rows near 1e20 and 1e300, which synth writes in scientific notation:
+    # the first by its block kernel on x86, the second past the kernel's
+    # exponent bound, by its per-value fallback
+    ("synth-far", ["synth", "--output", "data_far.tsv", "--separation", "1e20",
+                   "--n-target", "300", "--m-non-target", "1200"]),
+    ("synth-huge", ["synth", "--output", "data_huge.tsv", "--separation", "1e300"]),
     # the same rows in the number forms other tools write
     ("mixed-input", write_mixed),
     ("train-mixed", ["train", "--input", "data_mixed.tsv", "--output", "model_mixed.txt"]

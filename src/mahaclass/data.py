@@ -119,14 +119,15 @@ def _x87_long_double() -> bool:
     """Whether ``np.longdouble`` is x87's 80-bit format (a 64-bit significand,
     little-endian, the bytes of 1.0 below) and numpy reads it with a correctly
     rounded ``strtold``: "0.1" must give the long double nearest 1/10, which a
-    ``strtod`` fallback does not."""
+    ``strtod`` fallback does not, and nor does a division rounded to double
+    precision."""
     one = np.longdouble(1)
     if one.tobytes()[:10] != bytes(7) + b"\x80\xff\x3f":
         return False
     return bool(np.fromstring(b"0.1", dtype=np.longdouble, sep=" ")[0] == one / 10)
 
 
-_X87_LONG_DOUBLE = _x87_long_double()  # the gate of _strtold_vectors, checked once
+_X87_LONG_DOUBLE = _x87_long_double()  # the gate of _strtold_vectors and _g17_lines
 _NUMBER_BYTES = b"0123456789.+-eE"  # with the space, all a token may hold: no hex, inf, nan or 1_0
 _TINY = np.finfo(float).tiny  # the smallest normal double
 
@@ -246,13 +247,160 @@ def load_dataset(path) -> EmbeddingDataset:
     return EmbeddingDataset(ids, np.concatenate(labels), vectors)
 
 
+# save_dataset's x87 route, _g17_lines: blocks of about _BLOCK_VALUES
+# values, and decimal exponents e10 in [_E10_MIN, _E10_MAX], for which the
+# scale 10**(16 - e10) is at most 10**27 and so exact in a 64-bit significand
+_BLOCK_VALUES = 8192
+_E10_MIN, _E10_MAX = -11, 42
+_POW10 = np.cumprod(np.r_[1, np.full(27, 10)].astype(np.longdouble))  # 10**0 .. 10**27
+_U = np.uint64
+_ASCII_ZEROS = _U(0x3030303030303030)  # "0" in each byte
+_KEEP = np.array([(1 << 8 * m) - 1 for m in range(9)], _U)  # a word's low m bytes
+# per e10 in [_E10_MIN, _E10_MAX]: the "0." and zeros that lead a fixed-notation
+# value below 1, from the second byte (the first is the sign's); and the
+# "e+XX" of one in scientific notation
+_LEAD = np.array([int.from_bytes(b"0." + b"0" * (-e - 1), "little") << 8 if -4 <= e < 0 else 0
+                  for e in range(_E10_MIN, _E10_MAX + 1)], _U)
+_EXPONENT = np.array([0 if -4 <= e < 17 else int.from_bytes(b"e%+03d" % e, "little")
+                      for e in range(_E10_MIN, _E10_MAX + 1)], _U)
+
+
+def _times_pow10(wide: np.ndarray, e10: np.ndarray) -> np.ndarray:
+    """wide * 10**(16 - e10) for long doubles wide and e10 in [_E10_MIN,
+    _E10_MAX]: one correctly rounded multiply, or divide where e10 > 16, of
+    exact operands."""
+    k = 16 - e10
+    out = wide * _POW10[np.maximum(k, 0)]
+    big = np.flatnonzero(k < 0)
+    out[big] = wide[big] / _POW10[-k[big]]
+    return out
+
+
+def _round_ld(s: np.ndarray):
+    """floor(s), s rounded to an integer (halves up) and whether s lies
+    within one unit in the last place of a half-integer, each read off the
+    64-bit significand of the x87 long doubles s in [1e15, 1e18), which hold
+    4 to 14 bits below the units bit."""
+    bits = np.ndarray(s.shape, "<u8", s, strides=(s.itemsize,))
+    exponent = np.ndarray(s.shape, "<u2", s, offset=8, strides=(s.itemsize,)) & 0x7FFF
+    frac_bits = (16383 + 63 - exponent).astype(_U)  # of the significand's 64
+    floor = bits >> frac_bits
+    rem = bits - (floor << frac_bits)
+    half = _U(1) << (frac_bits - _U(1))
+    return floor, floor + (rem > half), (rem + _U(1) >= half) & (rem <= half + _U(1))
+
+
+def _eight_digits(v: np.ndarray) -> np.ndarray:
+    """Words of the eight decimal digits (as bytes 0-9) of each v < 10**8
+    (uint64), the first in the lowest byte: v splits into two 4-digit lanes
+    of 32 bits, four 2-digit lanes of 16 and eight digits of 8, dividing by
+    100 and by 10 with a multiply and a shift that are exact below 10**4
+    and 100."""
+    hi = v // _U(10000)
+    x = hi | ((v - hi * _U(10000)) << _U(32))
+    hi = ((x * _U(5243)) >> _U(19)) & _U(0x0000007F0000007F)
+    x = hi | ((x - hi * _U(100)) << _U(16))
+    hi = ((x * _U(103)) >> _U(10)) & _U(0x000F000F000F000F)
+    return hi | ((x - hi * _U(10)) << _U(8))
+
+
+def _g17_lines(block: np.ndarray) -> list[str]:
+    """Each row of the (rows, d) float block as one line of its d values
+    written as ``format(v, ".17g")`` writes them, between single spaces.
+    Only for x87 long doubles (``_X87_LONG_DOUBLE``).
+
+    Clinger's exact scaling (see ``_strtold_vectors``) run in reverse: with
+    e10 = floor(log10|x|), s = |x| * 10**(16 - e10) is one correctly
+    rounded long double multiply or divide, moved once by a power of ten
+    when it falls outside [1e16, 1e17 - 0.5); rounded to an integer, it
+    holds x's 17 significant digits.  That rounding is the exact one unless
+    s lies within one unit in the last place of a half-integer, where the
+    long double's own rounding may have crossed it.  Such values are
+    refused, as are +-0, subnormals, inf, nan and e10 outside [_E10_MIN,
+    _E10_MAX]: each is formatted by ``"%.17g" % v`` and spliced in.
+
+    Each value's text is laid out by %g's rules in seven 8-byte words, a
+    zero byte marking an unused slot: sign and "0.000" ahead of a fixed
+    value below 1; the digits before the point; the point; the digits after
+    it; the 17th digit, "e+XX" and the separator.  Fixed notation holds for
+    -4 <= e10 < 17, and trailing zeros and a bare point are dropped.  The
+    zero bytes of the block's words are deleted in one pass and the text is
+    split at the newlines that end the rows."""
+    x = np.ascontiguousarray(block, dtype=float).ravel()
+    ax = np.abs(x)
+    with np.errstate(divide="ignore"):
+        e10 = np.floor(np.log10(ax))
+    # +-0, subnormals, inf, nan and far exponents; scaled meanwhile as 1.0
+    refuse = ~((e10 >= _E10_MIN) & (e10 <= _E10_MAX))
+    ax[refuse], e10[refuse] = 1.0, 0.0
+    e10 = e10.astype(np.int64)
+    wide = ax.astype(np.longdouble)
+    floor, n17, tie = _round_ld(_times_pow10(wide, e10))
+    # where log10 rounded across a power of ten, e10 moves by one
+    low, high = floor < _U(10**16), n17 >= _U(10**17)
+    e10 += high.astype(np.int64) - low
+    refuse |= (e10 < _E10_MIN) | (e10 > _E10_MAX)
+    move = np.flatnonzero((low | high) & ~refuse)
+    if move.size:
+        _, n17[move], tie[move] = _round_ld(_times_pow10(wide[move], e10[move]))
+    refuse |= tie | (n17 < _U(10**16)) | (n17 >= _U(10**17))
+    e10[refuse] = 0  # inside the tables; the digits of these values go unread
+
+    head = n17 // _U(10)  # the first 16 digits, and the 17th
+    last = n17 - head * _U(10)
+    first8 = head // _U(10**8)
+    digits = _eight_digits(np.stack([first8, head - first8 * _U(10**8)]))
+    # significant digits: those up to the last nonzero byte of the three
+    # words; float() keeps a word's highest set bit, as no byte exceeds 9
+    lens = (np.frexp(np.vstack([digits, last]).astype(float))[1] + 7) >> 3
+    sig = ((lens > 0) * (lens + [[0], [8], [16]])).max(axis=0)
+    digits |= _ASCII_ZEROS
+
+    fixed = (e10 >= -4) & (e10 < 17)
+    before = np.where(fixed, np.maximum(e10 + 1, 0), 1)  # digits ahead of the point
+    shown = np.maximum(sig, before)
+    keep_b, keep_s = _KEEP[np.minimum(before, 8)], _KEEP[np.minimum(shown, 8)]
+    keep_b2, keep_s2 = _KEEP[np.clip(before - 8, 0, 8)], _KEEP[np.clip(shown - 8, 0, 8)]
+    words = np.empty((x.size, 7), _U)
+    words[:, 0] = _LEAD[e10 - _E10_MIN] | (x < 0) * _U(ord("-"))
+    words[:, 1] = digits[0] & keep_b
+    words[:, 2] = digits[1] & keep_b2
+    words[:, 3] = ((shown > before) & (before > 0)) * _U(ord("."))
+    words[:, 4] = digits[0] & (keep_s ^ keep_b)
+    words[:, 5] = digits[1] & (keep_s2 ^ keep_b2)
+    words[:, 6] = (shown == 17) * (last | _U(ord("0"))) | (_EXPONENT[e10 - _E10_MIN] << _U(8))
+    bad = np.flatnonzero(refuse)
+    tokens = ["%.17g" % v for v in x[bad].tolist()]  # at most 24 bytes
+    words[bad] = 0
+    words[bad, :3] = np.array(tokens, "S24").view(_U).reshape(-1, 3)
+    # the separators: a space, or a newline after a row's last value
+    sep = np.full(x.size, ord(" "), _U)
+    sep[block.shape[1] - 1::block.shape[1]] = ord("\n")
+    words[:, 6] |= sep << _U(40)
+    return words.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+
+
 def save_dataset(data: EmbeddingDataset, path) -> None:
-    # one %-template of "%.17g" fields, as in save_model; a row at a time, as
-    # the whole array as Python floats would take about 4x its memory
-    template = "%s\t%d\t" + " ".join(["%.17g"] * data.d_in) + "\n"
+    """Write data in the dataset format, each component exactly as
+    ``format(v, ".17g")`` writes it.  Where ``_X87_LONG_DOUBLE`` holds, the
+    rows go in blocks of about _BLOCK_VALUES values, each formatted by
+    ``_g17_lines`` and written with one call; elsewhere a row at a time by
+    one %-template of "%.17g" fields, as in save_model."""
+    labels = data.labels.tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        for rid, label, row in zip(data.ids, data.labels.tolist(), data.vectors):
-            fh.write(template % (rid, label, *row.tolist()))
+        if _X87_LONG_DOUBLE:
+            rows = max(1, _BLOCK_VALUES // data.d_in)
+            for start in range(0, len(data), rows):
+                stop = start + rows
+                lines = _g17_lines(data.vectors[start:stop])
+                fh.write("".join(["%s\t%d\t%s\n" % rec for rec in
+                                  zip(data.ids[start:stop], labels[start:stop], lines)]))
+        else:
+            # a row at a time, as the whole array as Python floats would take
+            # about 4x its memory
+            template = "%s\t%d\t" + " ".join(["%.17g"] * data.d_in) + "\n"
+            for rid, label, row in zip(data.ids, labels, data.vectors):
+                fh.write(template % (rid, label, *row.tolist()))
 
 
 def split(data: EmbeddingDataset, seed: int = 0):

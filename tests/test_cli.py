@@ -372,7 +372,8 @@ class TestOutputKinds:
     @pytest.mark.parametrize("command", ["synth", "ablate"])
     def test_failed_write_keeps_an_existing_output(self, workspace, tmp_path, capsys,
                                                    monkeypatch, command):
-        # the file being written fails after three rows, as on a full disk
+        # the file being written fails after three rows, as on a full disk,
+        # whether the rows come one to a write or many
         _, data, _ = workspace
         real_open = open
 
@@ -387,9 +388,11 @@ class TestOutputKinds:
                 self.fh.close()
 
             def write(self, text):
-                if self.rows == 3:
+                lines = text.splitlines(keepends=True)
+                if self.rows + len(lines) > 3:
+                    self.fh.write("".join(lines[:3 - self.rows]))
                     raise OSError(28, "No space left on device")
-                self.rows += 1
+                self.rows += len(lines)
                 return self.fh.write(text)
 
         def failing_open(path, mode="r", **kwargs):

@@ -440,6 +440,93 @@ class TestStrtoldVectors:
         assert read and all(out is not None for out in read)
 
 
+def assert_writes_as_format(rows):
+    """_g17_lines writes each row of values as format(v, ".17g") does, byte
+    for byte, between single spaces."""
+    block = np.array(rows, dtype=float)
+    expected = [" ".join(format(v, ".17g") for v in row) for row in block.tolist()]
+    assert data_mod._g17_lines(block) == expected
+
+
+# the values the kernel refuses, both sides of its exponent bounds and of its
+# fixed/scientific switch, exact ties at the 17th digit (2**50 + 1/4, + 3/4,
+# times 10), and values with few significant digits
+G17_PINNED = [
+    0.0, -0.0, 5e-324, -5e-324, np.finfo(float).tiny, -np.finfo(float).tiny,
+    np.finfo(float).max, -np.finfo(float).max, 1e-5, 1e-4, 9.9999999999999999e-5,
+    1e16, 1e17, 99999999999999999.0, 1e42, 1e43, 1e-11, 1e-12, 9.999999999999999e42,
+    2.0 ** 50 + 0.25, 2.0 ** 50 + 0.75, -2.0 ** 50 - 0.75, 1e23, 0.1, 1 / 3,
+    0.5, 100.0, -2.5, 1.0, 1e15, 1e-4 * 1.5, 120000.0, 1234567890123456.8,
+]
+
+
+@pytest.mark.skipif(not data_mod._X87_LONG_DOUBLE, reason="long double is not x87's 80-bit format")
+class TestG17Lines:
+    """``_g17_lines``, save_dataset's block writer, gives each value the
+    bytes of ``format(v, ".17g")``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda w: st.lists(st.lists(FINITE, min_size=w, max_size=w), min_size=1, max_size=8)))
+    def test_writes_what_format_writes(self, rows):
+        assert_writes_as_format(rows)
+
+    @pytest.mark.parametrize("value", G17_PINNED)
+    def test_pinned_values(self, value):
+        # in every row and column, so a refused value is spliced back in place
+        assert_writes_as_format([[1.5, 2, 3], [4, value, 6], [value, 8, value]])
+
+    def test_random_doubles(self):
+        rng = np.random.default_rng(32)
+        patterns = rng.integers(0, 2 ** 64, size=100_000, dtype=np.uint64).view(float)
+        # most random patterns lie past the exponent bounds: as many again inside
+        inside = rng.normal(size=100_000) * 10.0 ** rng.integers(-12, 45, size=100_000)
+        assert_writes_as_format(np.concatenate([patterns, inside]).reshape(-1, 16))
+
+    def test_layout_boundaries(self):
+        # each power of ten in and around the bounds, the doubles next to it,
+        # and values a digit and a carry away
+        powers = 10.0 ** np.arange(-13, 46)
+        values = [powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+                  -powers, powers * 9.999999999999999, powers * 1.0000000000000002]
+        assert_writes_as_format(np.stack(values, axis=1))
+
+
+def saved_bytes(ds, path, monkeypatch, route):
+    """save_dataset's file for ds by one route: its block kernel ("kernel"),
+    the kernel refusing every value to the per-token fallback ("refused")
+    or, with the long-double gate off, the row template ("template")."""
+    with monkeypatch.context() as m:
+        if route == "refused":
+            round_ld = data_mod._round_ld
+            m.setattr(data_mod, "_round_ld",
+                      lambda s: (*round_ld(s)[:2], np.ones(s.shape, dtype=bool)))
+        elif route == "template":
+            m.setattr(data_mod, "_X87_LONG_DOUBLE", False)
+        save_dataset(ds, path)
+    return path.read_bytes()
+
+
+@pytest.mark.skipif(not data_mod._X87_LONG_DOUBLE, reason="long double is not x87's 80-bit format")
+class TestSaveRoutes:
+    """Every route of save_dataset writes the same bytes."""
+
+    # d_in 1, 32 and 128 take 8192, 256 and 64 rows a block: two, four and
+    # sixteen blocks, the last one short; then the rows of
+    # test_huge_separation_round_trips, most past the exponent bound
+    @pytest.mark.parametrize("cfg", [
+        SynthConfig(d_in=1, n_target=2000, m_non_target=8000, manifold_dim=1, seed=3),
+        SynthConfig(d_in=32, n_target=200, m_non_target=800, seed=3),
+        SynthConfig(d_in=128, n_target=200, m_non_target=800, seed=3),
+        SynthConfig(d_in=4, n_target=40, m_non_target=80, manifold_dim=2, separation=1e300),
+    ], ids=["d1", "d32", "d128", "1e300"])
+    def test_routes_write_the_same_bytes(self, tmp_path, monkeypatch, cfg):
+        ds = synth_benchmark(cfg)
+        written = [saved_bytes(ds, tmp_path / f"{r}.tsv", monkeypatch, r)
+                   for r in ("kernel", "refused", "template")]
+        assert written[1:] == written[:1] * 2
+
+
 def test_importing_data_warns_nothing():
     code = """if True:
         import warnings
