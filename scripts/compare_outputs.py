@@ -20,6 +20,7 @@ import argparse
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import tempfile
@@ -33,9 +34,9 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 # with its small-matrix kernel.  The *-wide runs repeat synth, train, infer
 # and evaluate at d_in 128, the width of perfbench's score workload.  An
 # entry whose argv is a function is a step of this script, run on the
-# temporary directory: write_mixed, write_spaced and write_targets turn
-# data.tsv into data_mixed.tsv, data_spaced.tsv and data_targets.tsv, and
-# write_config writes run.cfg.
+# temporary directory: write_mixed, write_spaced, write_targets and
+# write_shuffled turn data.tsv into data_mixed.tsv, data_spaced.tsv,
+# data_targets.tsv and data_shuffled.tsv, and write_config writes run.cfg.
 TRAIN = ["train", "--input", "data.tsv"]
 REDUCED = ["--proj-dim", "8"]
 
@@ -68,6 +69,16 @@ def write_targets(work: pathlib.Path) -> None:
     with open(work / "data.tsv", encoding="utf-8") as src, \
             open(work / "data_targets.tsv", "w", encoding="utf-8") as dst:
         dst.writelines(line for line in src if line.split("\t")[1] == "1")
+
+
+def write_shuffled(work: pathlib.Path) -> None:
+    """data_shuffled.tsv: 9001 rows of data.tsv in a seeded random order, so
+    the ids are far from sorted and the last 256-row block is short."""
+    with open(work / "data.tsv", encoding="utf-8") as src:
+        lines = src.readlines()
+    random.Random(0).shuffle(lines)
+    with open(work / "data_shuffled.tsv", "w", encoding="utf-8") as dst:
+        dst.writelines(lines[:9001])
 
 
 def write_config(work: pathlib.Path) -> None:
@@ -146,6 +157,13 @@ COMMANDS = [
     ("targets-input", write_targets),
     ("evaluate-targets", ["evaluate", "--model", "model.txt", "--input", "data_targets.tsv",
                           "--output", "metrics_targets.txt"]),
+    # diagnose writes its distance report by id in 256-row blocks: ids far
+    # from file order and a short last block
+    ("shuffled-input", write_shuffled),
+    ("diagnose-shuffled-raw", ["diagnose", "--input", "data_shuffled.tsv",
+                               "--output", "diag_shuffled_raw"]),
+    ("diagnose-shuffled-mah", ["diagnose", "--input", "data_shuffled.tsv", "--model",
+                               "model_mah.txt", "--output", "diag_shuffled_mah"]),
     # required flags from a --config file
     ("config-file", write_config),
     ("train-config", ["train", "--config", "run.cfg"]),

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import math
 import os
 import stat
@@ -19,7 +18,7 @@ import tempfile
 import numpy as np
 
 from . import data as data_mod
-from . import diagnostics, metrics, trainer
+from . import metrics, trainer
 from .errors import ConfigError, DataError, NumericalError
 from .linalg import fit_gaussian
 from .mahalanobis import DecisionThreshold, calibrate_scores, null_beta_params
@@ -181,6 +180,8 @@ def _replacing(path):
 
 
 def _config_hash(args) -> str:
+    import hashlib  # only train and ablate hash; see seeds.rng_for
+
     keys = sorted(k for k in vars(args)
                   if k not in ("command", "config", "input", "output", "log"))
     text = ";".join(f"{k}={getattr(args, k)}" for k in keys)
@@ -286,9 +287,12 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    from . import diagnostics  # no other command needs it
+
     dataset = data_mod.load_dataset(args.input)
     det = data_mod.load_model(args.model) if args.model else None
-    vectors = dataset.vectors if det is None else det.project(dataset.vectors, dataset.ids)
+    ids, labels = dataset.ids, dataset.labels
+    vectors = dataset.vectors if det is None else det.project(dataset.vectors, ids)
     if args.k > vectors.shape[1]:
         raise ConfigError(f"--k {args.k} exceeds the {'input' if det is None else 'projected'} "
                           f"dimension {vectors.shape[1]}")
@@ -296,7 +300,8 @@ def cmd_diagnose(args) -> int:
         model = fit_gaussian(dataset.target_vectors(), ridge=1e-6) if det is None else det.gaussian
     except NumericalError as exc:
         raise NumericalError(f"class 1 (target): {exc}") from exc
-    reports = diagnostics.normality_report(vectors, dataset.labels, k=args.k)
+    del dataset  # with --model, the raw rows are not needed once projected
+    reports = diagnostics.normality_report(vectors, labels, k=args.k)
     # nested, so no report replaces its path unless all three are written
     with (_replacing(args.output + ".normality.tsv") as normality_tmp,
           _replacing(args.output + ".qq.tsv") as qq_tmp,
@@ -316,10 +321,7 @@ def cmd_diagnose(args) -> int:
                     fh.write(f"{r.class_label}\t{theo:.17g}\t{samp:.17g}\n")
 
         with open(dist_tmp, "w", encoding="utf-8") as fh:
-            fh.write("id\tlabel\td2\n")
-            for rid, label, d2 in diagnostics.emit_distance_report(
-                    dataset.ids, dataset.labels, vectors, model):
-                fh.write(f"{rid}\t{label}\t{d2:.17g}\n")
+            diagnostics.emit_distance_report(fh, ids, labels, vectors, model)
     print(f"wrote {args.output}.normality.tsv, .qq.tsv, .dist.tsv")
     return EXIT_OK
 

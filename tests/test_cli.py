@@ -1228,6 +1228,33 @@ def test_commands_skip_the_scipy_special_package(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+def test_only_hashing_commands_load_hashlib(tmp_path):
+    # hashlib maps OpenSSL's libcrypto; only commands that take a digest
+    # (seeds.rng_for, the model's config hash) import it, and only diagnose
+    # imports mahaclass.diagnostics
+    data, model = tmp_path / "data.tsv", tmp_path / "model.txt"
+    assert cli.main(["synth", "--output", str(data), "--seed", "1"] + SYNTH_FLAGS) == 0
+    assert cli.main(["train", "--input", str(data), "--output", str(model), "--seed", "1"]
+                    + TRAIN_FLAGS) == 0
+    code = """if True:
+        import sys
+        from mahaclass import cli
+        model, data, out, *train_flags = sys.argv[1:]
+        def loaded(*names):
+            return [m for m in names if m in sys.modules]
+        assert loaded("hashlib", "_hashlib", "mahaclass.diagnostics") == [], loaded(
+            "hashlib", "_hashlib", "mahaclass.diagnostics")
+        for argv in (["infer", "--model", model], ["evaluate", "--model", model],
+                     ["diagnose", "--model", model], ["diagnose"]):
+            assert cli.main(argv + ["--input", data, "--output", out + argv[0]]) == 0
+            assert loaded("hashlib", "_hashlib") == [], (argv, loaded("hashlib", "_hashlib"))
+        assert cli.main(["train", "--input", data, "--output", out + "model", "--seed", "1",
+                         *train_flags]) == 0
+        assert loaded("hashlib") == ["hashlib"]
+    """
+    run_fresh(code, str(model), str(data), str(tmp_path / "out_"), *TRAIN_FLAGS)
+
+
 def test_train_leaves_numpy_ma_unloaded(tmp_path):
     # np.unique imports numpy.ma (and inspect) on its first call; calibration
     # takes its distinct dev statistics by a sort instead

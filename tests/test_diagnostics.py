@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ from scipy.special import ndtr
 
 from conftest import make_model
 from mahaclass import diagnostics
-from mahaclass.data import EmbeddingDataset
+from mahaclass.data import CHUNK_ROWS, EmbeddingDataset
 from mahaclass.diagnostics import (
     ad_statistic_from_probs,
     anderson_darling,
@@ -17,7 +18,7 @@ from mahaclass.diagnostics import (
     pca_reduce,
 )
 from mahaclass.errors import NumericalError
-from mahaclass.linalg import fit_gaussian
+from mahaclass.linalg import fit_gaussian, whitened_sq_norms
 from mahaclass.trainer import ProjectionHead
 
 
@@ -226,7 +227,7 @@ class TestEmitters:
                                 rng.normal(size=(6, 4)))
         head = ProjectionHead(weights=rng.normal(size=(2, 4)), bias=np.zeros(2))
         model = fit_gaussian(head.project(data.vectors), ridge=1e-6)
-        rows = emit_distance_report(data.ids, data.labels, head.project(data.vectors), model)
+        rows = distance_rows(data.ids, data.labels, head.project(data.vectors), model)
         assert [r[0] for r in rows] == sorted(data.ids)
         a = model.cov + model.ridge * np.eye(model.d)
         for rid, label, d2 in rows:
@@ -236,14 +237,77 @@ class TestEmitters:
             assert label == data.labels[i]
 
 
+def report_text(ids, labels, vectors, model) -> str:
+    """The text ``emit_distance_report`` writes."""
+    fh = io.StringIO()
+    emit_distance_report(fh, ids, labels, vectors, model)
+    return fh.getvalue()
+
+
+def distance_rows(ids, labels, vectors, model) -> list[tuple[str, int, float]]:
+    """The (id, label, squared distance) of each line of the distance report,
+    after checking its header."""
+    header, *lines = report_text(ids, labels, vectors, model).splitlines()
+    assert header == "id\tlabel\td2"
+    return [(rid, int(label), float(d2))
+            for rid, label, d2 in (line.split("\t") for line in lines)]
+
+
 def report_d2(model, rows) -> list[float]:
-    """The squared distances ``emit_distance_report`` gives rows, in row order."""
+    """The squared distances the distance report gives rows, in row order."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     ids = [f"r{i:03d}" for i in range(len(rows))]
-    return [d2 for _, _, d2 in emit_distance_report(ids, np.ones(len(rows), int), rows, model)]
+    return [d2 for _, _, d2 in distance_rows(ids, np.ones(len(rows), int), rows, model)]
 
 
 class TestDistanceReport:
+    @pytest.mark.parametrize("n", [255, 257, 513])
+    def test_blocks_give_the_whole_array_bits(self, n):
+        # ids in reverse file order, so each block gathers rows from across
+        # the array, and the last block is short, so zero-padded
+        rng = np.random.default_rng(n)
+        vectors = rng.normal(size=(n, 8)) * 3.0 + 1.0
+        ids = [f"r{n - 1 - i:04d}" for i in range(n)]
+        labels = rng.integers(0, 2, size=n)
+        model = fit_gaussian(vectors[: n // 2], ridge=1e-6)
+        text = report_text(ids, labels, vectors, model)
+        rows = distance_rows(ids, labels, vectors, model)
+        by_id = slice(None, None, -1)
+        assert [(rid, label) for rid, label, _ in rows] == list(
+            zip(ids[by_id], labels[by_id].tolist()))
+        d2 = [v for *_, v in rows]
+        deltas = vectors[by_id] - model.mean
+        a = model.cov + model.ridge * np.eye(model.d)
+        assert d2 == pytest.approx(np.einsum("ij,ji->i", deltas, np.linalg.solve(a, deltas.T)),
+                                   rel=1e-10)
+        # the same bits as one solve of all n rows ...
+        assert d2 == whitened_sq_norms(model.chol, deltas).tolist()
+        # ... and as each block's rows in a report of their own
+        one_at_a_time = "".join(
+            report_text(ids[by_id][s:s + CHUNK_ROWS], labels[by_id][s:s + CHUNK_ROWS],
+                        vectors[by_id][s:s + CHUNK_ROWS], model).split("\n", 1)[1]
+            for s in range(0, n, CHUNK_ROWS))
+        assert text == "id\tlabel\td2\n" + one_at_a_time
+
+    def test_memory_stays_bounded(self, tmp_path):
+        # one block of rows is held at a time: no n-row copy of the rows and
+        # no list of n records, only the id sort order, 8 bytes a row
+        n = 40_000
+        rng = np.random.default_rng(66)
+        vectors = rng.normal(size=(n, 8))
+        ids = [f"r{i:06d}" for i in range(n)][::-1]
+        labels = rng.integers(0, 2, size=n)
+        model = fit_gaussian(vectors[:1000], ridge=1e-6)
+        with open(tmp_path / "dist.tsv", "w", encoding="utf-8") as fh:
+            tracemalloc.start()
+            try:
+                emit_distance_report(fh, ids, labels, vectors, model)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2**20 + 16 * n
+        assert len((tmp_path / "dist.tsv").read_text().splitlines()) == n + 1
+
     def test_identity_cov_is_euclidean(self):
         m = make_model(np.zeros(3), np.eye(3), n=10)
         assert report_d2(m, [[1.0, 2.0, 2.0], [0.0, 3.0, 4.0]]) == pytest.approx([9.0, 25.0])

@@ -1,3 +1,4 @@
+import io
 import math
 import re
 
@@ -355,7 +356,7 @@ class TestOneRowScorers:
         model = GaussianModel(mean=np.zeros(3), cov=cov, chol=np.sqrt(cov), n=20, ridge=0.0)
         thr = DecisionThreshold.for_model(model, 0.5)
         with pytest.raises(NotPositiveDefinite, match="zero pivot"):
-            emit_distance_report(["x"], np.array([1]), np.ones((1, 3)), model)
+            emit_distance_report(io.StringIO(), ["x"], np.array([1]), np.ones((1, 3)), model)
         for score in (decision_statistic, lambda m, x: beta_decide(m, x, thr)):
             with pytest.raises(NotPositiveDefinite):
                 score(model, np.ones(3))
