@@ -28,8 +28,9 @@ import tempfile
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 # (label, argv); paths are relative to the run's temporary directory, its cwd.
-# The default train's head is square (identity, no SGD); REDUCED trains an
-# 8-dim head of the 32-dim rows, so the other runs cover SGD.  The 2-dim head
+# The default train's head is square (identity, no SGD), so its log is empty;
+# REDUCED trains an 8-dim head of the 32-dim rows, so the other runs cover SGD,
+# and train-mah writes that run's log.  The 2-dim head
 # of the *-2d runs makes every projection a product that OpenBLAS computes
 # with its small-matrix kernel.  The *-wide runs repeat synth, train, infer
 # and evaluate at d_in 128, the width of perfbench's score workload.  An
@@ -90,7 +91,8 @@ def write_config(work: pathlib.Path) -> None:
 COMMANDS = [
     ("synth", ["synth", "--output", "data.tsv"]),
     ("train", TRAIN + ["--output", "model.txt", "--log", "train_log.tsv"]),
-    ("train-mah", TRAIN + REDUCED + ["--output", "model_mah.txt", "--loss", "mah"]),
+    ("train-mah", TRAIN + REDUCED + ["--output", "model_mah.txt", "--loss", "mah",
+                                     "--log", "train_log_mah.tsv"]),
     ("train-epochs0", TRAIN + REDUCED + ["--output", "model_epochs0.txt", "--epochs", "0"]),
     ("train-fpr-cap", TRAIN + REDUCED + ["--output", "model_fpr_cap.txt",
                                          "--fpr-cap", "0.001"]),

@@ -29,7 +29,7 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
-_LOSS_FLAGS = {"mah": "mah", "mah-mean": "mah_mean", "cosine": "cosine"}
+_LOSS_FLAGS = {kind.replace("_", "-"): kind for kind in trainer.LOSS_KINDS}
 
 
 def _config_tokens(path) -> list[str]:
@@ -79,6 +79,14 @@ _EPOCHS = _checked(int, lambda v: v >= 0, "must be non-negative")
 _NON_NEGATIVE = _checked(float, lambda v: math.isfinite(v) and v >= 0,
                          "must be finite and non-negative")
 _POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0, "must be finite and positive")
+# (argparse dest, config field, type) of the flags that set a SynthConfig
+# or TrainConfig field, whose default is that field's
+_SYNTH_FLAGS = (("d_in", "d_in", _COUNT), ("n_target", "n_target", _COUNT),
+                ("m_non_target", "m_non_target", _COUNT), ("manifold_dim", "manifold_dim", _COUNT),
+                ("components", "components", int), ("separation", "separation", _POSITIVE))
+_TRAIN_FLAGS = (("batch_size", "batch_size", _COUNT), ("window_mult", "window_multiplier", _COUNT),
+                ("epochs", "epochs", _EPOCHS), ("lr", "learning_rate", _POSITIVE),
+                ("ridge", "ridge", _NON_NEGATIVE), ("proj_dim", "proj_dim", _COUNT))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,23 +97,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", help="key=value file; flags override its values")
 
+    def config_flags(p, config, flags):
+        for dest, field, kind in flags:
+            p.add_argument("--" + dest.replace("_", "-"), type=kind, default=getattr(config, field))
+
     p = sub.add_parser("synth", help="generate the synthetic benchmark")
     common(p)
     p.add_argument("--output", required=True)
-    p.add_argument("--d-in", type=_COUNT, default=32)
-    p.add_argument("--n-target", type=_COUNT, default=2000)
-    p.add_argument("--m-non-target", type=_COUNT, default=8000)
-    p.add_argument("--manifold-dim", type=_COUNT, default=8)
-    p.add_argument("--components", type=int, default=3)
-    p.add_argument("--separation", type=_POSITIVE, default=3.0)
+    config_flags(p, data_mod.SynthConfig, _SYNTH_FLAGS)
 
     def train_flags(p):
-        p.add_argument("--batch-size", type=_COUNT, default=16)
-        p.add_argument("--window-mult", type=_COUNT, default=100)
-        p.add_argument("--epochs", type=_EPOCHS, default=1)
-        p.add_argument("--lr", type=_POSITIVE, default=1e-3)
-        p.add_argument("--ridge", type=_NON_NEGATIVE, default=1e-6)
-        p.add_argument("--proj-dim", type=_COUNT, default=64)
+        config_flags(p, TrainConfig, _TRAIN_FLAGS)
         p.add_argument("--fpr-cap", type=_RATE, default=1.0,
                        help="highest dev false positive rate calibration may pick; "
                             "1 caps nothing")
@@ -117,7 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True, help="model artifact path")
     p.add_argument("--log", help="optional training-log path")
-    p.add_argument("--loss", choices=sorted(_LOSS_FLAGS), default="mah-mean")
+    p.add_argument("--loss", choices=sorted(_LOSS_FLAGS),
+                   default=TrainConfig.loss_kind.replace("_", "-"))
     train_flags(p)
 
     for name, help_text in (("infer", "per-instance decisions and statistics"),
@@ -189,12 +192,8 @@ def _config_hash(args) -> str:
 
 
 def cmd_synth(args) -> int:
-    cfg = data_mod.SynthConfig(d_in=args.d_in, n_target=args.n_target,
-                               m_non_target=args.m_non_target,
-                               manifold_dim=args.manifold_dim,
-                               components=args.components,
-                               separation=args.separation, seed=args.seed)
-    ds = data_mod.synth_benchmark(cfg)
+    ds = data_mod.synth_benchmark(data_mod.SynthConfig(
+        seed=args.seed, **{field: getattr(args, dest) for dest, field, _ in _SYNTH_FLAGS}))
     with _replacing(args.output) as tmp:
         data_mod.save_dataset(ds, tmp)
     print(f"wrote {len(ds)} records (dim {ds.d_in}, "
@@ -202,21 +201,13 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _split(args):
-    """The train, dev and test parts of --input.  Only the parts are kept,
-    so the whole set is freed before training."""
-    return data_mod.split(data_mod.load_dataset(args.input), seed=args.seed)
-
-
 def _train_and_calibrate(train_ds, dev_ds, loss, args):
     """The trained Detector, its training log and the T of each dev row,
     which calibration (without --beta-level) picks the threshold from."""
     if not (dev_ds.n_target and dev_ds.m_non_target):
         raise NumericalError("dev split: both classes must be present")
-    cfg = TrainConfig(loss_kind=_LOSS_FLAGS[loss], batch_size=args.batch_size,
-                      window_multiplier=args.window_mult, learning_rate=args.lr,
-                      epochs=args.epochs, ridge=args.ridge, proj_dim=args.proj_dim,
-                      seed=args.seed)  # train() caps proj_dim at the input width
+    cfg = TrainConfig(loss_kind=_LOSS_FLAGS[loss], seed=args.seed,  # train() caps proj_dim at d_in
+                      **{field: getattr(args, dest) for dest, field, _ in _TRAIN_FLAGS})
     head, model, log = trainer.train(train_ds, cfg)
     try:
         dev_t = data_mod.finite_projection(head, dev_ds.vectors, dev_ds.ids, model)
@@ -241,7 +232,10 @@ def _evaluate(det: data_mod.Detector, t_values, labels) -> metrics.MetricsReport
 
 
 def cmd_train(args) -> int:
-    train_ds, dev_ds, _ = _split(args)
+    if args.log and os.path.realpath(args.log) == os.path.realpath(args.output) and (
+            os.path.isfile(args.output) or not os.path.exists(args.output)):  # not /dev/null
+        raise ConfigError(f"--log and --output name the same file {args.output}")
+    train_ds, dev_ds, _ = data_mod.split(data_mod.load_dataset(args.input), seed=args.seed)
     det, log, dev_t = _train_and_calibrate(train_ds, dev_ds, args.loss, args)
     report = _evaluate(det, dev_t, dev_ds.labels)
     with _replacing(args.output) as model_tmp:
@@ -297,7 +291,7 @@ def cmd_diagnose(args) -> int:
         raise ConfigError(f"--k {args.k} exceeds the {'input' if det is None else 'projected'} "
                           f"dimension {vectors.shape[1]}")
     try:  # fit the raw target class before any report is written
-        model = fit_gaussian(dataset.target_vectors(), ridge=1e-6) if det is None else det.gaussian
+        model = fit_gaussian(dataset.target_vectors()) if det is None else det.gaussian
     except NumericalError as exc:
         raise NumericalError(f"class 1 (target): {exc}") from exc
     del dataset  # with --model, the raw rows are not needed once projected
@@ -327,7 +321,7 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    train_ds, dev_ds, test_ds = _split(args)
+    train_ds, dev_ds, test_ds = data_mod.split(data_mod.load_dataset(args.input), seed=args.seed)
     if args.proj_dim >= train_ds.d_in:  # train() would give every loss the identity head
         raise ConfigError(f"--proj-dim {args.proj_dim} is not below d_in {train_ds.d_in}: "
                           "the head is the identity, so the losses have nothing to compare")

@@ -587,11 +587,11 @@ class Detector:
 
     @property
     def beta_a(self) -> float:
-        return self.d_out / 2.0
+        return mahalanobis.null_beta_params(self.gaussian).a
 
     @property
     def beta_b(self) -> float:
-        return (self.n - self.d_out) / 2.0
+        return mahalanobis.null_beta_params(self.gaussian).b
 
     def project(self, raw, ids=None) -> np.ndarray:
         """Raw (N, d_in) rows in the projected space (see ``finite_projection``)."""
@@ -601,6 +601,23 @@ class Detector:
         """Normalized statistic T of each raw row (see ``finite_projection``)."""
         return finite_projection(ProjectionHead(self.weights, self.bias), raw, ids,
                                  self.gaussian)
+
+
+def padded_blocks(rows: np.ndarray, order=None):
+    """Yield rows CHUNK_ROWS at a time, in row order or through the index
+    array ``order``, as (taken, block): the indices taken and a (CHUNK_ROWS,
+    d) block of those rows, a short last block zero-padded.  Every product
+    and solve on a block then has one shape: BLAS rounds some shapes
+    differently (OpenBLAS's small-matrix dgemm, a one-column solve), and a
+    row's value would then depend on the rows computed with it."""
+    in_order = order is None
+    order = np.arange(len(rows)) if in_order else order
+    for start in range(0, len(order), CHUNK_ROWS):
+        taken = order[start:start + CHUNK_ROWS]
+        block = rows[start:start + CHUNK_ROWS] if in_order else rows[taken]  # a view in row order
+        if len(taken) < CHUNK_ROWS:
+            block = np.pad(block, ((0, CHUNK_ROWS - len(taken)), (0, 0)))
+        yield taken, block
 
 
 @np.errstate(over="ignore", invalid="ignore")  # reported below as a NumericalError
@@ -615,23 +632,15 @@ def finite_projection(head: ProjectionHead, raw, ids=None,
         raise DataError(f"the model takes {d_in}-dim rows, got an array of shape {np.shape(raw)}")
     if np.shape(raw)[1] != d_in:
         raise DataError(f"the model takes {d_in}-dim input, got {np.shape(raw)[1]}-dim rows")
-    # CHUNK_ROWS rows at a time, a short last block zero-padded, so that every
-    # product and solve has one shape: BLAS rounds some shapes differently
-    # (OpenBLAS's small-matrix dgemm, a one-column solve), and a row's value
-    # would then depend on the rows computed with it
-    raw = np.ascontiguousarray(raw, dtype=float)
     out = np.empty((len(raw), len(head.bias)) if gaussian is None else len(raw))
-    for start in range(0, len(raw), CHUNK_ROWS):
-        n = len(block := raw[start:start + CHUNK_ROWS])
-        if n < CHUNK_ROWS:
-            block = np.pad(block, ((0, CHUNK_ROWS - n), (0, 0)))
+    for taken, block in padded_blocks(np.ascontiguousarray(raw, dtype=float)):
         z = head.project(block)
-        bad = ~np.isfinite(z[:n]).all(axis=1)
+        bad = ~np.isfinite(z[:len(taken)]).all(axis=1)
         if bad.any():
-            i = start + int(np.argmax(bad))
+            i = int(taken[np.argmax(bad)])
             raise NumericalError(f"record {ids[i] if ids is not None else i!r} "
                                  "does not project to finite values")
-        out[start:start + n] = (z if gaussian is None else mahalanobis.scores(gaussian, z))[:n]
+        out[taken] = (z if gaussian is None else mahalanobis.scores(gaussian, z))[:len(taken)]
     return out
 
 

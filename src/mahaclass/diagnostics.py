@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _scipy
-from .data import CHUNK_ROWS
+from .data import padded_blocks
 from .errors import NumericalError
 from .linalg import GaussianModel, cholesky, whitened_sq_norms
 
@@ -152,20 +152,15 @@ def emit_qq(samples) -> list[tuple[float, float]]:
 def emit_distance_report(fh, ids, labels, vectors, model: GaussianModel) -> None:
     """Write the distance report to the open text file fh: a header, then one
     ``id, label, squared distance`` line per row of vectors, ordered by id.
-    The id-sorted rows are scored and written CHUNK_ROWS at a time, a short
-    last block zero-padded as ``data.finite_projection`` pads it, so every
-    solve has one shape and a row's distance does not depend on n; besides
-    the sort order (8 bytes a row) the report holds one block's rows, their
-    distances and their text."""
+    The id-sorted rows are scored and written in ``data.padded_blocks``, so
+    a row's distance does not depend on n; besides the sort order (8 bytes
+    a row) the report holds one block's rows, their distances and their
+    text."""
     if vectors.shape[1] != model.d:
         raise NumericalError(f"projected dimension {vectors.shape[1]} vs model {model.d}")
     order = np.argsort(np.array(ids, dtype=object), kind="stable")
     fh.write("id\tlabel\td2\n")
-    for start in range(0, len(order), CHUNK_ROWS):
-        rows = order[start:start + CHUNK_ROWS]
-        block = vectors[rows]
-        if len(rows) < CHUNK_ROWS:
-            block = np.pad(block, ((0, CHUNK_ROWS - len(rows)), (0, 0)))
+    for rows, block in padded_blocks(vectors, order):
         d2 = whitened_sq_norms(model.chol, block - model.mean)
         fh.write("".join(f"{ids[i]}\t{label}\t{v:.17g}\n" for i, label, v in
                          zip(rows.tolist(), labels[rows].tolist(), d2.tolist())))

@@ -85,13 +85,55 @@ class TestTrain:
         printed = re.search(r"\(beta=(\S+), v_beta=(\S+)\)", capsys.readouterr().out)
         assert (float(printed[1]), float(printed[2])) == (det.beta_level, det.v_beta)
 
-    def test_training_log_written(self, workspace, tmp_path):
+    def test_training_log_written(self, workspace, tmp_path, monkeypatch):
+        # an SGD run (--proj-dim 4 of 8 dims) logs one row per step: its epoch,
+        # its batch and the loss that trainer.train returned, as %.17g
         _, data, _ = workspace
+        returned = []
+        train = cli.trainer.train
+
+        def keep(*args, **kwargs):
+            returned.append(result := train(*args, **kwargs))
+            return result
+
+        monkeypatch.setattr(cli.trainer, "train", keep)
         out = tmp_path / "m.txt"
         log = tmp_path / "log.tsv"
         assert cli.main(["train", "--input", str(data), "--output", str(out),
                          "--log", str(log), "--seed", "1"] + TRAIN_FLAGS) == 0
-        assert len(log.read_text().splitlines()) > 0
+        (_, _, entries), = returned
+        # 128 target training rows in batches of 16: 8 steps in the one epoch
+        assert [(e.epoch, e.batch) for e in entries] == [(0, b) for b in range(8)]
+        assert log.read_text() == "".join(f"{e.epoch}\t{e.batch}\t{format(e.loss, '.17g')}\n"
+                                          for e in entries)
+
+    @pytest.mark.parametrize("form", ["same-path", "existing", "symlink", "dotted"])
+    def test_log_and_output_on_one_file_is_usage_error(self, workspace, tmp_path, capsys, form):
+        # the model would replace the log: refused before --input is read, so
+        # a missing --input, a data error, is not reported
+        out = tmp_path / "model.txt"
+        log = {"same-path": out, "existing": out, "symlink": tmp_path / "log.tsv",
+               "dotted": f"{tmp_path}/./model.txt"}[form]
+        if form == "existing":
+            out.write_bytes(b"an earlier model\n")
+        if form == "symlink":
+            log.symlink_to(out)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        for data in (workspace[1], tmp_path / "missing.tsv"):
+            capsys.readouterr()
+            rc = cli.main(["train", "--input", str(data), "--output", str(out),
+                           "--log", str(log)] + TRAIN_FLAGS)
+            assert rc == cli.EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err == f"error: --log and --output name the same file {out}\n"
+            assert sorted(p.name for p in tmp_path.iterdir()) == before
+            if form == "existing":
+                assert out.read_bytes() == b"an earlier model\n"
+
+    def test_log_and_output_may_both_be_dev_null(self, workspace):
+        _, data, _ = workspace
+        assert cli.main(["train", "--input", str(data), "--output", os.devnull,
+                         "--log", os.devnull, "--seed", "1"] + TRAIN_FLAGS) == 0
 
     def test_fpr_cap_alone_caps_the_dev_rate(self, workspace, tmp_path):
         # the workspace model, calibrated with no cap, passes 10 of the 32

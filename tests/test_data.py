@@ -20,6 +20,7 @@ from mahaclass.data import (
     finite_projection,
     load_dataset,
     load_model,
+    padded_blocks,
     read_chunks,
     save_dataset,
     save_model,
@@ -119,6 +120,19 @@ class TestDatasetIo:
         vectors = np.concatenate([c.vectors for c in chunks])
         assert vectors.tobytes() == whole.vectors.tobytes() == ds.vectors.tobytes()
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        ds = toy_dataset(5, seed=3)
+        plain, blank = tmp_path / "plain.tsv", tmp_path / "blank.tsv"
+        save_dataset(ds, plain)
+        # an empty line between each two records and two after the last
+        blank.write_text("\n".join(plain.read_text().splitlines(keepends=True)) + "\n\n")
+        whole, back = load_dataset(plain), load_dataset(blank)
+        assert back.ids == whole.ids == ds.ids
+        assert back.labels.tobytes() == whole.labels.tobytes()
+        assert back.vectors.tobytes() == whole.vectors.tobytes()
+        # CHUNK_ROWS is 2: each chunk holds 2 records, not 2 lines
+        assert [c.ids for c in read_chunks(blank)] == [ds.ids[:2], ds.ids[2:4], ds.ids[4:]]
+
     def test_duplicate_id_across_chunks(self, tmp_path):
         p = tmp_path / "dup.tsv"
         p.write_text("a\t1\t1.0\nb\t0\t2.0\nc\t0\t3.0\na\t0\t4.0\n")
@@ -211,6 +225,10 @@ PARSE_CASES = {
     "bad-float-then-label": (GOOD + b"c\t1\t1 x\nd\t2\t1 2\n",
                              "line 3: could not convert string to float: 'x'"),
     "bad-label-then-float": (GOOD + b"c\t2\t1 2\nd\t1\t1 x\n", "line 3: label must be 0 or 1"),
+    # empty lines are skipped, but a message names the file line
+    "blank-lines": (b"\na\t1\t1.5 -2.25\n\nb\t0\t3 4\n\n\n", [[1.5, -2.25], [3, 4]]),
+    "blank-then-bad-label": (b"a\t1\t1 2\n\nb\t0\t3 4\n\n\nc\t2\t1 2\n",
+                             "line 6: label must be 0 or 1"),
     "duplicate-in-chunk": (GOOD + b"c\t1\t1 2\nc\t0\t1 2\n", "line 4: duplicate id 'c'"),
     "ragged-then-float": (GOOD + b"c\t1\t1\nd\t0\t1 x\n", "line 3: 1 components, expected 2"),
     # line 4's bad byte lies past the decoder's first 8 KiB block, so line 3
@@ -802,6 +820,22 @@ class TestDetector:
             alone_t = np.concatenate([det.scores(raw[i:i + 1]) for i in range(n)])
             np.testing.assert_array_equal(alone_z, whole_z)
             np.testing.assert_array_equal(alone_t, whole_t)
+
+    @pytest.mark.parametrize("n", [1, 256, 300])
+    def test_padded_blocks(self, n):
+        rows = np.arange(1.0, 2 * n + 1).reshape(n, 2)
+        backwards = np.arange(n)[::-1]
+        for order, blocks in ((np.arange(n), padded_blocks(rows)),
+                              (backwards, padded_blocks(rows, backwards))):
+            blocks = list(blocks)
+            np.testing.assert_array_equal(np.concatenate([t for t, _ in blocks]), order)
+            for taken, block in blocks:
+                assert block.shape == (data_mod.CHUNK_ROWS, 2)
+                np.testing.assert_array_equal(block[:len(taken)], rows[taken])
+                assert not block[len(taken):].any()  # zero padding
+        # in row order a full block is a view of rows, not a copy
+        assert all(np.shares_memory(block, rows) for taken, block in padded_blocks(rows)
+                   if len(taken) == data_mod.CHUNK_ROWS)
 
     def test_scores_of_trained_parts(self):
         data, head, model, thr = trained_parts()
