@@ -122,6 +122,8 @@ COMMANDS = [
                      "--output", "metrics_2d.txt"]),
     ("diagnose-2d", ["diagnose", "--input", "data.tsv", "--model", "model_2d.txt",
                      "--output", "diag_2d", "--k", "2"]),
+    # one reduced dimension: a one-column normality header, Q-Q of a 1-d reduction
+    ("diagnose-k1", ["diagnose", "--input", "data.tsv", "--k", "1", "--output", "diag_k1"]),
     ("synth-wide", ["synth", "--output", "data_wide.tsv", "--d-in", "128",
                     "--n-target", "600", "--m-non-target", "2400"]),
     ("train-wide", ["train", "--input", "data_wide.tsv", "--output", "model_wide.txt"]),

@@ -301,19 +301,9 @@ def cmd_diagnose(args) -> int:
           _replacing(args.output + ".qq.tsv") as qq_tmp,
           _replacing(args.output + ".dist.tsv") as dist_tmp):
         with open(normality_tmp, "w", encoding="utf-8") as fh:
-            fh.write("label\tn\tk\thz\t" +
-                     "\t".join(f"ad_{j + 1}" for j in range(args.k)) + "\n")
-            for r in reports:
-                fh.write(f"{r.class_label}\t{r.n}\t{r.k}\t{r.hz:.17g}\t"
-                         + "\t".join(f"{a:.17g}" for a in r.ad_per_dim) + "\n")
-
-        # Q-Q data for the first reduced dimension of each class
+            diagnostics.emit_normality_report(fh, reports, args.k)
         with open(qq_tmp, "w", encoding="utf-8") as fh:
-            fh.write("label\ttheoretical\tsample\n")
-            for r in reports:
-                for theo, samp in diagnostics.emit_qq(r.points[:, 0]):
-                    fh.write(f"{r.class_label}\t{theo:.17g}\t{samp:.17g}\n")
-
+            diagnostics.emit_qq(fh, reports)
         with open(dist_tmp, "w", encoding="utf-8") as fh:
             diagnostics.emit_distance_report(fh, ids, labels, vectors, model)
     print(f"wrote {args.output}.normality.tsv, .qq.tsv, .dist.tsv")

@@ -1,15 +1,15 @@
 """Distributional diagnostics: PCA reduction, Henze-Zirkler multivariate
-normality, Anderson-Darling univariate normality, Q-Q data, and
-squared-distance separability reports.
+normality, Anderson-Darling univariate normality, and the three report
+files of ``diagnose``: normality, Q-Q and squared-distance separability.
 
 Every function takes points in the space under test, raw or already
 projected by a model; the caller projects once and passes the same rows
-to each report.  Statistics are reported raw (no p-values); for both
-tests, larger values mean greater deviation from normality.  Failures
-are ``NumericalError``.  ``anderson_darling`` and ``emit_qq`` call the
-``ndtr`` and ``ndtri`` ufuncs of ``_scipy.special()``, which loads
-scipy's ``_ufuncs`` extension on its first call, so importing the CLI
-loads none of scipy.special.
+to each report, which an ``emit_*`` writes to an open text file.
+Statistics are reported raw (no p-values); for both tests, larger values
+mean greater deviation from normality.  Failures are ``NumericalError``.
+``anderson_darling`` and ``emit_qq`` call the ``ndtr`` and ``ndtri``
+ufuncs of ``_scipy.special()``, which loads scipy's ``_ufuncs`` extension
+on its first call, so importing the CLI loads none of scipy.special.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _scipy
-from .data import padded_blocks
+from .data import CHUNK_ROWS, padded_blocks
 from .errors import NumericalError
 from .linalg import GaussianModel, cholesky, whitened_sq_norms
 
@@ -32,7 +32,6 @@ class NormalityReport:
     hz: float
     ad_per_dim: list[float]
     n: int
-    k: int
     points: np.ndarray  # the class's PCA-reduced rows, (n, k)
 
 
@@ -117,7 +116,7 @@ def anderson_darling(samples) -> float:
     return ad_statistic_from_probs(_scipy.special().ndtr(z))
 
 
-def normality_report(vectors, labels, k: int = 3) -> list[NormalityReport]:
+def normality_report(vectors, labels, k: int) -> list[NormalityReport]:
     """Per-class HZ and per-dimension AD statistics in PCA-reduced space."""
     x = np.asarray(vectors, dtype=float)
     y = np.asarray(labels, dtype=int)
@@ -137,16 +136,30 @@ def normality_report(vectors, labels, k: int = 3) -> list[NormalityReport]:
                 raise NumericalError(f"class {label}: Henze-Zirkler test failed: {exc}") from exc
         ad = [anderson_darling(red[:, j]) for j in range(k)]
         reports.append(NormalityReport(class_label=label, hz=hz, ad_per_dim=ad,
-                                       n=cls.shape[0], k=k, points=red))
+                                       n=cls.shape[0], points=red))
     return reports
 
 
-def emit_qq(samples) -> list[tuple[float, float]]:
-    """Normal Q-Q pairs: (theoretical quantile at (i-0.5)/n, standardized
-    order statistic)."""
-    z = _standardized_order_statistics(samples)
-    theo = _scipy.special().ndtri((np.arange(1, len(z) + 1) - 0.5) / len(z))
-    return list(zip(theo.tolist(), z.tolist()))
+def emit_normality_report(fh, reports, k: int) -> None:
+    """Write the normality report to the open text file fh: a header, then
+    one ``label, n, k, HZ, AD per reduced dimension`` line per class."""
+    fh.write("label\tn\tk\thz\t" + "\t".join(f"ad_{j + 1}" for j in range(k)) + "\n")
+    for r in reports:
+        fh.write(f"{r.class_label}\t{r.n}\t{k}\t{r.hz:.17g}\t"
+                 + "\t".join(f"{a:.17g}" for a in r.ad_per_dim) + "\n")
+
+
+def emit_qq(fh, reports) -> None:
+    """Write the Q-Q report to the open text file fh: a header, then each
+    class's normal Q-Q pairs on its first reduced dimension (theoretical
+    quantile at (i-0.5)/n, standardized order statistic), ``CHUNK_ROWS`` pairs a write."""
+    fh.write("label\ttheoretical\tsample\n")
+    for r in reports:
+        z = _standardized_order_statistics(r.points[:, 0])
+        theo = _scipy.special().ndtri((np.arange(1, len(z) + 1) - 0.5) / len(z))
+        for s in range(0, len(z), CHUNK_ROWS):
+            fh.write("".join(f"{r.class_label}\t{t:.17g}\t{v:.17g}\n" for t, v in
+                             zip(theo[s:s + CHUNK_ROWS].tolist(), z[s:s + CHUNK_ROWS].tolist())))
 
 
 def emit_distance_report(fh, ids, labels, vectors, model: GaussianModel) -> None:

@@ -255,7 +255,7 @@ class MlpHead:
         return cls(layers=[(h.weights, h.bias) for h in heads])
 
 
-def train_mlp(x, labels, epochs: int = 50, seed: int = 0) -> MlpHead:
+def train_mlp(x, labels, epochs: int, seed: int = 0) -> MlpHead:
     """Binary log-loss training of the ablation classifier on the (N, d)
     projected rows x with 0/1 labels; the hidden layers have d and d // 2 units."""
     if epochs < 0:

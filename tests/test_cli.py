@@ -22,6 +22,7 @@ from mahaclass.data import (
     synth_benchmark,
     synth_target_moments,
 )
+from mahaclass.errors import NumericalError
 from mahaclass.metrics import roc_auc
 from mahaclass.seeds import rng_for
 
@@ -517,6 +518,29 @@ class TestDiagnose:
         assert f"Is a directory: '{tmp_path / 'diag.dist.tsv'}'" in capsys.readouterr().err
         assert {p.name: p.is_dir() or p.read_bytes() for p in tmp_path.iterdir()} == before
         assert not any((tmp_path / "diag.dist.tsv").iterdir())
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-reports", "existing-reports"])
+    def test_failing_qq_report_writes_no_report(self, workspace, tmp_path, capsys, monkeypatch,
+                                                existing):
+        # a Q-Q report that fails half-written leaves all three paths as they were
+        from mahaclass import diagnostics
+
+        def failing_qq(fh, reports):
+            fh.write("label\ttheoretical\tsample\n0\t-1.5\t-1.5\n")
+            raise NumericalError("Q-Q report failed")
+
+        _, data, model = workspace
+        monkeypatch.setattr(diagnostics, "emit_qq", failing_qq)
+        if existing:
+            for suffix in (".normality.tsv", ".qq.tsv", ".dist.tsv"):
+                (tmp_path / ("diag" + suffix)).write_text("an earlier report\n")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        rc = cli.main(["diagnose", "--input", str(data), "--model", str(model),
+                       "--output", str(tmp_path / "diag")])
+        assert rc == cli.EXIT_NUMERICAL
+        assert "error: Q-Q report failed" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("n_target", [0, 1])
     def test_too_few_target_rows_write_no_report(self, tmp_path, capsys, n_target):

@@ -9,6 +9,7 @@ from conftest import make_model
 from mahaclass import diagnostics
 from mahaclass.data import CHUNK_ROWS, EmbeddingDataset
 from mahaclass.diagnostics import (
+    NormalityReport,
     ad_statistic_from_probs,
     anderson_darling,
     emit_distance_report,
@@ -208,17 +209,72 @@ class TestNormalityReport:
             normality_report(x, y, k=2)
 
 
+def qq_report(label, points) -> NormalityReport:
+    """A class report whose PCA-reduced rows are points, (n, k)."""
+    points = np.asarray(points, dtype=float)
+    return NormalityReport(class_label=label, hz=0.0, ad_per_dim=[], n=len(points),
+                           points=points)
+
+
+def qq_text(reports) -> str:
+    """The text ``emit_qq`` writes."""
+    fh = io.StringIO()
+    emit_qq(fh, reports)
+    return fh.getvalue()
+
+
+def qq_pairs(samples) -> list[tuple[float, float]]:
+    """The (theoretical, sample) pairs of the Q-Q report of one class whose
+    first reduced dimension is samples, after checking its header and labels."""
+    header, *lines = qq_text([qq_report(1, np.asarray(samples)[:, None])]).splitlines()
+    assert header == "label\ttheoretical\tsample"
+    fields = [line.split("\t") for line in lines]
+    assert all(label == "1" for label, _, _ in fields)
+    return [(float(t), float(s)) for _, t, s in fields]
+
+
 class TestEmitters:
     def test_qq_structure(self):
         from scipy.special import ndtri
         rng = np.random.default_rng(63)
         x = rng.normal(size=25)
-        pairs = emit_qq(x)
+        pairs = qq_pairs(x)
         theo = np.array([t for t, _ in pairs])
         samp = np.array([s for _, s in pairs])
         np.testing.assert_allclose(theo, ndtri((np.arange(1, 26) - 0.5) / 25))
         np.testing.assert_array_equal(samp, np.sort(samp))
         assert samp.mean() == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [255, 257, 513])
+    def test_qq_blocks_give_the_per_pair_lines(self, n):
+        # blocks straddle CHUNK_ROWS; only each class's first column is read
+        from scipy.special import ndtri
+        rng = np.random.default_rng(n)
+        classes = [(0, rng.uniform(-2, 2, size=(n, 2))), (1, rng.normal(size=(n, 2)))]
+        expected = "label\ttheoretical\tsample\n"
+        for label, points in classes:
+            x = points[:, 0]
+            z = np.sort((x - x.mean()) / x.std(ddof=1))
+            theo = ndtri((np.arange(1, len(x) + 1) - 0.5) / len(x))
+            expected += "".join(f"{label}\t{t:.17g}\t{s:.17g}\n"
+                                for t, s in zip(theo.tolist(), z.tolist()))
+        assert qq_text([qq_report(label, points) for label, points in classes]) == expected
+
+    def test_qq_memory_stays_bounded(self, tmp_path):
+        # no list of the class's pairs: the standardized order statistics and
+        # the theoretical quantiles, 8 bytes a row each, and one block's text
+        n = 40_000
+        reports = [qq_report(0, np.random.default_rng(67).normal(size=(n, 3)))]
+        qq_text([qq_report(0, reports[0].points[:3])])  # loads ndtri's extension untraced
+        with open(tmp_path / "qq.tsv", "w", encoding="utf-8") as fh:
+            tracemalloc.start()
+            try:
+                emit_qq(fh, reports)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2**20 + 16 * n
+        assert len((tmp_path / "qq.tsv").read_text().splitlines()) == n + 1
 
     def test_distance_report_sorted_and_projected(self):
         rng = np.random.default_rng(64)
