@@ -8,7 +8,8 @@ OTHER_SRC is a directory holding a ``mahaclass`` package, such as the
 ``python -m mahaclass.cli`` on the default synthetic benchmark (seed 0),
 once with this checkout's ``src/`` and once with OTHER_SRC, each in its own
 temporary directory.  Every output file is compared byte for byte, and each
-command's exit code and stdout with the temporary directory's path replaced.
+command's exit code, stdout and any stderr with the temporary directory's
+path replaced.
 Prints ``same`` or ``DIFF`` per output and exits 1 on any DIFF.  A DIFF
 whose outputs split into the same number of whitespace-separated fields,
 differing only in fields that parse as floats, also shows the largest
@@ -37,7 +38,8 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 # entry whose argv is a function is a step of this script, run on the
 # temporary directory: write_mixed, write_spaced, write_targets and
 # write_shuffled turn data.tsv into data_mixed.tsv, data_spaced.tsv,
-# data_targets.tsv and data_shuffled.tsv, and write_config writes run.cfg.
+# data_targets.tsv and data_shuffled.tsv, and write_config and
+# write_bad_config write run.cfg and bad.cfg.
 TRAIN = ["train", "--input", "data.tsv"]
 REDUCED = ["--proj-dim", "8"]
 
@@ -86,6 +88,11 @@ def write_config(work: pathlib.Path) -> None:
     """run.cfg: train's required flags and an 8-dim head, all in the file."""
     (work / "run.cfg").write_text("input = data.tsv\noutput = model_config.txt\n"
                                   "proj-dim = 8\n", encoding="utf-8")
+
+
+def write_bad_config(work: pathlib.Path) -> None:
+    """bad.cfg: a batch size of 0, which train refuses as it refuses the flag."""
+    (work / "bad.cfg").write_text("batch-size = 0\n", encoding="utf-8")
 
 
 COMMANDS = [
@@ -171,6 +178,13 @@ COMMANDS = [
     # required flags from a --config file
     ("config-file", write_config),
     ("train-config", ["train", "--config", "run.cfg"]),
+    # the front door: usage errors from a flag and from a --config line, help
+    # and an unknown command, each an exit code with its stdout and stderr
+    ("train-batch0", TRAIN + ["--output", "model_batch0.txt", "--batch-size", "0"]),
+    ("bad-config-file", write_bad_config),
+    ("train-bad-config", ["train", "--config", "bad.cfg"]),
+    ("train-help", ["train", "--help"]),
+    ("unknown-command", ["frobnicate"]),
     ("ablate", ["ablate", "--input", "data.tsv", "--output", "ablation.tsv",
                 "--mlp-epochs", "3"] + REDUCED),
     ("ablate-fpr-cap", ["ablate", "--input", "data.tsv", "--output", "ablation_fpr_cap.tsv",
@@ -180,7 +194,7 @@ COMMANDS = [
 
 def run_all(src: pathlib.Path, work: pathlib.Path) -> dict[str, bytes]:
     """Every output of the command list under src: stdout (with its exit
-    code) per command, then each file the commands wrote."""
+    code) and any stderr per command, then each file the commands wrote."""
     env = dict(os.environ, PYTHONPATH=str(src), OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     outputs = {}
@@ -190,8 +204,11 @@ def run_all(src: pathlib.Path, work: pathlib.Path) -> dict[str, bytes]:
             continue
         proc = subprocess.run([sys.executable, "-m", "mahaclass.cli", *argv, "--seed", "0"],
                               env=env, cwd=work, capture_output=True)
-        stdout = proc.stdout.replace(str(work).encode(), b"<tmp>")
+        stdout, stderr = (out.replace(str(work).encode(), b"<tmp>")
+                          for out in (proc.stdout, proc.stderr))
         outputs[f"stdout of {label}"] = b"exit %d\n" % proc.returncode + stdout
+        if stderr:
+            outputs[f"stderr of {label}"] = stderr
         print(f"  ran {label} under {src} (exit {proc.returncode})", file=sys.stderr)
     for path in sorted(work.iterdir()):
         outputs[path.name] = path.read_bytes()

@@ -32,8 +32,20 @@ EXIT_NUMERICAL = 4
 _LOSS_FLAGS = {kind.replace("_", "-"): kind for kind in trainer.LOSS_KINDS}
 
 
-def _config_tokens(path) -> list[str]:
-    """Each key=value line of a config file as one --key=value token."""
+def _config_tokens(argv) -> list[str]:
+    """A --key=value token for each key=value line of the file a command's
+    --config names, read before the full parse so that it can supply required
+    flags; none without the flag or without its value, which that parse reports."""
+    if not argv or argv[0] not in _COMMANDS:  # the full parse reports a missing command
+        return []
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    try:
+        path = pre.parse_known_args(argv[1:])[0].config
+    except argparse.ArgumentError:
+        return []
+    if not path:
+        return []
     tokens = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -50,18 +62,6 @@ def _config_tokens(path) -> list[str]:
     return tokens
 
 
-def _config_path(flags):
-    """The --config value among a command's flags, found before the full
-    parse so that the file can supply required flags; None without one, or
-    when it lacks its value, which the full parse then reports."""
-    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    pre.add_argument("--config")
-    try:
-        return pre.parse_known_args(flags)[0].config
-    except argparse.ArgumentError:
-        return None
-
-
 def _checked(cast, ok, requirement: str):
     """argparse type that also rejects a value failing ok: exit 2, before any work."""
     def parse(text):
@@ -75,6 +75,7 @@ def _checked(cast, ok, requirement: str):
 _LEVEL = _checked(float, lambda v: 0 < v < 1, "must lie in (0, 1)")
 _RATE = _checked(float, lambda v: 0 <= v <= 1, "must lie in [0, 1]")
 _COUNT = _checked(int, lambda v: v >= 1, "must be at least 1")
+_MIXTURE = _checked(int, lambda v: v >= 2, "must be at least 2")
 _EPOCHS = _checked(int, lambda v: v >= 0, "must be non-negative")
 _NON_NEGATIVE = _checked(float, lambda v: math.isfinite(v) and v >= 0,
                          "must be finite and non-negative")
@@ -83,7 +84,7 @@ _POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0, "must be finit
 # or TrainConfig field, whose default is that field's
 _SYNTH_FLAGS = (("d_in", "d_in", _COUNT), ("n_target", "n_target", _COUNT),
                 ("m_non_target", "m_non_target", _COUNT), ("manifold_dim", "manifold_dim", _COUNT),
-                ("components", "components", int), ("separation", "separation", _POSITIVE))
+                ("components", "components", _MIXTURE), ("separation", "separation", _POSITIVE))
 _TRAIN_FLAGS = (("batch_size", "batch_size", _COUNT), ("window_mult", "window_multiplier", _COUNT),
                 ("epochs", "epochs", _EPOCHS), ("lr", "learning_rate", _POSITIVE),
                 ("ridge", "ridge", _NON_NEGATIVE), ("proj_dim", "proj_dim", _COUNT))
@@ -344,18 +345,14 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """The exit code of every outcome of argv, argparse's usage errors and -h included."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    config = _config_path(argv[1:]) if argv and argv[0] in _COMMANDS else None
     try:
-        if config:
-            # the file's flags go first, so the command line's own flags win
-            try:
-                args = parser.parse_args(argv[:1] + _config_tokens(config) + argv[1:])
-            except SystemExit as exc:  # argparse has printed the usage error
-                return exc.code
-        else:
-            args = parser.parse_args(argv)
+        tokens = _config_tokens(argv)  # placed first, so the command line's own flags win
+        try:
+            args = build_parser().parse_args(argv[:1] + tokens + argv[1:])
+        except SystemExit as exc:  # argparse has printed its usage error or help
+            return exc.code
         return _COMMANDS[args.command](args)
     except (ConfigError, DataError, OSError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)

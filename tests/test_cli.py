@@ -650,10 +650,8 @@ class TestConfigFile:
 
     def test_config_without_a_value_is_usage_error(self, workspace, tmp_path, capsys):
         _, data, _ = workspace
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["train", "--input", str(data), "--output", str(tmp_path / "m.txt"),
-                      "--config"])
-        assert exc.value.code == cli.EXIT_USAGE
+        assert cli.main(["train", "--input", str(data), "--output", str(tmp_path / "m.txt"),
+                         "--config"]) == cli.EXIT_USAGE
         assert "argument --config: expected one argument" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
@@ -685,11 +683,7 @@ class TestConfigFile:
         cfg.write_text("refit-full = false\n")
         out = tmp_path / "m.txt"
         argv = ["train", "--input", str(data), "--output", str(out)] + TRAIN_FLAGS
-        try:
-            rc = cli.main(argv + (["--refit-full"] if where == "flag" else
-                                  ["--config", str(cfg)]))
-        except SystemExit as exc:  # argparse rejects a command-line flag itself
-            rc = exc.code
+        rc = cli.main(argv + (["--refit-full"] if where == "flag" else ["--config", str(cfg)]))
         assert rc == cli.EXIT_USAGE
         assert not out.exists()
 
@@ -710,11 +704,8 @@ class TestConfigFile:
         argv = [command, "--input", str(data), "--output", str(out), "--epochs", "0"] + TRAIN_FLAGS
         if command == "ablate":
             argv += ["--mlp-epochs", "0"]
-        try:
-            rc = cli.main(argv + ([f"--{key}", value] if where == "flag" else
-                                  ["--config", str(cfg)]))
-        except SystemExit as exc:  # argparse rejects a command-line flag itself
-            rc = exc.code
+        rc = cli.main(argv + ([f"--{key}", value] if where == "flag" else
+                              ["--config", str(cfg)]))
         assert rc == cli.EXIT_USAGE
         assert not out.exists()
 
@@ -881,6 +872,25 @@ class TestExitCodes:
         assert "the first loss, before any update, is nan: the input rows overflow" in err
         assert "diverged" not in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_overflowing_row_after_an_update_is_divergence(self, workspace, tmp_path, capsys):
+        # one non-target train row near 1e300 makes the loss NaN only in the
+        # batch that draws it, here the fifth: the first loss is finite, so
+        # this reports a divergence, not overflowing input
+        _, data, _ = workspace
+        ds = load_dataset(data)
+        train_ds = split(ds, seed=1)[0]
+        rid = next(r for r, label in zip(train_ds.ids, train_ds.labels) if label == 0)
+        ds.vectors[ds.ids.index(rid)] = 1e300
+        huge = tmp_path / "huge.tsv"
+        save_dataset(ds, huge)
+        capsys.readouterr()
+        rc = cli.main(["train", "--input", str(huge), "--output", str(tmp_path / "m.txt"),
+                       "--log", str(tmp_path / "log.tsv"), "--seed", "1"] + TRAIN_FLAGS)
+        assert rc == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err == "error: training diverged at epoch 0, batch 4: loss is nan\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["huge.tsv"]
 
     @pytest.mark.parametrize("with_model", [False, True], ids=["raw", "model"])
     def test_overflowing_rows_fail_henze_zirkler_by_class(self, workspace, far_data, tmp_path,
@@ -1130,6 +1140,7 @@ class TestExitCodes:
         ["synth", "--n-target", "0"],
         ["synth", "--m-non-target", "-5"],
         ["synth", "--manifold-dim", "0"],
+        ["synth", "--components", "1"],
     ])
     def test_out_of_range_flag_is_usage_error(self, workspace, tmp_path, capsys, argv):
         _, data, _ = workspace
@@ -1137,9 +1148,7 @@ class TestExitCodes:
         if argv[0] != "synth":
             argv += ["--input", str(data)]
         capsys.readouterr()
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == cli.EXIT_USAGE
+        assert cli.main(argv) == cli.EXIT_USAGE
         out, err = capsys.readouterr()
         assert out == "" and "must " in err
         assert list(tmp_path.iterdir()) == []
@@ -1156,23 +1165,26 @@ class TestExitCodes:
         if command != "synth":
             argv += ["--input", str(data)]
         capsys.readouterr()
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == cli.EXIT_USAGE
+        assert cli.main(argv) == cli.EXIT_USAGE
         out, err = capsys.readouterr()
         assert out == "" and "must be finite" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("line", ["beta-level = 1.5", "fpr-cap = 7",
-                                      "ridge = nan", "lr = inf"])
-    def test_out_of_range_config_value_is_usage_error(self, workspace, tmp_path, line):
+                                      "ridge = nan", "lr = inf", "components = 1"])
+    def test_out_of_range_config_value_is_usage_error(self, workspace, tmp_path, capsys, line):
         _, data, _ = workspace
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
         out = tmp_path / "m.txt"
-        rc = cli.main(["train", "--input", str(data), "--output", str(out),
-                       "--config", str(cfg)] + TRAIN_FLAGS)
+        argv = ["--output", str(out), "--config", str(cfg)]
+        argv = (["synth"] + argv if line.startswith("components") else
+                ["train", "--input", str(data)] + argv + TRAIN_FLAGS)
+        capsys.readouterr()
+        rc = cli.main(argv)
         assert rc == cli.EXIT_USAGE
+        key, _, value = line.split()
+        assert f"argument --{key}: '{value}' must" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_mlp_epochs_in_config_is_usage_error(self, workspace, tmp_path, capsys):
@@ -1239,9 +1251,39 @@ class TestExitCodes:
         assert [p.name for p in tmp_path.iterdir()] == ["huge.tsv"]
 
     def test_unknown_subcommand_is_usage(self):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["frobnicate"])
-        assert exc.value.code == 2
+        assert cli.main(["frobnicate"]) == cli.EXIT_USAGE
+
+
+class TestFrontDoor:
+    """cli.main returns the exit code of every outcome, and a value read from
+    a --config line is refused as the same value given as a flag is."""
+
+    @pytest.mark.parametrize("flag, value", [("batch-size", "0"), ("ridge", "nan"),
+                                             ("beta-level", "1.5")])
+    def test_flag_and_config_line_fail_alike(self, workspace, tmp_path, capsys, flag, value):
+        _, data, _ = workspace
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag} = {value}\n")
+        argv = ["train", "--input", str(data), "--output", str(tmp_path / "m.txt"),
+                "--log", str(tmp_path / "log.tsv")]
+        last_lines = []
+        for given in ([f"--{flag}", value], ["--config", str(cfg)]):
+            capsys.readouterr()
+            assert cli.main(argv + given) == cli.EXIT_USAGE
+            out, err = capsys.readouterr()
+            assert out == ""
+            last_lines.append(err.splitlines()[-1])
+        assert last_lines[0] == last_lines[1]
+        assert last_lines[0].startswith(
+            f"mahaclass train: error: argument --{flag}: '{value}' must")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    def test_help_and_a_missing_command_return_their_codes(self, capsys):
+        assert cli.main(["train", "--help"]) == cli.EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: mahaclass train ")
+        assert cli.main([]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.endswith(
+            "error: the following arguments are required: command\n")
 
 
 def test_cli_import_leaves_scipy_packages_and_f2py_unloaded():
