@@ -109,11 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def train_flags(p):
         config_flags(p, TrainConfig, _TRAIN_FLAGS)
-        p.add_argument("--fpr-cap", type=_RATE, default=1.0,
-                       help="highest dev false positive rate calibration may pick; "
-                            "1 caps nothing")
-        p.add_argument("--beta-level", type=_LEVEL, default=None,
-                       help="fixed quantile level; skips dev-set calibration")
+        level = p.add_mutually_exclusive_group()  # a fixed level skips calibration
+        level.add_argument("--fpr-cap", type=_RATE, default=1.0,
+                           help="highest dev false positive rate calibration may pick; "
+                                "1 caps nothing")
+        level.add_argument("--beta-level", type=_LEVEL, default=None,
+                           help="fixed quantile level; skips dev-set calibration")
 
     p = sub.add_parser("train", help="train, calibrate on dev, save the model")
     common(p)
@@ -223,13 +224,7 @@ def _train_and_calibrate(train_ds, dev_ds, loss, args):
 
 def _evaluate(det: data_mod.Detector, t_values, labels) -> metrics.MetricsReport:
     """Metrics of det's decisions on rows with statistics t_values."""
-    report = metrics.score((t_values < det.v_beta).astype(int), labels)
-    if report.tp + report.fn and report.fp + report.tn:
-        report.auc = metrics.roc_auc(-t_values, labels)
-    else:  # one class ranks no pair: 0, like a ratio whose denominator is zero
-        report.auc = 0.0
-        report.degenerate.append("auc")
-    return report
+    return metrics.score((t_values < det.v_beta).astype(int), labels, -t_values)
 
 
 def cmd_train(args) -> int:
@@ -250,17 +245,12 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _scored_chunks(det: data_mod.Detector, path):
-    """Each chunk of the dataset at path with the T of its rows."""
-    for chunk in data_mod.read_chunks(path):
-        yield chunk, det.scores(chunk.vectors, chunk.ids)
-
-
 def cmd_infer(args) -> int:
     det = data_mod.load_model(args.model)
     n = 0
     with _replacing(args.output) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        for chunk, t_values in _scored_chunks(det, args.input):
+        for chunk in data_mod.read_chunks(args.input):
+            t_values = det.scores(chunk.vectors, chunk.ids)
             fh.write("".join(f"{rid}\t{int(t < det.v_beta)}\t{t:.17g}\n"
                              for rid, t in zip(chunk.ids, t_values.tolist())))
             n += len(chunk)
@@ -271,8 +261,8 @@ def cmd_infer(args) -> int:
 def cmd_evaluate(args) -> int:
     det = data_mod.load_model(args.model)
     t_values, labels = [], []
-    for chunk, t in _scored_chunks(det, args.input):
-        t_values.append(t)
+    for chunk in data_mod.read_chunks(args.input):
+        t_values.append(det.scores(chunk.vectors, chunk.ids))
         labels.append(chunk.labels)
     report = _evaluate(det, np.concatenate(t_values), np.concatenate(labels))
     with _replacing(args.output) as tmp, open(tmp, "w", encoding="utf-8") as fh:

@@ -38,9 +38,10 @@ class MetricsReport:
         return "\n".join(lines) + "\n"
 
 
-def score(predictions, truth) -> MetricsReport:
-    """Confusion counts and derived ratios; zero-denominator ratios come
-    back as 0 with the ratio named in ``degenerate``."""
+def score(predictions, truth, scores=None) -> MetricsReport:
+    """Confusion counts, derived ratios and, given ranking scores (higher
+    is more target-like), the AUC; zero-denominator ratios, and the AUC of
+    one class, come back as 0 with the ratio named in ``degenerate``."""
     preds = np.asarray(predictions, dtype=int)
     y = np.asarray(truth, dtype=int)
     if preds.shape != y.shape:
@@ -62,9 +63,12 @@ def score(predictions, truth) -> MetricsReport:
     recall = ratio(tp, tp + fn, "recall")
     fpr = ratio(fp, fp + tn, "fpr")
     f1 = ratio(2 * precision * recall, precision + recall, "f1")
+    auc = None
+    if scores is not None:  # one class ranks no (target, non-target) pair: no denominator
+        auc = roc_auc(scores, y) if (tp + fn) * (fp + tn) else ratio(0, 0, "auc")
     return MetricsReport(tp=tp, fp=fp, tn=tn, fn=fn, accuracy=accuracy,
                          precision=precision, recall=recall, f1=f1, fpr=fpr,
-                         degenerate=degenerate)
+                         auc=auc, degenerate=degenerate)
 
 
 def roc_auc(scores, truth) -> float:

@@ -255,6 +255,7 @@ class MlpHead:
         return cls(layers=[(h.weights, h.bias) for h in heads])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite parameters are reported below
 def train_mlp(x, labels, epochs: int, seed: int = 0) -> MlpHead:
     """Binary log-loss training of the ablation classifier on the (N, d)
     projected rows x with 0/1 labels; the hidden layers have d and d // 2 units."""
@@ -278,8 +279,6 @@ def train_mlp(x, labels, epochs: int, seed: int = 0) -> MlpHead:
             acts = mlp.forward(xb)
             logits = acts[-1][:, 0]
             p = 1.0 / (1.0 + np.exp(-logits))
-            if not np.all(np.isfinite(p)):
-                raise NonFiniteLoss("MLP training diverged")
             # d(BCE)/d(logit) = p - y
             delta = ((p - yb) / xb.shape[0])[:, None]
             for i in range(len(mlp.layers) - 1, -1, -1):
@@ -290,4 +289,6 @@ def train_mlp(x, labels, epochs: int, seed: int = 0) -> MlpHead:
                 if i > 0:
                     delta = (delta @ w) * (1.0 - acts[i] ** 2)
             opt.step()
+            if not np.isfinite(opt.p).all():  # the last step too, which no forward pass reads
+                raise NonFiniteLoss("MLP training diverged")
     return mlp

@@ -1278,6 +1278,31 @@ class TestFrontDoor:
             f"mahaclass train: error: argument --{flag}: '{value}' must")
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_beta_level_and_fpr_cap_are_alternatives(self, tmp_path, capsys, command):
+        # a fixed level skips calibration, which is what the cap bounds: both
+        # is a usage error at parse time, before --input (absent here) is read
+        cfg, cap_cfg = tmp_path / "run.cfg", tmp_path / "cap.cfg"
+        cfg.write_text("fpr_cap = 0.1\nbeta_level = 0.9\n")
+        cap_cfg.write_text("fpr-cap = 0.1\n")
+        argv = [command, "--input", str(tmp_path / "missing.tsv"), "--output", str(tmp_path / "out")]
+        for given in (["--fpr-cap", "0.1", "--beta-level", "0.9"], ["--config", str(cfg)],
+                      ["--config", str(cap_cfg), "--beta-level", "0.9"]):
+            capsys.readouterr()
+            assert cli.main(argv + given) == cli.EXIT_USAGE
+            out, err = capsys.readouterr()
+            assert out == "" and "[--fpr-cap FPR_CAP | --beta-level BETA_LEVEL]" in err
+            assert err.endswith(f"mahaclass {command}: error: argument --beta-level: "
+                                "not allowed with argument --fpr-cap\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cap.cfg", "run.cfg"]
+
+    def test_entry_exits_with_the_code_of_main(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["mahaclass", "frobnicate"])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
+
     def test_help_and_a_missing_command_return_their_codes(self, capsys):
         assert cli.main(["train", "--help"]) == cli.EXIT_OK
         assert capsys.readouterr().out.startswith("usage: mahaclass train ")

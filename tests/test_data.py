@@ -627,6 +627,8 @@ class TestSynthBenchmark:
         assert np.linalg.norm(sample_cov - cov) / np.linalg.norm(cov) < 0.05
 
     def test_invalid_config(self):
+        with pytest.raises(ConfigError, match="sizes must be positive"):
+            SynthConfig(d_in=0)
         with pytest.raises(ConfigError, match="at least 2 components"):
             SynthConfig(components=1)
         with pytest.raises(ConfigError, match=r"manifold_dim must lie in \[1, d_in\]"):

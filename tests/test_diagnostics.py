@@ -180,6 +180,10 @@ class TestAndersonDarling:
         with pytest.raises(NumericalError, match="sample is constant"):
             anderson_darling(np.full(10, 2.0))
 
+    def test_one_sample(self):
+        with pytest.raises(NumericalError, match="need at least 2 samples"):
+            anderson_darling([1.0])
+
 
 class TestNormalityReport:
     def test_per_class_reports(self):
@@ -317,6 +321,11 @@ def report_d2(model, rows) -> list[float]:
 
 
 class TestDistanceReport:
+    def test_rows_of_another_dimension(self):
+        model = fit_gaussian(np.random.default_rng(65).normal(size=(10, 2)), ridge=1e-6)
+        with pytest.raises(NumericalError, match="projected dimension 3 vs model 2"):
+            report_text(["a"], [1], np.zeros((1, 3)), model)
+
     @pytest.mark.parametrize("n", [255, 257, 513])
     def test_blocks_give_the_whole_array_bits(self, n):
         # ids in reverse file order, so each block gathers rows from across

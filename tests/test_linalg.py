@@ -1,10 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve, solve_triangular
 
-from mahaclass import _scipy
+from mahaclass import _scipy, linalg
 from mahaclass.diagnostics import henze_zirkler
 from mahaclass.errors import NotPositiveDefinite, NumericalError
 from mahaclass.linalg import (
@@ -39,6 +41,10 @@ class TestCholesky:
         m[1, 1] = bad
         with pytest.raises(NotPositiveDefinite, match="non-finite"):
             cholesky(m)
+
+    def test_non_square_raises(self):
+        with pytest.raises(NumericalError, match=r"expected a square matrix, got shape \(2, 3\)"):
+            cholesky(np.ones((2, 3)))
 
 
 class TestWhitenedSqNorms:
@@ -102,8 +108,9 @@ class TestFitGaussian:
         np.testing.assert_allclose(m.cov, [[1 / 3, -1 / 6], [-1 / 6, 1 / 3]], rtol=1e-12)
 
     def test_too_few(self):
-        with pytest.raises(NumericalError, match="need at least 2 points"):
-            fit_gaussian([[1.0, 2.0]])
+        for points in ([[1.0, 2.0]], [1.0, 2.0]):  # a 1-D array is one point
+            with pytest.raises(NumericalError, match="need at least 2 points, got 1"):
+                fit_gaussian(points)
 
     def test_chol_reconstructs(self):
         rng = np.random.default_rng(0)
@@ -146,6 +153,11 @@ class TestAppendPoint:
         m2 = append_point(m, m.mean)
         assert m2.mean[0] == m.mean[0]
         np.testing.assert_allclose(m2.cov[0, 0], m.cov[0, 0] * (m.n - 1) / m.n)
+
+    def test_wrong_length(self):
+        m = fit_gaussian([[0.0], [2.0]], ridge=0.0)
+        with pytest.raises(NumericalError, match=r"expected vector of length 1, got shape \(2,\)"):
+            append_point(m, np.zeros(2))
 
     def test_hand_expansion(self):
         m = fit_gaussian([[0.0], [2.0]], ridge=0.0)
@@ -204,6 +216,11 @@ class TestSlidingWindow:
         w.push(np.empty((0, 2)))
         assert w.model is model
 
+    @pytest.mark.parametrize("sizes", [{"capacity": 0}, {"capacity": 8, "update_frequency": 0}])
+    def test_non_positive_sizes(self, sizes):
+        with pytest.raises(ValueError, match="capacity and update_frequency must be positive"):
+            SlidingWindow(dim=2, **sizes)
+
     def test_wrong_dimension(self):
         w = SlidingWindow(capacity=8, dim=2)
         with pytest.raises(NumericalError, match="window dimension is 2, batch has 4"):
@@ -215,6 +232,13 @@ class TestSlidingWindow:
         assert w.model is None  # only 2 pushed, refresh at 4
         w.push([[3.0], [4.0]])
         assert w.model is not None
+
+
+def test_einsum_falls_back_to_np_einsum(monkeypatch):
+    # numpy's private C einsum under neither module name: the public one stands in
+    monkeypatch.setitem(sys.modules, "numpy._core.multiarray", None)
+    monkeypatch.setitem(sys.modules, "numpy.core.multiarray", None)
+    assert linalg._c_einsum() is np.einsum
 
 
 class TestLapackLoading:

@@ -117,6 +117,12 @@ class TestMahLoss:
         with pytest.raises(NumericalError, match="expected rows of length 4"):
             mah_loss([ContrastTriple(a[:2], p[:2], n[:2])], model)
 
+    def test_pair_batch(self):
+        # a (B, 2, d) array is pairs, not triples
+        model, a, _, n = random_case(32)
+        with pytest.raises(NumericalError, match=r"expected a \(B, 3, d\) batch, got shape \(1, 2, 4\)"):
+            mah_loss(np.stack([a, n])[None], model)
+
 
 @pytest.mark.parametrize("kind", ["mah", "mah_mean", "cosine"])
 def test_batch_is_the_mean_of_its_rows(kind):

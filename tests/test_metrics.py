@@ -40,6 +40,24 @@ class TestScore:
         with pytest.raises(NumericalError, match="2 predictions vs 1 labels"):
             score([1, 0], [1])
 
+    def test_scores_give_the_auc_of_roc_auc(self):
+        rng = np.random.default_rng(4)
+        truth = rng.integers(0, 2, size=200)
+        s = rng.normal(size=200) + truth
+        r = score(s > 0.5, truth, s)
+        assert r.auc == roc_auc(s, truth)
+        assert r.degenerate == []
+        assert score(s > 0.5, truth).auc is None
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_one_class_auc_is_degenerate(self, label):
+        # no (target, non-target) pair to rank: the AUC reads 0, named last
+        r = score([1, 0, 1], [label] * 3, [0.3, 0.1, 0.2])
+        assert r.auc == 0.0
+        assert r.degenerate[-1] == "auc"
+        assert r.degenerate == (["fpr", "auc"] if label else ["recall", "f1", "auc"])
+        assert r.to_text().endswith("auc\t0.000000\ndegenerate\t" + ",".join(r.degenerate) + "\n")
+
     def test_to_text_fields(self):
         text = score([1, 0], [1, 0]).to_text()
         assert "tp\t1" in text
@@ -98,6 +116,10 @@ class TestRocAuc:
     def test_single_class(self):
         with pytest.raises(NumericalError, match="both classes must be present"):
             roc_auc([0.1, 0.2], [1, 1])
+
+    def test_length_mismatch(self):
+        with pytest.raises(NumericalError, match="2 scores vs 1 labels"):
+            roc_auc([0.1, 0.2], [1])
 
     def test_label_flip_symmetry(self):
         rng = np.random.default_rng(40)

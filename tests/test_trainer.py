@@ -315,6 +315,22 @@ class TestMlp:
         with pytest.raises(ConfigError, match="epochs must be non-negative, got -1"):
             train_mlp(data.vectors, data.labels, epochs=-1)
 
+    def test_one_class_rejected(self):
+        data = toy_data(13, n=30, m=30, d=3)
+        with pytest.raises(NumericalError, match="both classes required"):
+            train_mlp(data.vectors, np.ones(len(data)), epochs=1)
+
+    @pytest.mark.parametrize("epochs", [1, 2])
+    def test_infinite_rows_are_divergence(self, epochs):
+        # tanh saturates a +-inf input, so the forward pass stays finite and
+        # the first non-finite values are the parameters after the update;
+        # an overflow warning must not come first, and the last update is checked too
+        data = toy_data(14, n=10, m=10, d=3)
+        x = data.vectors.copy()
+        x[0, 0], x[1, 1] = np.inf, -np.inf
+        with pytest.raises(NonFiniteLoss, match="^MLP training diverged$"):
+            train_mlp(x, data.labels, epochs=epochs)
+
     def test_deterministic(self):
         data = toy_data(13, n=30, m=30, d=3)
         m1 = train_mlp(data.vectors, data.labels, epochs=5, seed=4)
