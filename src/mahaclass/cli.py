@@ -3,33 +3,43 @@
 Exit codes: 0 success, 2 usage/config, 3 data errors, 4 numerical
 failures.  All randomness flows from --seed; rerunning any subcommand
 with the same flags reproduces its output byte for byte.
+
+Each command is its own process, so this module imports at its top only
+what every command needs: the parser and ``data``'s dataset half.  A
+command imports the model, training, metrics and report modules inside
+the functions that use them, so ``synth`` loads none of them and
+``infer``, ``evaluate`` and ``diagnose`` load no training code.
+``entry`` freezes the heap the imports built (``gc.freeze``), so that no
+later collection walks it.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import math
 import os
 import stat
 import sys
 import tempfile
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import data as data_mod
-from . import metrics, trainer
+from .data import LOSS_KINDS, TrainConfig
 from .errors import ConfigError, DataError, NumericalError
-from .linalg import fit_gaussian
-from .mahalanobis import DecisionThreshold, calibrate_scores, null_beta_params
-from .trainer import TrainConfig
+
+if TYPE_CHECKING:
+    from .metrics import MetricsReport
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
-_LOSS_FLAGS = {kind.replace("_", "-"): kind for kind in trainer.LOSS_KINDS}
+_LOSS_FLAGS = {kind.replace("_", "-"): kind for kind in LOSS_KINDS}
 
 
 def _config_tokens(argv) -> list[str]:
@@ -206,6 +216,9 @@ def cmd_synth(args) -> int:
 def _train_and_calibrate(train_ds, dev_ds, loss, args):
     """The trained Detector, its training log and the T of each dev row,
     which calibration (without --beta-level) picks the threshold from."""
+    from . import trainer
+    from .mahalanobis import DecisionThreshold, calibrate_scores, null_beta_params
+
     if not (dev_ds.n_target and dev_ds.m_non_target):
         raise NumericalError("dev split: both classes must be present")
     cfg = TrainConfig(loss_kind=_LOSS_FLAGS[loss], seed=args.seed,  # train() caps proj_dim at d_in
@@ -222,12 +235,16 @@ def _train_and_calibrate(train_ds, dev_ds, loss, args):
     return data_mod.Detector.of(head, model, thr, args.seed, _config_hash(args)), log, dev_t
 
 
-def _evaluate(det: data_mod.Detector, t_values, labels) -> metrics.MetricsReport:
+def _evaluate(det: data_mod.Detector, t_values, labels) -> MetricsReport:
     """Metrics of det's decisions on rows with statistics t_values."""
+    from . import metrics
+
     return metrics.score((t_values < det.v_beta).astype(int), labels, -t_values)
 
 
 def cmd_train(args) -> int:
+    from .trainer import write_training_log
+
     if args.log and os.path.realpath(args.log) == os.path.realpath(args.output) and (
             os.path.isfile(args.output) or not os.path.exists(args.output)):  # not /dev/null
         raise ConfigError(f"--log and --output name the same file {args.output}")
@@ -238,7 +255,7 @@ def cmd_train(args) -> int:
         data_mod.save_model(det, model_tmp)
         if args.log:
             with _replacing(args.log) as log_tmp:
-                trainer.write_training_log(log, log_tmp)
+                write_training_log(log, log_tmp)
     print(f"model written to {args.output} (beta={det.beta_level!r}, v_beta={det.v_beta!r})")
     print("dev metrics:")
     print(report.to_text(), end="")
@@ -273,6 +290,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_diagnose(args) -> int:
     from . import diagnostics  # no other command needs it
+    from .linalg import fit_gaussian
 
     dataset = data_mod.load_dataset(args.input)
     det = data_mod.load_model(args.model) if args.model else None
@@ -302,6 +320,8 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    from . import metrics, trainer
+
     train_ds, dev_ds, test_ds = data_mod.split(data_mod.load_dataset(args.input), seed=args.seed)
     if args.proj_dim >= train_ds.d_in:  # train() would give every loss the identity head
         raise ConfigError(f"--proj-dim {args.proj_dim} is not below d_in {train_ds.d_in}: "
@@ -309,8 +329,9 @@ def cmd_ablate(args) -> int:
     rows = []
     for loss_flag in _LOSS_FLAGS:
         det, _, _ = _train_and_calibrate(train_ds, dev_ds, loss_flag, args)
-        rows.append((loss_flag, "beta", _evaluate(det, det.scores(test_ds.vectors, test_ds.ids),
-                                                  test_ds.labels)))
+        t_values = det.scores(test_ds.vectors, test_ds.ids)  # decisions only: no AUC column
+        rows.append((loss_flag, "beta", metrics.score((t_values < det.v_beta).astype(int),
+                                                      test_ds.labels)))
         mlp = trainer.train_mlp(det.project(train_ds.vectors, train_ds.ids), train_ds.labels,
                                 epochs=args.mlp_epochs, seed=args.seed)
         rows.append((loss_flag, "mlp", metrics.score(
@@ -351,6 +372,11 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    """The console script and ``python -m mahaclass.cli``.  The objects the
+    imports made live as long as the process, so ``gc.freeze`` moves them
+    out of every later collection, the one at exit included.  ``main``
+    leaves the collector alone, because callers run it in process."""
+    gc.freeze()
     raise SystemExit(main())
 
 

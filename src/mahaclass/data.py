@@ -9,6 +9,12 @@ File formats (normative, bit-exact round trip):
   1 (target) and space-separated float components.
 * Model artifact: versioned line-oriented text, floats rendered with 17
   significant digits; see ``save_model``.
+
+Imports: at the top only what every caller needs, the dataset half that
+``synth`` runs.  The model half (``Detector``, ``finite_projection``)
+imports ``linalg`` and ``mahalanobis`` where it uses them, so a command
+that reads or writes no model loads neither, nor the LAPACK extension
+file behind them.
 """
 
 from __future__ import annotations
@@ -18,14 +24,16 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import mahalanobis
 from .errors import ConfigError, DataError, NotPositiveDefinite, NumericalError
-from .linalg import GaussianModel, cholesky
 from .seeds import rng_for
-from .trainer import ProjectionHead
+
+if TYPE_CHECKING:  # the model half imports these where it runs them
+    from .linalg import GaussianModel, ProjectionHead
+    from .mahalanobis import DecisionThreshold
 
 ARTIFACT_MAGIC = "mahaclass-model"
 ARTIFACT_VERSION = 1
@@ -528,6 +536,43 @@ def synth_benchmark(cfg: SynthConfig) -> EmbeddingDataset:
     return EmbeddingDataset(ids, np.repeat([1, 0], [cfg.n_target, m]), vectors)
 
 
+# -- training configuration --------------------------------------------------
+
+LOSS_KINDS = ("mah", "mah_mean", "cosine")
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """Settings of ``trainer.train``, kept here so that the CLI's parser
+    reads their defaults without loading the training code."""
+
+    loss_kind: str = "mah_mean"
+    batch_size: int = 16       # 40 suits larger corpora
+    window_multiplier: int = 100  # 500 for large datasets
+    learning_rate: float = 1e-3
+    epochs: int = 1
+    ridge: float = 1e-6
+    proj_dim: int = 64
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.loss_kind not in LOSS_KINDS:
+            raise ConfigError(f"loss_kind must be one of {LOSS_KINDS}")
+        if min(self.batch_size, self.window_multiplier, self.proj_dim) < 1:
+            raise ConfigError("batch_size, window_multiplier and proj_dim must be positive")
+        if self.window_capacity < 2:  # the loss needs a window fit to 2 rows or more
+            raise ConfigError(f"--batch-size {self.batch_size} x --window-mult "
+                              f"{self.window_multiplier} gives a {self.window_capacity}-row "
+                              "window; it needs at least 2 rows")
+        if not (self.epochs >= 0 and self.learning_rate > 0 and self.ridge >= 0
+                and math.isfinite(self.learning_rate) and math.isfinite(self.ridge)):
+            raise ConfigError("invalid epochs, learning_rate or ridge")
+
+    @property
+    def window_capacity(self) -> int:
+        return self.window_multiplier * self.batch_size
+
+
 # -- trained model -----------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -564,6 +609,8 @@ class Detector:
             raise ValueError(f"gauss_n {self.n} must exceed d+1 = {d + 1}")
         if not (0 < self.v_beta < 1 and 0 < self.beta_level < 1):
             raise ValueError("v_beta and beta_level must lie in (0, 1)")
+        from .linalg import GaussianModel, cholesky
+
         try:
             chol = cholesky(self.cov + self.ridge * np.eye(d))
         except NotPositiveDefinite as exc:
@@ -573,7 +620,7 @@ class Detector:
 
     @classmethod
     def of(cls, head: ProjectionHead, model: GaussianModel,
-           thr: mahalanobis.DecisionThreshold, seed: int, config_hash: str) -> Detector:
+           thr: DecisionThreshold, seed: int, config_hash: str) -> Detector:
         return cls(head.weights, head.bias, model.mean, model.cov, model.n, model.ridge,
                    thr.beta_level, thr.v_beta, seed, config_hash)
 
@@ -587,20 +634,29 @@ class Detector:
 
     @property
     def beta_a(self) -> float:
-        return mahalanobis.null_beta_params(self.gaussian).a
+        from .mahalanobis import null_beta_params
+
+        return null_beta_params(self.gaussian).a
 
     @property
     def beta_b(self) -> float:
-        return mahalanobis.null_beta_params(self.gaussian).b
+        from .mahalanobis import null_beta_params
+
+        return null_beta_params(self.gaussian).b
+
+    @property
+    def head(self) -> ProjectionHead:
+        from .linalg import ProjectionHead
+
+        return ProjectionHead(self.weights, self.bias)
 
     def project(self, raw, ids=None) -> np.ndarray:
         """Raw (N, d_in) rows in the projected space (see ``finite_projection``)."""
-        return finite_projection(ProjectionHead(self.weights, self.bias), raw, ids)
+        return finite_projection(self.head, raw, ids)
 
     def scores(self, raw, ids=None) -> np.ndarray:
         """Normalized statistic T of each raw row (see ``finite_projection``)."""
-        return finite_projection(ProjectionHead(self.weights, self.bias), raw, ids,
-                                 self.gaussian)
+        return finite_projection(self.head, raw, ids, self.gaussian)
 
 
 def padded_blocks(rows: np.ndarray, order=None):
@@ -627,6 +683,8 @@ def finite_projection(head: ProjectionHead, raw, ids=None,
     (``mahalanobis.scores``).  DataError unless raw holds (N, d_in) rows;
     NumericalError naming the first row that projects past the largest
     double by its record id (its index in raw when no ``ids`` are given)."""
+    from .mahalanobis import scores
+
     d_in = head.weights.shape[1]
     if np.ndim(raw) != 2:
         raise DataError(f"the model takes {d_in}-dim rows, got an array of shape {np.shape(raw)}")
@@ -640,7 +698,7 @@ def finite_projection(head: ProjectionHead, raw, ids=None,
             i = int(taken[np.argmax(bad)])
             raise NumericalError(f"record {ids[i] if ids is not None else i!r} "
                                  "does not project to finite values")
-        out[taken] = (z if gaussian is None else mahalanobis.scores(gaussian, z))[:len(taken)]
+        out[taken] = (z if gaussian is None else scores(gaussian, z))[:len(taken)]
     return out
 
 

@@ -1,4 +1,5 @@
-"""Gaussian statistics over dense symmetric matrices.
+"""Gaussian statistics over dense symmetric matrices, and the affine
+projection head whose outputs they describe.
 
 Covariances use the unbiased (n-1) estimator throughout.  A small ridge
 (lambda * I) keeps the Cholesky factor well defined when the scatter is
@@ -11,6 +12,7 @@ from scipy's LAPACK extension file without importing scipy's linalg package.
 from __future__ import annotations
 
 import importlib
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -57,6 +59,22 @@ def cholesky(m: np.ndarray) -> np.ndarray:
         raise NotPositiveDefinite(str(exc)) from exc
 
 
+@dataclass
+class ProjectionHead:
+    """Affine map from input embeddings to the contrast space."""
+
+    weights: np.ndarray  # (d_out, d_in)
+    bias: np.ndarray     # (d_out,)
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        return np.asarray(x, dtype=float) @ self.weights.T + self.bias
+
+    @classmethod
+    def init(cls, d_in: int, d_out: int, rng: np.random.Generator) -> "ProjectionHead":
+        w = rng.normal(scale=1.0 / math.sqrt(d_in), size=(d_out, d_in))
+        return cls(weights=w, bias=np.zeros(d_out))
+
+
 @dataclass(frozen=True)
 class GaussianModel:
     """Target-class statistics: mean, covariance and its cached factor."""
@@ -83,9 +101,9 @@ def fit_gaussian(points, ridge: float = 1e-6) -> GaussianModel:
 
     The Cholesky factor is taken on cov + ridge*I.
     """
-    x = np.asarray(points, dtype=float)
+    x = np.atleast_2d(np.asarray(points, dtype=float))
     if x.ndim != 2:
-        x = np.atleast_2d(x)
+        raise NumericalError(f"expected an (n, d) array of points, got shape {x.shape}")
     n, d = x.shape
     if n < 2:
         raise NumericalError(f"need at least 2 points, got {n}")

@@ -16,59 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import LOSS_KINDS, TrainConfig  # noqa: F401  (LOSS_KINDS is re-exported)
 from .errors import ConfigError, NonFiniteLoss, NotPositiveDefinite, NumericalError
-from .linalg import GaussianModel, SlidingWindow, fit_gaussian
+from .linalg import GaussianModel, ProjectionHead, SlidingWindow, fit_gaussian
 from .loss import cosine_loss, mah_loss, mah_mean_loss
 from .seeds import rng_for
 
-LOSS_KINDS = ("mah", "mah_mean", "cosine")
 MLP_BATCH_SIZE = 32
 MLP_LEARNING_RATE = 1e-3
-
-
-@dataclass
-class ProjectionHead:
-    """Affine map from input embeddings to the contrast space."""
-
-    weights: np.ndarray  # (d_out, d_in)
-    bias: np.ndarray     # (d_out,)
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float) @ self.weights.T + self.bias
-
-    @classmethod
-    def init(cls, d_in: int, d_out: int, rng: np.random.Generator) -> "ProjectionHead":
-        w = rng.normal(scale=1.0 / math.sqrt(d_in), size=(d_out, d_in))
-        return cls(weights=w, bias=np.zeros(d_out))
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    loss_kind: str = "mah_mean"
-    batch_size: int = 16       # 40 suits larger corpora
-    window_multiplier: int = 100  # 500 for large datasets
-    learning_rate: float = 1e-3
-    epochs: int = 1
-    ridge: float = 1e-6
-    proj_dim: int = 64
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.loss_kind not in LOSS_KINDS:
-            raise ConfigError(f"loss_kind must be one of {LOSS_KINDS}")
-        if min(self.batch_size, self.window_multiplier, self.proj_dim) < 1:
-            raise ConfigError("batch_size, window_multiplier and proj_dim must be positive")
-        if self.window_capacity < 2:  # the loss needs a window fit to 2 rows or more
-            raise ConfigError(f"--batch-size {self.batch_size} x --window-mult "
-                              f"{self.window_multiplier} gives a {self.window_capacity}-row "
-                              "window; it needs at least 2 rows")
-        if not (self.epochs >= 0 and self.learning_rate > 0 and self.ridge >= 0
-                and math.isfinite(self.learning_rate) and math.isfinite(self.ridge)):
-            raise ConfigError("invalid epochs, learning_rate or ridge")
-
-    @property
-    def window_capacity(self) -> int:
-        return self.window_multiplier * self.batch_size
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import re
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import run_fresh
-from mahaclass import cli, mahalanobis
+from mahaclass import cli, mahalanobis, metrics, trainer
 from mahaclass import data as data_mod
 from mahaclass.data import (
     SynthConfig,
@@ -91,13 +92,13 @@ class TestTrain:
         # its batch and the loss that trainer.train returned, as %.17g
         _, data, _ = workspace
         returned = []
-        train = cli.trainer.train
+        train = trainer.train
 
         def keep(*args, **kwargs):
             returned.append(result := train(*args, **kwargs))
             return result
 
-        monkeypatch.setattr(cli.trainer, "train", keep)
+        monkeypatch.setattr(trainer, "train", keep)
         out = tmp_path / "m.txt"
         log = tmp_path / "log.tsv"
         assert cli.main(["train", "--input", str(data), "--output", str(out),
@@ -576,6 +577,19 @@ class TestAblate:
         for c in cells:
             assert all(0.0 <= float(v) <= 1.0 for v in c[2:])
 
+    def test_table_takes_no_auc(self, workspace, tmp_path, monkeypatch):
+        # the table has no AUC column, so no row ranks the test split for one
+        _, data, _ = workspace
+        argv = ["ablate", "--input", str(data), "--seed", "1", "--mlp-epochs", "1"] + TRAIN_FLAGS
+        assert cli.main(argv + ["--output", str(tmp_path / "ranked.tsv")]) == 0
+
+        def fail(*args, **kwargs):
+            raise AssertionError("metrics.roc_auc called")
+
+        monkeypatch.setattr(metrics, "roc_auc", fail)
+        assert cli.main(argv + ["--output", str(tmp_path / "unranked.tsv")]) == 0
+        assert (tmp_path / "unranked.tsv").read_bytes() == (tmp_path / "ranked.tsv").read_bytes()
+
     def test_beta_row_is_train_then_evaluate_on_the_test_split(self, tmp_path):
         # ablate's mah-mean beta row is what a default train model scores
         # under evaluate on the test split, to the table's 3 decimals
@@ -1034,7 +1048,7 @@ class TestExitCodes:
         def fail(*args, **kwargs):
             raise AssertionError("trainer.train called")
 
-        monkeypatch.setattr(cli.trainer, "train", fail)
+        monkeypatch.setattr(trainer, "train", fail)
         rc = cli.main([command, "--input", str(data), "--output", str(tmp_path / "out"),
                        "--proj-dim", "2"])
         assert rc == cli.EXIT_NUMERICAL
@@ -1297,10 +1311,16 @@ class TestFrontDoor:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cap.cfg", "run.cfg"]
 
     def test_entry_exits_with_the_code_of_main(self, monkeypatch, capsys):
+        # the freeze itself is checked in a fresh interpreter
+        # (test_each_command_loads_only_the_modules_it_runs); here it would
+        # freeze this test process's heap
+        frozen = []
+        monkeypatch.setattr(gc, "freeze", lambda: frozen.append(True))
         monkeypatch.setattr(sys, "argv", ["mahaclass", "frobnicate"])
         with pytest.raises(SystemExit) as exc:
             cli.entry()
         assert exc.value.code == cli.EXIT_USAGE
+        assert frozen == [True]
         assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
 
     def test_help_and_a_missing_command_return_their_codes(self, capsys):
@@ -1386,6 +1406,51 @@ def test_only_hashing_commands_load_hashlib(tmp_path):
         assert loaded("hashlib") == ["hashlib"]
     """
     run_fresh(code, str(model), str(data), str(tmp_path / "out_"), *TRAIN_FLAGS)
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # a fresh interpreter per command: synth loads no model, training or
+    # metrics code, nor scipy's LAPACK extension file; the commands that
+    # read a model load no training code; entry(), not main(), freezes
+    # the import-time heap
+    data, model = tmp_path / "data.tsv", tmp_path / "model.txt"
+    assert cli.main(["synth", "--output", str(data), "--seed", "1"] + SYNTH_FLAGS) == 0
+    assert cli.main(["train", "--input", str(data), "--output", str(model), "--seed", "1"]
+                    + TRAIN_FLAGS) == 0
+    code = """if True:
+        import gc, sys
+        from mahaclass import cli
+        assert cli.main(sys.argv[1:]) == 0
+        assert gc.get_freeze_count() == 0
+        print(*(m for m in sys.modules
+                if m.startswith("mahaclass.") or m == "scipy.linalg._flapack"))
+    """
+    out = str(tmp_path / "out_")
+
+    def loaded(*argv):
+        return set(run_fresh(code, *argv).split())
+
+    never_in_synth = {f"mahaclass.{m}" for m in (
+        "linalg", "_scipy", "mahalanobis", "betadist", "metrics", "trainer", "loss")}
+    never_in_synth.add("scipy.linalg._flapack")
+    synth = loaded("synth", "--output", out + "synth", *SYNTH_FLAGS)
+    assert synth & never_in_synth == set(), synth & never_in_synth
+    for argv in (["infer", "--model", str(model)], ["evaluate", "--model", str(model)],
+                 ["diagnose", "--model", str(model)], ["diagnose"]):
+        modules = loaded(*argv, "--input", str(data), "--output", out + argv[0])
+        assert modules & {"mahaclass.trainer", "mahaclass.loss"} == set(), (argv, modules)
+
+    code = """if True:
+        import gc, sys
+        from mahaclass import cli
+        sys.argv = ["mahaclass", *sys.argv[1:]]
+        try:
+            cli.entry()
+        except SystemExit as exc:
+            assert exc.code == 0, exc.code
+        assert gc.get_freeze_count() > 0
+    """
+    run_fresh(code, "synth", "--output", out + "entry", *SYNTH_FLAGS)
 
 
 def test_train_leaves_numpy_ma_unloaded(tmp_path):

@@ -112,6 +112,11 @@ class TestFitGaussian:
             with pytest.raises(NumericalError, match="need at least 2 points, got 1"):
                 fit_gaussian(points)
 
+    def test_three_dim_array_names_its_shape(self):
+        with pytest.raises(NumericalError, match=r"expected an \(n, d\) array of points, "
+                                                 r"got shape \(3, 2, 2\)"):
+            fit_gaussian(np.zeros((3, 2, 2)))
+
     def test_chol_reconstructs(self):
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(20, 4))
