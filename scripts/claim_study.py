@@ -35,7 +35,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 from scipy import stats  # noqa: E402
 
-from mahaclass import cli, metrics  # noqa: E402
+from mahaclass import cli  # noqa: E402
 from mahaclass.data import SynthConfig, load_dataset, load_model, split, synth_target_moments  # noqa: E402
 from mahaclass.mahalanobis import null_beta_params  # noqa: E402
 from mahaclass.seeds import rng_for  # noqa: E402
@@ -67,12 +67,12 @@ def cell(data_path, data, d_out: int, epochs: int, seed: int, n_fresh: int, fres
              "--seed", str(seed), "--proj-dim", str(d_out), "--epochs", str(epochs)] + TRAIN_FLAGS)
     det = load_model(model_path)
     t = det.scores(rng_for(seed, "claims-fresh").multivariate_normal(*fresh_law, size=n_fresh))
-    rejected = int(np.count_nonzero(t >= det.v_beta))
+    rejected = int(np.count_nonzero(det.decide(t) == 0))
     null = null_beta_params(det.gaussian)
     ks = stats.kstest(t, stats.beta(null.a, null.b).cdf).statistic
     test = split(data, seed=seed)[2]
     test_t = det.scores(test.vectors, test.ids)
-    report = metrics.score((test_t < det.v_beta).astype(int), test.labels, -test_t)
+    report = det.report(test_t, test.labels)
     low, high = clopper_pearson(rejected, n_fresh)
     return (data.d_in, det.d_out, epochs, seed, repr(1 - det.beta_level),
             f"{rejected / n_fresh:.6f}", f"{low:.6f}", f"{high:.6f}", f"{ks:.6f}",

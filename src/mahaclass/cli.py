@@ -23,16 +23,13 @@ import os
 import stat
 import sys
 import tempfile
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import data as data_mod
 from .data import LOSS_KINDS, TrainConfig
 from .errors import ConfigError, DataError, NumericalError
-
-if TYPE_CHECKING:
-    from .metrics import MetricsReport
+from .seeds import SEED_LIMIT
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -90,6 +87,7 @@ _EPOCHS = _checked(int, lambda v: v >= 0, "must be non-negative")
 _NON_NEGATIVE = _checked(float, lambda v: math.isfinite(v) and v >= 0,
                          "must be finite and non-negative")
 _POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0, "must be finite and positive")
+_SEED = _checked(int, lambda v: 0 <= v < SEED_LIMIT, "must lie in [0, 2**63)")
 # (argparse dest, config field, type) of the flags that set a SynthConfig
 # or TrainConfig field, whose default is that field's
 _SYNTH_FLAGS = (("d_in", "d_in", _COUNT), ("n_target", "n_target", _COUNT),
@@ -105,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_SEED, default=0)
         p.add_argument("--config", help="key=value file; flags override its values")
 
     def config_flags(p, config, flags):
@@ -235,13 +233,6 @@ def _train_and_calibrate(train_ds, dev_ds, loss, args):
     return data_mod.Detector.of(head, model, thr, args.seed, _config_hash(args)), log, dev_t
 
 
-def _evaluate(det: data_mod.Detector, t_values, labels) -> MetricsReport:
-    """Metrics of det's decisions on rows with statistics t_values."""
-    from . import metrics
-
-    return metrics.score((t_values < det.v_beta).astype(int), labels, -t_values)
-
-
 def cmd_train(args) -> int:
     from .trainer import write_training_log
 
@@ -250,7 +241,7 @@ def cmd_train(args) -> int:
         raise ConfigError(f"--log and --output name the same file {args.output}")
     train_ds, dev_ds, _ = data_mod.split(data_mod.load_dataset(args.input), seed=args.seed)
     det, log, dev_t = _train_and_calibrate(train_ds, dev_ds, args.loss, args)
-    report = _evaluate(det, dev_t, dev_ds.labels)
+    report = det.report(dev_t, dev_ds.labels)
     with _replacing(args.output) as model_tmp:
         data_mod.save_model(det, model_tmp)
         if args.log:
@@ -268,8 +259,8 @@ def cmd_infer(args) -> int:
     with _replacing(args.output) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         for chunk in data_mod.read_chunks(args.input):
             t_values = det.scores(chunk.vectors, chunk.ids)
-            fh.write("".join(f"{rid}\t{int(t < det.v_beta)}\t{t:.17g}\n"
-                             for rid, t in zip(chunk.ids, t_values.tolist())))
+            fh.write("".join(f"{rid}\t{d}\t{t:.17g}\n" for rid, d, t in zip(
+                chunk.ids, det.decide(t_values).tolist(), t_values.tolist())))
             n += len(chunk)
     print(f"wrote {n} decisions to {args.output}")
     return EXIT_OK
@@ -281,7 +272,7 @@ def cmd_evaluate(args) -> int:
     for chunk in data_mod.read_chunks(args.input):
         t_values.append(det.scores(chunk.vectors, chunk.ids))
         labels.append(chunk.labels)
-    report = _evaluate(det, np.concatenate(t_values), np.concatenate(labels))
+    report = det.report(np.concatenate(t_values), np.concatenate(labels))
     with _replacing(args.output) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         fh.write(report.to_text())
     print(report.to_text(), end="")
@@ -330,8 +321,7 @@ def cmd_ablate(args) -> int:
     for loss_flag in _LOSS_FLAGS:
         det, _, _ = _train_and_calibrate(train_ds, dev_ds, loss_flag, args)
         t_values = det.scores(test_ds.vectors, test_ds.ids)  # decisions only: no AUC column
-        rows.append((loss_flag, "beta", metrics.score((t_values < det.v_beta).astype(int),
-                                                      test_ds.labels)))
+        rows.append((loss_flag, "beta", metrics.score(det.decide(t_values), test_ds.labels)))
         mlp = trainer.train_mlp(det.project(train_ds.vectors, train_ds.ids), train_ds.labels,
                                 epochs=args.mlp_epochs, seed=args.seed)
         rows.append((loss_flag, "mlp", metrics.score(
@@ -365,6 +355,9 @@ def main(argv=None) -> int:
         except SystemExit as exc:  # argparse has printed its usage error or help
             return exc.code
         return _COMMANDS[args.command](args)
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ConfigError, DataError, OSError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return (EXIT_USAGE if isinstance(exc, ConfigError) else

@@ -12,9 +12,9 @@ File formats (normative, bit-exact round trip):
 
 Imports: at the top only what every caller needs, the dataset half that
 ``synth`` runs.  The model half (``Detector``, ``finite_projection``)
-imports ``linalg`` and ``mahalanobis`` where it uses them, so a command
-that reads or writes no model loads neither, nor the LAPACK extension
-file behind them.
+imports ``linalg``, ``mahalanobis`` and ``metrics`` where it uses them, so
+a command that reads or writes no model loads none of them, nor the LAPACK
+extension file behind them.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .seeds import rng_for
 if TYPE_CHECKING:  # the model half imports these where it runs them
     from .linalg import GaussianModel, ProjectionHead
     from .mahalanobis import DecisionThreshold
+    from .metrics import MetricsReport
 
 ARTIFACT_MAGIC = "mahaclass-model"
 ARTIFACT_VERSION = 1
@@ -454,6 +455,10 @@ class SynthConfig:
     def __post_init__(self):
         if self.d_in < 1 or self.n_target < 1 or self.m_non_target < 1:
             raise ConfigError("sizes must be positive")
+        rows = self.n_target + self.m_non_target
+        if rows * self.d_in * 8 > np.iinfo(np.intp).max:  # numpy could not index the array
+            raise ConfigError(f"{rows} rows of dimension {self.d_in} exceed the largest "
+                              "array of 8-byte floats")
         if self.components < 2:
             raise ConfigError("non-target mixture needs at least 2 components")
         if not (1 <= self.manifold_dim <= self.d_in):
@@ -657,6 +662,16 @@ class Detector:
     def scores(self, raw, ids=None) -> np.ndarray:
         """Normalized statistic T of each raw row (see ``finite_projection``)."""
         return finite_projection(self.head, raw, ids, self.gaussian)
+
+    def decide(self, t_values) -> np.ndarray:
+        """The decision rule: 1 (target) where T < ``v_beta``, 0 elsewhere."""
+        return (t_values < self.v_beta).astype(int)
+
+    def report(self, t_values, labels) -> MetricsReport:
+        """Metrics of the decisions on rows with statistics t_values, ranked by -T."""
+        from . import metrics
+
+        return metrics.score(self.decide(t_values), labels, -t_values)
 
 
 def padded_blocks(rows: np.ndarray, order=None):

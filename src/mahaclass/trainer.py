@@ -96,12 +96,7 @@ def train(data, cfg: TrainConfig):
         head, log = ProjectionHead(np.eye(d_in), np.zeros(d_in)), []
     else:
         head, log = _descend(data, cfg, d_out)
-    try:
-        model = refit_model(data, head, cfg.ridge)
-    except NotPositiveDefinite as exc:
-        raise NotPositiveDefinite(f"refit under the final head ({n_t} rows, dimension "
-                                  f"{d_out}, ridge {cfg.ridge}) does not factor: {exc}") from exc
-    return head, model, log
+    return head, refit_model(data, head, cfg.ridge), log
 
 
 def _descend(data, cfg: TrainConfig, d_out: int):
@@ -172,7 +167,12 @@ def _descend(data, cfg: TrainConfig, d_out: int):
 def refit_model(data, head: ProjectionHead, ridge: float) -> GaussianModel:
     """Gaussian statistics over all target training points projected by
     ``head``."""
-    return fit_gaussian(head.project(data.target_vectors()), ridge=ridge)
+    z = head.project(data.target_vectors())
+    try:
+        return fit_gaussian(z, ridge=ridge)
+    except NotPositiveDefinite as exc:
+        raise NotPositiveDefinite(f"refit under the final head ({len(z)} rows, dimension "
+                                  f"{z.shape[1]}, ridge {ridge}) does not factor: {exc}") from exc
 
 
 def write_training_log(log, path) -> None:

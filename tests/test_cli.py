@@ -1155,6 +1155,10 @@ class TestExitCodes:
         ["synth", "--m-non-target", "-5"],
         ["synth", "--manifold-dim", "0"],
         ["synth", "--components", "1"],
+        ["synth", "--seed", "-1"],
+        ["synth", "--seed", str(2**63)],
+        ["train", "--seed", "-1"],
+        ["ablate", "--seed", str(2**63)],
     ])
     def test_out_of_range_flag_is_usage_error(self, workspace, tmp_path, capsys, argv):
         _, data, _ = workspace
@@ -1184,8 +1188,8 @@ class TestExitCodes:
         assert out == "" and "must be finite" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("line", ["beta-level = 1.5", "fpr-cap = 7",
-                                      "ridge = nan", "lr = inf", "components = 1"])
+    @pytest.mark.parametrize("line", ["beta-level = 1.5", "fpr-cap = 7", "ridge = nan",
+                                      "lr = inf", "components = 1", "seed = -1"])
     def test_out_of_range_config_value_is_usage_error(self, workspace, tmp_path, capsys, line):
         _, data, _ = workspace
         cfg = tmp_path / "run.cfg"
@@ -1200,6 +1204,38 @@ class TestExitCodes:
         key, _, value = line.split()
         assert f"argument --{key}: '{value}' must" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_seed_range_ends_are_accepted(self):
+        parser = cli.build_parser()
+        for seed in (0, 2**63 - 1):
+            assert parser.parse_args(["synth", "--output", "d", "--seed", str(seed)]).seed == seed
+
+    def test_oversized_synth_is_usage_error(self, tmp_path, capsys):
+        # refused by SynthConfig before any array is allocated
+        out = tmp_path / "d.tsv"
+        capsys.readouterr()
+        assert cli.main(["synth", "--output", str(out), "--n-target", str(2**62)]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {2**62 + 8000} rows of dimension 32 exceed the largest "
+                                "array of 8-byte floats\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("where", ["synth_benchmark", "save_dataset"])
+    def test_out_of_memory_is_numerical_error(self, tmp_path, capsys, monkeypatch, where):
+        # a patched allocation: a real one this large could start filling memory
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 233. TiB for an array")
+
+        monkeypatch.setattr(data_mod, where, exhausted)
+        out = tmp_path / "d.tsv"
+        capsys.readouterr()
+        assert cli.main(["synth", "--output", str(out), "--n-target", "50",
+                         "--m-non-target", "50"]) == cli.EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory: Unable to allocate 233. TiB for an array\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_negative_mlp_epochs_in_config_is_usage_error(self, workspace, tmp_path, capsys):
         _, data, _ = workspace

@@ -31,6 +31,7 @@ from mahaclass.data import (
 from mahaclass.errors import ConfigError, DataError, NumericalError
 from mahaclass.linalg import GaussianModel, cholesky
 from mahaclass.mahalanobis import DecisionThreshold, beta_decide, scores
+from mahaclass.metrics import score
 from mahaclass.trainer import ProjectionHead, TrainConfig, train
 
 
@@ -782,6 +783,22 @@ class TestDetector:
     def test_invariants_checked_at_construction(self, change):
         with pytest.raises(ValueError):
             replace(make_detector(), **change)
+
+    def test_decide_is_strict(self):
+        det = make_detector()
+        v = det.v_beta
+        decided = det.decide(np.array([0.0, np.nextafter(v, 0), v, np.nextafter(v, 1), 0.99]))
+        assert decided.dtype == np.dtype(int)
+        np.testing.assert_array_equal(decided, [1, 1, 0, 0, 0])
+
+    @pytest.mark.parametrize("labels", [[1, 0, 1, 0, 1], [1, 1, 1, 1, 1]])
+    def test_report_scores_the_decisions_ranked_by_minus_t(self, labels):
+        det = make_detector()
+        t, labels = np.array([0.1, 0.2, det.v_beta, 0.5, 0.3]), np.array(labels)
+        got = det.report(t, labels)
+        assert got == score((t < det.v_beta).astype(int), labels, -t)
+        # one class ranks no pair: the AUC is the degenerate 0
+        assert ("auc" in got.degenerate) == (len(set(labels)) == 1)
 
     def test_project_rejects_other_widths(self):
         det = make_detector(d_in=5)

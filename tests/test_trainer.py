@@ -3,7 +3,7 @@ import pytest
 
 from mahaclass import linalg, trainer
 from mahaclass.data import EmbeddingDataset
-from mahaclass.errors import ConfigError, NonFiniteLoss, NumericalError
+from mahaclass.errors import ConfigError, NonFiniteLoss, NotPositiveDefinite, NumericalError
 from mahaclass.linalg import fit_gaussian
 from mahaclass.loss import mah_mean_loss
 from mahaclass.seeds import rng_for
@@ -110,6 +110,14 @@ class TestAdam:
                 np.testing.assert_array_equal(got, want)
 
 
+class TestRngFor:
+    @pytest.mark.parametrize("seed", [-1, 2**63])
+    def test_out_of_range_seed_is_refused(self, seed):
+        # masking it would give -1 the stream of 2**63 - 1 and 2**63 that of 0
+        with pytest.raises(ValueError, match=r"must lie in \[0, 2\*\*63\)"):
+            rng_for(seed, "triples")
+
+
 class TestEpochTriples:
     def test_anchor_pass_without_replacement(self):
         # each epoch's anchors are one permutation, in batches of batch_size
@@ -139,6 +147,13 @@ class TestEpochTriples:
 
 
 class TestTrain:
+    def test_refit_failure_names_the_refit(self):
+        # constant target rows have a zero covariance, which ridge 0 leaves singular
+        data = make_dataset(np.ones((10, 3)), np.zeros((4, 3)))
+        want = r"^refit under the final head \(10 rows, dimension 2, ridge 0\.0\) does not factor: "
+        with pytest.raises(NotPositiveDefinite, match=want):
+            refit_model(data, ProjectionHead(np.eye(2, 3), np.zeros(2)), ridge=0.0)
+
     def test_deterministic(self):
         data = toy_data(4)
         cfg = TrainConfig(proj_dim=3, window_multiplier=4, epochs=2, seed=5)
