@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigError, DataError, NotPositiveDefinite, NumericalError
-from .seeds import rng_for
+from .seeds import SEED_LIMIT, rng_for
 
 if TYPE_CHECKING:  # the model half imports these where it runs them
     from .linalg import GaussianModel, ProjectionHead
@@ -472,6 +472,12 @@ class SynthConfig:
         if not math.isfinite(100.0 * self.manifold_dim * self.separation):
             raise ConfigError(f"separation {self.separation} overflows the mixture's "
                               f"coordinates at manifold_dim {self.manifold_dim}")
+        _check_seed(self.seed)
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < SEED_LIMIT:  # else seeds.rng_for fails at the first draw
+        raise ConfigError(f"seed {seed} must lie in [0, 2**63)")
 
 
 _AMBIENT_NOISE = 0.1
@@ -572,6 +578,7 @@ class TrainConfig:
         if not (self.epochs >= 0 and self.learning_rate > 0 and self.ridge >= 0
                 and math.isfinite(self.learning_rate) and math.isfinite(self.ridge)):
             raise ConfigError("invalid epochs, learning_rate or ridge")
+        _check_seed(self.seed)
 
     @property
     def window_capacity(self) -> int:

@@ -37,15 +37,30 @@ class NormalityReport:
 
 def pca_reduce(points, k: int) -> np.ndarray:
     """The (n, k) coordinates of the centered data on its top-k principal
-    directions; the coordinates past the data rank are zero."""
+    directions, each direction signed so that its largest-magnitude loading
+    is positive; the coordinates past the data rank are zero.
+
+    The centered rows' triangular factor R is built one ``CHUNK_ROWS``
+    block at a time (a tall-skinny QR), and the directions are the right
+    singular vectors of R, which has the centered rows' singular values to
+    working precision (the scatter matrix XcᵀXc would square their
+    condition number).  Besides its output, the reduction holds one block
+    and a d × d factor, never a centered copy of the rows."""
     x = np.asarray(points, dtype=float)
     n, d = x.shape
     if k < 1 or k > min(d, n - 1):
         raise NumericalError(f"need 1 <= k <= min(d, n-1), got k={k}, n={n}, d={d}")
-    xc = x - x.mean(axis=0)
-    _, s, vt = np.linalg.svd(xc, full_matrices=False)
+    mean = x.mean(axis=0)
+    r = np.empty((0, d))
+    for start in range(0, n, CHUNK_ROWS):
+        r = np.linalg.qr(np.vstack([r, x[start:start + CHUNK_ROWS] - mean]), mode="r")
+    _, s, vt = np.linalg.svd(r, full_matrices=False)
     rank = int(np.sum(s > s[0] * 1e-12)) if s.size and s[0] > 0 else 0
-    reduced = xc @ vt[:k].T
+    directions = vt[:k].T
+    directions *= np.sign(directions[np.abs(directions).argmax(axis=0), np.arange(k)])
+    reduced = np.empty((n, k))
+    for start in range(0, n, CHUNK_ROWS):
+        reduced[start:start + CHUNK_ROWS] = (x[start:start + CHUNK_ROWS] - mean) @ directions
     reduced[:, rank:] = 0.0
     return reduced
 
@@ -122,21 +137,20 @@ def normality_report(vectors, labels, k: int) -> list[NormalityReport]:
     y = np.asarray(labels, dtype=int)
     reports = []
     for label in sorted(set(y.tolist())):
-        cls = x[y == label]
-        if cls.shape[0] <= k:
-            raise NumericalError(
-                f"class {label} has {cls.shape[0]} samples, need more than k={k}")
+        members = y == label
+        n = int(np.count_nonzero(members))
+        if n <= k:
+            raise NumericalError(f"class {label} has {n} samples, need more than k={k}")
         # rows whose covariance overflows fail HZ's Cholesky factorization,
         # so the overflow is not reported a second time as a RuntimeWarning
         with np.errstate(over="ignore", invalid="ignore"):
-            red = pca_reduce(cls, k)
+            red = pca_reduce(x[members], k)  # the class copy lives for this call only
             try:
                 hz = henze_zirkler(red)
             except NumericalError as exc:
                 raise NumericalError(f"class {label}: Henze-Zirkler test failed: {exc}") from exc
         ad = [anderson_darling(red[:, j]) for j in range(k)]
-        reports.append(NormalityReport(class_label=label, hz=hz, ad_per_dim=ad,
-                                       n=cls.shape[0], points=red))
+        reports.append(NormalityReport(class_label=label, hz=hz, ad_per_dim=ad, n=n, points=red))
     return reports
 
 

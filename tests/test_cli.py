@@ -457,30 +457,57 @@ class TestOutputKinds:
         assert [p.name for p in tmp_path.iterdir()] == ["out.tsv"]
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
-def test_infer_peak_memory_is_flat_in_the_number_of_rows(tmp_path):
-    # peak RSS of infer on 2k and on 20k rows (d_in 32); a run that holds
-    # every row grows about 1 KB per row.  The child reads its own VmHWM:
-    # ru_maxrss would carry over this test process's peak across the exec.
-    model = tmp_path / "model.txt"
-    for rows in (2000, 20000):
+@pytest.fixture(scope="module")
+def sized_files(tmp_path_factory):
+    """Default-benchmark files of 2k and 20k rows (d_in 32) and a model
+    trained on the 2k one: ``{rows: path}`` and the model path."""
+    root = tmp_path_factory.mktemp("sized")
+    files = {rows: root / f"{rows}.tsv" for rows in (2000, 20000)}
+    for rows, path in files.items():
         save_dataset(synth_benchmark(SynthConfig(n_target=rows // 5, m_non_target=rows * 4 // 5)),
-                     tmp_path / f"{rows}.tsv")
-    assert cli.main(["train", "--input", str(tmp_path / "2000.tsv"),
-                     "--output", str(model)]) == 0
+                     path)
+    model = root / "model.txt"
+    assert cli.main(["train", "--input", str(files[2000]), "--output", str(model)]) == 0
+    return files, model
+
+
+def peak_rss_mb(argv) -> float:
+    """The VmHWM of a fresh interpreter that runs ``cli.main(argv)``.  The
+    child reads its own VmHWM: ru_maxrss would carry over this test
+    process's peak across the exec."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys; from mahaclass import cli; rc = cli.main(sys.argv[1:]); "
             "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0]); sys.exit(rc)")
-    peak_mb = {}
-    for rows in (2000, 20000):
-        result = subprocess.run([sys.executable, "-c", code, "infer", "--model", str(model),
-                                 "--input", str(tmp_path / f"{rows}.tsv"),
-                                 "--output", str(tmp_path / "out.tsv")],
-                                env=env, capture_output=True, text=True, check=True)
-        peak_mb[rows] = int(result.stdout.split()[-1]) / 1024  # VmHWM is in kB
+    result = subprocess.run([sys.executable, "-c", code] + [str(a) for a in argv],
+                            env=env, capture_output=True, text=True, check=True)
+    return int(result.stdout.split()[-1]) / 1024  # VmHWM is in kB
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_infer_peak_memory_is_flat_in_the_number_of_rows(sized_files, tmp_path):
+    # peak RSS of infer on 2k and on 20k rows (d_in 32); a run that holds
+    # every row grows about 1 KB per row
+    files, model = sized_files
+    peak_mb = {rows: peak_rss_mb(["infer", "--model", model, "--input", path,
+                                  "--output", tmp_path / "out.tsv"])
+               for rows, path in files.items()}
     assert peak_mb[20000] - peak_mb[2000] < 8, peak_mb
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_diagnose_peak_memory_holds_each_class_once(sized_files, tmp_path):
+    # peak RSS of diagnose --model on 2k and on 20k rows (d_in 32, a square
+    # 32-dim head): the raw and the projected rows are each held whole once
+    # (about 0.5 KB a row), and each class's PCA adds its (n, k)
+    # coordinates, not a centered copy and an (n, d) U.  The growth read
+    # 9.1-9.3 MB; with the centered copy and U it read 18.8-19.0 MB
+    files, model = sized_files
+    peak_mb = {rows: peak_rss_mb(["diagnose", "--model", model, "--input", path,
+                                  "--output", tmp_path / "diag"])
+               for rows, path in files.items()}
+    assert peak_mb[20000] - peak_mb[2000] < 14, peak_mb
 
 
 class TestDiagnose:

@@ -639,6 +639,9 @@ class TestSynthBenchmark:
         for value in (float("nan"), float("inf"), 1e308):
             with pytest.raises(ConfigError, match=r"must be finite|1e\+308 overflows"):
                 SynthConfig(separation=value)
+        for seed in (-1, 2**63):  # refused here, not at the first seeds.rng_for draw
+            with pytest.raises(ConfigError, match=rf"seed {seed} must lie in \[0, 2\*\*63\)"):
+                SynthConfig(seed=seed, n_target=10, m_non_target=10)
 
     def test_huge_separation_round_trips(self, tmp_path):
         cfg = SynthConfig(d_in=4, n_target=40, m_non_target=80, manifold_dim=2,

@@ -23,15 +23,35 @@ from mahaclass.linalg import fit_gaussian, whitened_sq_norms
 from mahaclass.trainer import ProjectionHead
 
 
+def dense_pca(x, k):
+    """Reference: the centered rows on the top-k right singular vectors of
+    one dense SVD of the whole centered matrix, in LAPACK's signs."""
+    xc = x - x.mean(axis=0)
+    return xc @ np.linalg.svd(xc, full_matrices=False)[2][:k].T
+
+
 class TestPcaReduce:
     def test_axis_aligned_variances(self):
         rng = np.random.default_rng(50)
         x = rng.normal(size=(500, 3)) * np.array([10.0, 1.0, 0.1])
         res = pca_reduce(x, 2)
         assert res.shape == (500, 2)
-        # top component aligns with the widest axis
+        # the top direction is the widest axis itself, not its mirror: its
+        # largest loading, the one on that axis, is positive
         corr = np.corrcoef(res[:, 0], x[:, 0])[0, 1]
-        assert abs(corr) > 0.99
+        assert corr > 0.99
+
+    @pytest.mark.parametrize("n", ["k+2", 255, 256, 257, 1000])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_matches_a_dense_svd_up_to_sign(self, n, k):
+        # distinct column scales keep every direction well separated; 255,
+        # 256 and 257 rows put the last block short, exact and one row long
+        d = 5
+        n = k + 2 if n == "k+2" else n
+        x = np.random.default_rng(57).normal(size=(n, d)) * np.array([5.0, 3.0, 2.0, 1.0, 0.5])
+        res, ref = pca_reduce(x, k), dense_pca(x, k)
+        sign = np.sign(np.sum(res * ref, axis=0))
+        np.testing.assert_allclose(res, ref * sign, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
 
     def test_variance_preserved_at_full_rank(self):
         rng = np.random.default_rng(51)
@@ -41,12 +61,40 @@ class TestPcaReduce:
         total_out = np.var(res, axis=0, ddof=1).sum()
         assert total_out == pytest.approx(total_in, rel=1e-10)
 
-    def test_rank_deficient_flag(self):
+    @pytest.mark.parametrize("x, rank", [
         # points on a line in 3-space have rank 1
-        t = np.linspace(0, 1, 20)[:, None]
-        x = t @ np.array([[1.0, 2.0, 3.0]])
-        res = pca_reduce(x, 2)
-        np.testing.assert_array_equal(res[:, 1], np.zeros(20))
+        (np.linspace(0, 1, 20)[:, None] @ np.array([[1.0, 2.0, 3.0]]), 1),
+        # 700 points on a plane in 5-space, three blocks of the QR
+        (np.random.default_rng(58).normal(size=(700, 2))
+         @ np.random.default_rng(59).normal(size=(2, 5)) + 1.0, 2),
+    ], ids=["line", "plane"])
+    def test_rank_deficient_flag(self, x, rank):
+        n, d = x.shape
+        res = pca_reduce(x, d)
+        np.testing.assert_array_equal(res[:, rank:], np.zeros((n, d - rank)))
+        ref = dense_pca(x, rank)  # the coordinates within the rank are kept
+        np.testing.assert_allclose(np.abs(res[:, :rank]), np.abs(ref), rtol=1e-10,
+                                   atol=1e-10 * np.abs(ref).max())
+
+    def test_signs_do_not_depend_on_row_order(self):
+        # reversed rows build another R, whose SVD LAPACK may sign either
+        # way; the sign rule gives the reversed coordinates, signs included
+        x = np.random.default_rng(59).normal(size=(600, 4)) * np.array([4.0, 3.0, 2.0, 1.0])
+        res = pca_reduce(x, 4)
+        np.testing.assert_allclose(pca_reduce(x[::-1], 4), res[::-1], rtol=1e-10,
+                                   atol=1e-10 * np.abs(res).max())
+
+    def test_memory_is_the_output_plus_a_block(self):
+        # no centered copy of the rows and no (n, d) U: 80,000 x 32 rows
+        # (20.5 MB) peaked 40.9 MB above their input with a dense SVD
+        x = np.random.default_rng(60).normal(size=(80_000, 32))
+        tracemalloc.start()
+        try:
+            res = pca_reduce(x, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < res.nbytes + 2**20
 
     def test_k_out_of_range(self):
         x = np.random.default_rng(52).normal(size=(5, 3))

@@ -44,6 +44,9 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
         with pytest.raises(ConfigError, match="invalid epochs, learning_rate or ridge"):
             TrainConfig(learning_rate=0.0)
+        for seed in (-1, 2**63):
+            with pytest.raises(ConfigError, match=rf"seed {seed} must lie in \[0, 2\*\*63\)"):
+                TrainConfig(seed=seed)
 
     def test_rejects_a_one_row_window(self):
         # the loss reads the statistics of the window, which a single row
